@@ -57,11 +57,18 @@ def read_framed(path, magic: bytes):
     return header, raw[12 + hlen:]
 
 
-def _require(header: dict, path, *keys):
+def _dims(header: dict, path, *keys):
+    """The header's values for ``keys``, each a non-negative JSON integer."""
+    dims = []
     for key in keys:
         if key not in header:
             raise FormatError(f"{path}: header missing required key {key!r}")
-    return [header[k] for k in keys]
+        value = header[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise FormatError(f"{path}: header {key!r} must be a non-negative integer, "
+                              f"got {value!r}")
+        dims.append(value)
+    return dims
 
 
 def write_cube_raster(path, values: np.ndarray):
@@ -77,16 +84,16 @@ def write_cube_raster(path, values: np.ndarray):
 def read_cube_raster(path):
     """Read an HSZCUBE file; returns (values (H,W,B) float32, header)."""
     header, payload = read_framed(path, CUBE_MAGIC)
-    h, w, b = _require(header, path, "height", "width", "bands")
+    h, w, b = _dims(header, path, "height", "width", "bands")
     if header.get("dtype") != "f32le":
         raise FormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     if header.get("order") != "bip":
         raise FormatError(f"{path}: unsupported order {header.get('order')!r}")
-    expected = int(h) * int(w) * int(b) * 4
+    expected = h * w * b * 4
     if len(payload) != expected:
         raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(int(h), int(w), int(b))
+    values = np.frombuffer(payload, dtype="<f4").reshape(h, w, b)
     return np.ascontiguousarray(values), header
 
 
@@ -103,10 +110,10 @@ def write_label_raster(path, ids: np.ndarray, num_classes: int):
 def read_label_raster(path):
     """Read an HSZLBL file; returns (ids (H,W) uint16, num_classes)."""
     header, payload = read_framed(path, LABEL_MAGIC)
-    h, w, k = _require(header, path, "height", "width", "classes")
-    expected = int(h) * int(w) * 2
+    h, w, k = _dims(header, path, "height", "width", "classes")
+    expected = h * w * 2
     if len(payload) != expected:
         raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    ids = np.frombuffer(payload, dtype="<u2").reshape(int(h), int(w))
-    return np.ascontiguousarray(ids), int(k)
+    ids = np.frombuffer(payload, dtype="<u2").reshape(h, w)
+    return np.ascontiguousarray(ids), k

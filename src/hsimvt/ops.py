@@ -8,8 +8,11 @@ input requires a gradient, each op records one adjoint closure on the tape.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, active_graph
@@ -22,12 +25,70 @@ def _recording(*tensors):
     return g, any(t.requires_grad for t in tensors)
 
 
+def _taps(a: np.ndarray, kshape) -> np.ndarray:
+    """Zero-padded sliding-window view of a batched (N, H, W, C) array.
+
+    ``kshape`` holds odd window extents for axes 1, 2 and, with a third
+    entry, 3 (the channel axis). Each of those axes is padded by half its
+    extent, so the view keeps the input's size: it has layout
+    (N, H, W, *kshape, C), and ``view[..., *t, :]`` reads the input shifted
+    by ``t - kshape // 2``. Nothing is copied beyond the padding.
+    """
+    m = len(kshape)
+    pads = [k // 2 for k in kshape] + [0] * (3 - m)
+    padded = np.zeros(a.shape[:1] + tuple(s + 2 * p for s, p in zip(a.shape[1:], pads)),
+                      dtype=a.dtype)
+    padded[(slice(None),) + tuple(slice(p, p + s) for p, s in zip(pads, a.shape[1:]))] = a
+    st = padded.strides
+    return as_strided(padded, a.shape[:3] + tuple(kshape) + a.shape[3:],
+                      st[:3] + st[1:1 + m] + st[3:], writeable=False)
+
+
+def _fold(cols: np.ndarray, kshape) -> np.ndarray:
+    """Adjoint of :func:`_taps` (col2im), taking the windows tap-major.
+
+    ``cols`` has layout (*kshape, N, H, W, C) and is overwritten. Tap ``t``
+    adds its (N, H, W, C) block onto the entries shifted by
+    ``t - kshape // 2`` along axes 1, 2 (and 3); what would land outside is
+    dropped. On the flattened block that shift is a single offset, so each
+    tap is one contiguous add once the entries that would cross an edge are
+    zeroed. Returns a new (N, H, W, C) array.
+    """
+    grid = cols.shape[len(kshape):]
+    steps = [math.prod(grid[axis + 1:]) for axis in range(len(grid))]
+    centre = tuple(k // 2 for k in kshape)
+    out = cols[centre].copy()
+    flat = out.reshape(-1)
+    for t in itertools.product(*map(range, kshape)):
+        if t == centre:
+            continue
+        src = cols[t]
+        offset = 0
+        for axis, d in enumerate((i - c for i, c in zip(t, centre)), start=1):
+            if d:
+                edge = [slice(None)] * len(grid)
+                edge[axis] = slice(max(grid[axis] - d, 0), None) if d > 0 else slice(None, -d)
+                src[tuple(edge)] = 0
+                offset += d * steps[axis]
+        src = src.reshape(-1)
+        n = flat.size - abs(offset)
+        if n > 0 and offset >= 0:
+            flat[offset:] += src[:n]
+        elif n > 0:
+            flat[:n] += src[-offset:]
+    return out
+
+
 def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Correlation with 3-D kernels sliding over rows, columns and channels.
 
     Each of the K kernels emits a full C-channel map (channel axis is
     zero-padded like the spatial axes), and the K maps are concatenated
     kernel-major along the channel axis: output (..., H, W, K*C).
+
+    The window matrix keeps the channel axis innermost, (N*H*W, k1*k2*k3, C),
+    so one batched product with the (K, k1*k2*k3) kernel matrix writes the
+    kernel-major output directly.
     """
     xd = x.data
     single = xd.ndim == 3
@@ -45,14 +106,12 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv3d bias must be ({nk},), got {bias.data.shape}")
     n, h, w, c = xd.shape
 
-    p1, p2, p3 = k1 // 2, k2 // 2, k3 // 2
-    xp = np.pad(xd, ((0, 0), (p1, p1), (p2, p2), (p3, p3)))
-    win = sliding_window_view(xp, (k1, k2, k3), axis=(1, 2, 3))
-    cols = np.ascontiguousarray(win).reshape(n * h * w * c, k1 * k2 * k3)
+    ktaps = (k1, k2, k3)
+    cols = np.ascontiguousarray(_taps(xd, ktaps)).reshape(n * h * w, k1 * k2 * k3, c)
     wmat = kd.reshape(nk, -1)
-    prod = cols @ wmat.T  # (n*h*w*c, nk)
-    out = prod.reshape(n, h, w, c, nk).transpose(0, 1, 2, 4, 3).reshape(n, h, w, nk * c)
-    out = out + np.repeat(bias.data, c)
+    out = np.matmul(wmat, cols)  # (n*h*w, nk, c): kernel-major channels
+    out += bias.data[:, None]
+    out = out.reshape(n, h, w, nk * c)
     if single:
         out = out[0]
 
@@ -65,20 +124,15 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             go = result.grad
             if go is None:
                 return
-            god = go[None] if single else go
-            gom = god.reshape(n, h, w, nk, c).transpose(0, 1, 2, 4, 3).reshape(-1, nk)
+            god = go.reshape(n * h * w, nk, c)
             if kernels.requires_grad:
-                kernels.accumulate_grad((gom.T @ cols).reshape(kd.shape))
+                gk = np.matmul(god, cols.transpose(0, 2, 1)).sum(axis=0)
+                kernels.accumulate_grad(gk.reshape(kd.shape))
             if bias.requires_grad:
-                bias.accumulate_grad(gom.sum(axis=0))
+                bias.accumulate_grad(god.sum(axis=0).sum(axis=1))
             if x.requires_grad:
-                gwin = (gom @ wmat).reshape(n, h, w, c, k1, k2, k3)
-                gxp = np.zeros_like(xp)
-                for i in range(k1):
-                    for j in range(k2):
-                        for l in range(k3):
-                            gxp[:, i:i + h, j:j + w, l:l + c] += gwin[:, :, :, :, i, j, l]
-                gx = gxp[:, p1:p1 + h, p2:p2 + w, p3:p3 + c]
+                gcols = wmat.T @ np.moveaxis(god, 1, 0).reshape(nk, -1)
+                gx = _fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps)
                 x.accumulate_grad(gx[0] if single else gx)
 
         g.record(bwd)
@@ -86,7 +140,13 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Spatial correlation over all input channels; output (..., H, W, K)."""
+    """Spatial correlation over all input channels; output (..., H, W, K).
+
+    Computed on the output side, so no window of the (C-wide) input is ever
+    copied: every input pixel is multiplied by each of the kh*kw kernel taps
+    and the K-wide products are folded onto the pixels they reach. The
+    backward pass takes windows of the (K-wide) output gradient instead.
+    """
     xd = x.data
     single = xd.ndim == 3
     if single:
@@ -105,12 +165,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv2d bias must be ({nk},), got {bias.data.shape}")
     n, h, w, _ = xd.shape
 
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (n,h,w,cin,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * w, kh * kw * cin)
-    wmat = kd.reshape(nk, -1)  # rows in (kh,kw,cin) order, matching cols
-    out = (cols @ wmat.T + bias.data).reshape(n, h, w, nk)
+    ktaps = (kh, kw)
+    xm = xd.reshape(-1, cin)
+    # Kernel tap t reads the pixel t - k//2 away, so its product must move the
+    # other way: _fold moves stacked tap t by t - k//2, hence the flip.
+    wtaps = kd[:, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(kh * kw, cin, nk)
+    out = _fold(np.matmul(xm, wtaps).reshape(ktaps + (n, h, w, nk)), ktaps)
+    out += bias.data
     if single:
         out = out[0]
 
@@ -124,18 +185,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             if go is None:
                 return
             god = go[None] if single else go
-            gom = god.reshape(-1, nk)
+            gcols = np.ascontiguousarray(_taps(god, ktaps)).reshape(-1, kh * kw * nk)
             if kernels.requires_grad:
-                kernels.accumulate_grad((gom.T @ cols).reshape(kd.shape))
+                gk = (xm.T @ gcols).reshape(cin, kh, kw, nk)[:, ::-1, ::-1].transpose(3, 1, 2, 0)
+                kernels.accumulate_grad(gk)
             if bias.requires_grad:
-                bias.accumulate_grad(gom.sum(axis=0))
+                bias.accumulate_grad(god.reshape(-1, nk).sum(axis=0))
             if x.requires_grad:
-                gwin = (gom @ wmat).reshape(n, h, w, kh, kw, cin)
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, i:i + h, j:j + w, :] += gwin[:, :, :, i, j, :]
-                gx = gxp[:, ph:ph + h, pw:pw + w, :]
+                gx = (gcols @ wtaps.transpose(0, 2, 1).reshape(-1, cin)).reshape(n, h, w, cin)
                 x.accumulate_grad(gx[0] if single else gx)
 
         g.record(bwd)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -101,6 +102,8 @@ class RunConfig:
         if len(fr) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                    for v in fr):
             raise ConfigError("train.fractions must be three numbers")
+        if not all(math.isfinite(v) and v >= 0 for v in fr):
+            raise ConfigError(f"train.fractions must be finite and non-negative, got {fr}")
         self.doc = merged
 
     @classmethod

@@ -19,31 +19,37 @@ def _check(model_fn, params):
     assert report.ok, report.summary()
 
 
+def _check_conv(op, xshape, kshape, out_channels):
+    x = _param(xshape)
+    k = _param(kshape)
+    b = _param((kshape[0],))
+    probe = Tensor(RNG.normal(size=xshape[:-1] + (out_channels,)))
+    report = check_gradients(lambda: ops.sum_all(ops.mul(op(x, k, b), probe)),
+                             {"x": x, "kernels": k, "bias": b}, tolerance=TOL)
+    assert report.ok, f"{op.__name__} {xshape} * {kshape}: {report.summary()}"
+
+
 def test_conv3d_gradients():
-    x = _param((4, 4, 5))
-    k = _param((2, 3, 3, 3))
-    b = _param((2,))
-    probe = Tensor(RNG.normal(size=(4, 4, 10)))
-    _check(lambda: ops.sum_all(ops.mul(ops.conv3d(x, k, b), probe)),
-           {"x": x, "kernels": k, "bias": b})
+    # k3 = 3 crosses both channel edges; with C < k3 one window spans both at once
+    for xshape, kshape in [((4, 4, 5), (2, 3, 3, 3)),
+                           ((3, 3, 1), (2, 1, 3, 3)),
+                           ((3, 2, 2), (1, 3, 1, 5))]:
+        _check_conv(ops.conv3d, xshape, kshape, kshape[0] * xshape[-1])
 
 
 def test_conv3d_gradients_batched():
-    x = _param((2, 3, 3, 4))
-    k = _param((2, 1, 3, 3))
-    b = _param((2,))
-    probe = Tensor(RNG.normal(size=(2, 3, 3, 8)))
-    _check(lambda: ops.sum_all(ops.mul(ops.conv3d(x, k, b), probe)),
-           {"x": x, "kernels": k, "bias": b})
+    for xshape, kshape in [((2, 3, 3, 4), (2, 1, 3, 3)),
+                           ((2, 3, 2, 3), (3, 3, 3, 3))]:
+        _check_conv(ops.conv3d, xshape, kshape, kshape[0] * xshape[-1])
 
 
 def test_conv2d_gradients():
-    x = _param((2, 4, 5, 3))
-    k = _param((4, 3, 3, 3))
-    b = _param((4,))
-    probe = Tensor(RNG.normal(size=(2, 4, 5, 4)))
-    _check(lambda: ops.sum_all(ops.mul(ops.conv2d(x, k, b), probe)),
-           {"x": x, "kernels": k, "bias": b})
+    for xshape, kshape in [((2, 4, 5, 3), (4, 3, 3, 3)),     # C_in < K
+                           ((2, 3, 4, 12), (3, 3, 3, 12)),   # C_in > K, like conv2a
+                           ((4, 5, 3), (2, 3, 3, 3)),        # unbatched (H, W, C)
+                           ((2, 3, 4, 2), (3, 1, 3, 2)),     # 1 x 3 kernel
+                           ((1, 3, 3, 2), (2, 5, 5, 2))]:    # kernel wider than the patch
+        _check_conv(ops.conv2d, xshape, kshape, kshape[0])
 
 
 def test_affine_gradients():

@@ -167,6 +167,20 @@ def test_errors_are_json_on_stderr(workdir, capsys):
     assert json.loads(err)["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("fractions", [
+    [1.5, -0.2, -0.3], [0.5, 0.5, -0.0001], [float("nan"), 0.5, 0.5], [float("inf"), 0, 0],
+])
+def test_bad_fractions_exit_with_one_json_line(workdir, capsys, fractions):
+    config = write_config(workdir, {"train": {"fractions": fractions}})
+    run(capsys, "synth", *SCENE)
+    code, out, err = run(capsys, "train", "--config", config)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["type"] == "ConfigError" and "fractions" in doc["error"]
+
+
 def test_checkpoint_config_mismatch_is_rejected(workdir, capsys):
     config = write_config(workdir)
     run(capsys, "synth", *SCENE)

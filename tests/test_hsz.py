@@ -102,6 +102,23 @@ def test_rejects_missing_header_keys(tmp_path):
         hsz.read_cube_raster(path)
 
 
+@pytest.mark.parametrize("magic,header,reader", [
+    (hsz.CUBE_MAGIC, {"height": "x", "width": 1, "bands": 1}, hsz.read_cube_raster),
+    (hsz.CUBE_MAGIC, {"height": 1, "width": -1, "bands": 1}, hsz.read_cube_raster),
+    (hsz.CUBE_MAGIC, {"height": 1, "width": 1, "bands": 1.5}, hsz.read_cube_raster),
+    (hsz.CUBE_MAGIC, {"height": True, "width": 1, "bands": 1}, hsz.read_cube_raster),
+    (hsz.LABEL_MAGIC, {"height": 1, "width": None, "classes": 1}, hsz.read_label_raster),
+    (hsz.LABEL_MAGIC, {"height": 1, "width": 1, "classes": "3"}, hsz.read_label_raster),
+    (hsz.LABEL_MAGIC, {"height": -2, "width": -2, "classes": 1}, hsz.read_label_raster),
+])
+def test_rejects_malformed_header_dims(tmp_path, magic, header, reader):
+    path = tmp_path / "bad.hsz"
+    header = dict(header, dtype="f32le", order="bip")
+    hsz.write_framed(path, magic, header, b"\0" * 8)
+    with pytest.raises(FormatError, match="non-negative integer"):
+        reader(path)
+
+
 def test_rejects_unknown_dtype_or_order(tmp_path):
     path = tmp_path / "cube.hsz"
     header = {"height": 1, "width": 1, "bands": 1, "dtype": "f64le", "order": "bip"}

@@ -32,6 +32,7 @@ def test_tensor_item_and_grad_bookkeeping():
     ((4, 5, 6), (2, 3, 3, 3)),
     ((3, 3, 8), (1, 1, 1, 3)),
     ((5, 4, 4), (3, 3, 1, 5)),
+    ((5, 5, 30), (8, 3, 3, 3)),  # the SED's conv3d
 ])
 def test_conv3d_matches_loop_oracle(shape, kshape):
     rng = np.random.default_rng(3)
@@ -74,6 +75,8 @@ def test_conv3d_rejects_bad_bias_and_rank():
     ((5, 5, 3), (4, 3, 3, 3)),
     ((4, 6, 2), (1, 1, 3, 2)),
     ((3, 3, 7), (2, 5, 5, 7)),
+    ((5, 5, 240), (40, 3, 3, 240)),  # the SED's conv2a
+    ((2, 2, 3), (2, 7, 7, 3)),  # kernel reaches past the far edge
 ])
 def test_conv2d_matches_loop_oracle(shape, kshape):
     rng = np.random.default_rng(5)
