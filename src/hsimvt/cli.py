@@ -161,22 +161,7 @@ def cmd_sweep(args) -> int:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
-    m = config["model"]
-    base_model = {"patch_size": m["patch_size"], "encoder_kernels": m["encoder_kernels"],
-                  "squeeze_channels": m["squeeze_channels"],
-                  "token_channels": m["token_channels"], "num_heads": m["heads"],
-                  "feature_dim": m["feature_dim"], "use_sed": m["use_sed"],
-                  "use_global_token": m["use_global_token"]}
-    t = config["train"]
-    base_train = {"epochs": t["epochs"], "batch_size": t["batch"],
-                  "learning_rate": t["lr"], "seed": t["seed"]}
-    if args.axis in ("patch_size", "heads"):
-        base_model.pop({"patch_size": "patch_size", "heads": "num_heads"}[args.axis])
-    p = config["mpca"]
-    rows = sweep(cube, labels, base_model, base_train, args.axis, values,
-                 mpca_views=p["views"], mpca_components=p["components"],
-                 mpca_enabled=p["enabled"], val_fraction=config.fractions[1],
-                 train_fraction=config.fractions[0],
+    rows = sweep(cube, labels, config, args.axis, values,
                  log=lambda row: print(json.dumps(row, sort_keys=True), file=sys.stderr))
     csv_path = args.out or _out_path(config, "sweep.csv")
     write_sweep_csv(rows, csv_path)

@@ -158,34 +158,6 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
                            warnings_issued=issued)
 
 
-@dataclass
-class Patch:
-    """P x P x C window centered at (center_h, center_w)."""
-
-    values: np.ndarray
-    center_h: int
-    center_w: int
-    label: int = 0
-
-
-def extract_patch(source: np.ndarray, h: int, w: int, patch_size: int) -> Patch:
-    """Cut a P x P window around (h, w); out-of-bounds positions are zero."""
-    if source.ndim != 3:
-        raise DimensionError(f"source raster must be (H,W,C), got {source.shape}")
-    if patch_size < 1 or patch_size % 2 == 0:
-        raise ConfigError(f"patch size must be odd and >= 1, got {patch_size}")
-    height, width, channels = source.shape
-    if not (0 <= h < height and 0 <= w < width):
-        raise DimensionError(f"center ({h}, {w}) outside raster {(height, width)}")
-    margin = patch_size // 2
-    out = np.zeros((patch_size, patch_size, channels), dtype=source.dtype)
-    r0, r1 = max(0, h - margin), min(height, h + margin + 1)
-    c0, c1 = max(0, w - margin), min(width, w + margin + 1)
-    out[r0 - (h - margin):r1 - (h - margin), c0 - (w - margin):c1 - (w - margin), :] = \
-        source[r0:r1, c0:c1, :]
-    return Patch(values=out, center_h=h, center_w=w)
-
-
 def rotate180(values: np.ndarray) -> np.ndarray:
     """Reverse both spatial axes of a (P,P,C) or (N,P,P,C) patch array."""
     if values.ndim == 3:

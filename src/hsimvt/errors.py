@@ -25,6 +25,10 @@ class DegenerateInputError(HsimvtError):
     """Input data has no usable variation (constant cube, zero-variance view)."""
 
 
+class DivergenceError(HsimvtError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class UsageError(HsimvtError):
     """An API was called in an unsupported way."""
 

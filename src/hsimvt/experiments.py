@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import csv
-
-import numpy as np
 
 from .data import TEST, HsiCube, LabelMap, PatchSource, mmnorm
 from .errors import ConfigError
 from .metrics import evaluate
-from .model import ModelConfig
 from .mpca import mpca
-from .training import TrainConfig, train
+from .runconfig import RunConfig
+from .training import train
 
-SWEEP_AXES = ("patch_size", "views", "components", "heads", "train_fraction")
+# The run-config key (section, key) that each sweep axis overrides.
+SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
+              "components": ("mpca", "components"), "heads": ("model", "heads"),
+              "train_fraction": ("train", "fractions")}
 
 
 def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True):
@@ -29,12 +31,13 @@ def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True)
     return mpca(normalized, num_views=1, components=views * components)
 
 
-def run_once(cube: HsiCube, labels: LabelMap, model_config: ModelConfig,
-             train_config: TrainConfig, mpca_views: int, mpca_components: int,
-             mpca_enabled: bool = True, fractions=(0.05, 0.05, 0.90)):
+def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):
     """One preprocess -> train -> test-evaluate pass; returns (report, result)."""
-    rep, _ = preprocess(cube, mpca_views, mpca_components, enabled=mpca_enabled)
-    result = train(rep, labels, model_config, train_config, fractions=fractions)
+    p = config["mpca"]
+    rep, _ = preprocess(cube, p["views"], p["components"], enabled=p["enabled"])
+    model_config = config.model_config(labels.num_classes)
+    result = train(rep, labels, model_config, config.train_config(),
+                   fractions=config.fractions)
     source = PatchSource(rep, model_config.patch_size)
     coords = result.split.coords(TEST)
     true_ids = labels.ids[coords[:, 0], coords[:, 1]]
@@ -42,48 +45,41 @@ def run_once(cube: HsiCube, labels: LabelMap, model_config: ModelConfig,
     return report, result
 
 
-def sweep(cube: HsiCube, labels: LabelMap, base_model: dict, base_train: dict,
-          axis: str, values, mpca_views: int = 10, mpca_components: int = 3,
-          mpca_enabled: bool = True, val_fraction: float = 0.05,
-          train_fraction: float = 0.05, log=None):
+def _override(config: RunConfig, axis: str, value) -> RunConfig:
+    """``config`` with the one key that ``axis`` names set from ``value``.
+
+    A train_fraction value (a fraction like 0.05) keeps the validation
+    share; the test share absorbs the rest.
+    """
+    section, key = SWEEP_AXES[axis]
+    if axis == "train_fraction":
+        f_val = config.fractions[1]
+        try:
+            value = [value, f_val, 1.0 - value - f_val]
+        except TypeError:
+            raise ConfigError(f"train_fraction values must be numbers, got {value!r}") from None
+    doc = copy.deepcopy(config.doc)
+    doc[section][key] = value
+    return RunConfig(doc)
+
+
+def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
+          log=None):
     """Train and test once per value of one axis; everything else held fixed.
 
-    ``base_model`` / ``base_train`` are keyword dicts for ModelConfig and
-    TrainConfig (num_classes is taken from ``labels``). Axis names:
-    patch_size, views, components, heads, train_fraction (a fraction like
-    0.05; the validation share stays fixed and the test share absorbs the
-    rest).
+    Each value overrides one key of ``config``. Axis names: patch_size,
+    views, components, heads, train_fraction. Every value passes the
+    run config's checks before the first run starts.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    configs = [_override(config, axis, value) for value in values]
     rows = []
-    for value in values:
-        model_kw = dict(base_model)
-        views, components = mpca_views, mpca_components
-        f_train = train_fraction
-        if axis == "patch_size":
-            model_kw["patch_size"] = int(value)
-        elif axis == "views":
-            views = int(value)
-        elif axis == "components":
-            components = int(value)
-        elif axis == "heads":
-            model_kw["num_heads"] = int(value)
-        elif axis == "train_fraction":
-            f_train = float(value)
-        fractions = (f_train, val_fraction, 1.0 - f_train - val_fraction)
-        model_config = ModelConfig(num_classes=labels.num_classes,
-                                   num_views=views if mpca_enabled else 1,
-                                   view_components=components if mpca_enabled
-                                   else views * components,
-                                   use_mpca=mpca_enabled, **model_kw)
-        train_config = TrainConfig(**base_train)
-        report, result = run_once(cube, labels, model_config, train_config,
-                                  views, components, mpca_enabled=mpca_enabled,
-                                  fractions=fractions)
+    for value, run_config in zip(values, configs):
+        report, result = run_once(cube, labels, run_config)
         row = {"axis": axis, "value": value, "oa": report.oa, "aa": report.aa,
                "best_epoch": result.best_epoch, "best_val_oa": result.best_val_oa}
         rows.append(row)

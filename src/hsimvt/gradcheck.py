@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GradGraph, Tensor
+from .tensor import GradGraph
 
 
 @dataclass
@@ -77,18 +77,3 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
             report.failures.append(name)
     return report
 
-
-def numeric_gradient(fn, x: Tensor, epsilon: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of scalar ``fn(x)`` w.r.t. every element of x."""
-    grad = np.empty_like(x.data)
-    flat = x.data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        f_plus = float(fn(x).data)
-        flat[i] = orig - epsilon
-        f_minus = float(fn(x).data)
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * epsilon)
-    return grad

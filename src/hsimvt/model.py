@@ -1,10 +1,12 @@
 """The classifier network: spectral encoder-decoder, spatial-pooling
 tokenization, global token, multi-head attention with residual, feature
-head and classifier — plus the ablation switches that disable MPCA, the
-encoder-decoder, or the learnable global token.
+head and classifier — plus the ablation switches that disable the
+encoder-decoder or the learnable global token. (The MPCA ablation changes
+only the input's views and components.)
 
-All forward functions accept batched (N, ...) tensors; the single-sample
-forms (P, P, C) / (5, C) are lifted to a batch of one and squeezed back.
+Every model piece takes batched (N, ...) tensors. Only :func:`forward`
+also takes one (P, P, C) patch: it lifts it to a batch of one and squeezes
+the batch axis back off its outputs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class ModelConfig:
     num_heads: int = 8
     feature_dim: int = 64
     num_classes: int = 16
-    use_mpca: bool = True
     use_sed: bool = True
     use_global_token: bool = True
 
@@ -126,9 +127,7 @@ class ModelParams:
             shapes["sed.flat.kernels"] = (k3, 3, 3, c_in)
             shapes["sed.flat.bias"] = (k3,)
         shapes["global_token"] = (k3,)
-        for h in range(config.num_heads):
-            for proj in ("wq", "wk", "wv"):
-                shapes[f"attn.head{h}.{proj}"] = (k3, config.head_dim)
+        shapes["attn.wqkv"] = (config.num_heads, 3, k3, config.head_dim)
         shapes["feature.weight"] = (5 * k3, config.feature_dim)
         shapes["feature.bias"] = (config.feature_dim,)
         shapes["classifier.weight"] = (config.feature_dim, config.num_classes)
@@ -153,8 +152,8 @@ class ModelParams:
                     fan_out = shape[0] * shape[1] * shape[2]
                 bound = math.sqrt(6.0 / (fan_in + fan_out))
                 arr = rng.uniform(-bound, bound, size=shape)
-            else:  # affine / projection weights (n_in, n_out)
-                bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            else:  # affine / projection weights (..., n_in, n_out)
+                bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
                 arr = rng.uniform(-bound, bound, size=shape)
             tensors[name] = Tensor(arr.astype(dtype), requires_grad=True)
         return cls(config, tensors)
@@ -194,7 +193,7 @@ def save_params(path, params: ModelParams):
     """Write a checkpoint: JSON config header + arrays as f32le, canonical order."""
     names = list(ModelParams.expected_shapes(params.config))
     header = {
-        "format_version": 1,
+        "format_version": 2,
         "config": params.config.to_json_dict(),
         "arrays": [{"name": n, "shape": list(params[n].data.shape)} for n in names],
         "dtype": "f32le",
@@ -204,14 +203,43 @@ def save_params(path, params: ModelParams):
     hsz.write_framed(path, hsz.MODEL_MAGIC, header, payload)
 
 
+def _merge_v1_heads(manifest: list, config: ModelConfig) -> list:
+    """Format-1 manifest with its per-head projections read as one ``attn.wqkv``.
+
+    Format 1 stored arrays ``attn.head{h}.w{q,k,v}`` of shape (C, d), head
+    by head and q, k, v within a head, where format 2 stores ``attn.wqkv``:
+    its (heads, 3, C, d) layout has exactly those bytes in that order.
+    """
+    c, d = config.token_channels, config.head_dim
+    per_head = [{"name": f"attn.head{h}.{proj}", "shape": [c, d]}
+                for h in range(config.num_heads) for proj in ("wq", "wk", "wv")]
+    i = list(ModelParams.expected_shapes(config)).index("attn.wqkv")
+    if manifest[i:i + len(per_head)] != per_head:
+        return manifest
+    merged = {"name": "attn.wqkv", "shape": [config.num_heads, 3, c, d]}
+    return manifest[:i] + [merged] + manifest[i + len(per_head):]
+
+
 def load_params(path) -> ModelParams:
-    """Read a checkpoint written by :func:`save_params`."""
+    """Read a checkpoint written by :func:`save_params`, or a format-1 one.
+
+    Format 1 differs only in the per-head attention arrays (see
+    :func:`_merge_v1_heads`) and a ``use_mpca`` config key, which is dropped.
+    """
     header, payload = hsz.read_framed(path, hsz.MODEL_MAGIC)
     if header.get("dtype") != "f32le":
         raise CompatibilityError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    config = ModelConfig.from_json_dict(header.get("config", {}))
-    expected = ModelParams.expected_shapes(config)
+    version = header.get("format_version")
+    if version not in (1, 2):
+        raise CompatibilityError(f"{path}: unsupported format_version {version!r}")
+    config_doc = header.get("config", {})
     manifest = header.get("arrays", [])
+    if version == 1:
+        config_doc = {k: v for k, v in config_doc.items() if k != "use_mpca"}
+    config = ModelConfig.from_json_dict(config_doc)
+    if version == 1:
+        manifest = _merge_v1_heads(manifest, config)
+    expected = ModelParams.expected_shapes(config)
     if [e["name"] for e in manifest] != list(expected):
         raise CompatibilityError(f"{path}: checkpoint arrays do not match its config")
     total = sum(int(np.prod(e["shape"])) for e in manifest) * 4
@@ -227,17 +255,6 @@ def load_params(path) -> ModelParams:
         tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
         offset += n_bytes
     return ModelParams(config, tensors)
-
-
-@dataclass
-class TokenSet:
-    """Rows (..., 5, C): row 0 the global token, rows 1-4 the quadrant tokens."""
-
-    rows: Tensor
-
-    def __post_init__(self):
-        if self.rows.data.shape[-2] != 5:
-            raise DimensionError(f"a TokenSet has 5 rows, got shape {self.rows.data.shape}")
 
 
 def sed_forward(patch: Tensor, params: ModelParams, trace: dict = None) -> Tensor:
@@ -289,89 +306,51 @@ def quadrant_bounds(patch_size: int):
 
 
 def tokenize(feature: Tensor):
-    """Mean-pool each quadrant per channel: (N, P, P, C) -> 4 tokens (N, C).
-
-    A (P, P, C) input yields 4 tokens of shape (C,).
-    """
-    single = feature.data.ndim == 3
-    if single:
-        feature = ops.reshape(feature, (1,) + feature.data.shape)
+    """Mean-pool each quadrant per channel: (N, P, P, C) -> 4 tokens (N, C)."""
     if feature.data.ndim != 4:
         raise DimensionError(f"feature must be (N,P,P,C), got {feature.data.shape}")
     p = feature.data.shape[1]
     if feature.data.shape[2] != p:
         raise DimensionError(f"feature spatial extent must be square, got {feature.data.shape}")
-    tokens = [ops.box_mean(feature, rows, cols) for rows, cols in quadrant_bounds(p)]
-    if single:
-        tokens = [ops.reshape(t, (t.data.shape[1],)) for t in tokens]
-    return tokens
+    return [ops.box_mean(feature, rows, cols) for rows, cols in quadrant_bounds(p)]
 
 
-def assemble_tokens(tokens, params: ModelParams, use_global_token: bool) -> TokenSet:
+def assemble_tokens(tokens, params: ModelParams, use_global_token: bool) -> Tensor:
     """Prepend the global token (or a zero row under its ablation).
 
     No positional encoding is added anywhere. 4 tokens (N, C) -> rows
-    (N, 5, C); 4 tokens (C,) -> rows (5, C).
+    (N, 5, C): row 0 the global token, rows 1-4 the quadrant tokens.
     """
     if len(tokens) != 4:
         raise DimensionError(f"expected 4 quadrant tokens, got {len(tokens)}")
-    single = tokens[0].data.ndim == 1
-    if single:
-        tokens = [ops.reshape(t, (1, t.data.shape[0])) for t in tokens]
     n, c = tokens[0].data.shape
     if use_global_token:
         head_row = ops.tile_vector(params["global_token"], n)
     else:
         head_row = Tensor(np.zeros((n, 1, c), dtype=tokens[0].data.dtype))
-    rows = ops.concat([head_row] + [ops.reshape(t, (n, 1, c)) for t in tokens], axis=1)
-    if single:
-        rows = ops.reshape(rows, (5, c))
-    return TokenSet(rows=rows)
+    return ops.concat([head_row] + [ops.reshape(t, (n, 1, c)) for t in tokens], axis=1)
 
 
-def attention_head(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product self-attention: softmax(Q K^T / sqrt(d)) V."""
-    d = wq.data.shape[1]
-    q = ops.matmul(tokens, wq)
-    k = ops.matmul(tokens, wk)
-    v = ops.matmul(tokens, wv)
-    logits = ops.scale(ops.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(d))
-    return ops.matmul(ops.softmax_rows(logits), v)
+def multi_head(tokens: Tensor, params: ModelParams) -> Tensor:
+    """Concatenated attention heads plus the residual, (N, 5, C) -> (N, 5, C).
 
-
-def multi_head(tokens, params: ModelParams) -> Tensor:
-    """Concatenate per-head attention outputs and add the residual.
-
-    TA = concat_h(head_h(Tokens)) + Tokens, same shape as the token rows.
+    TA = concat_h(head_h(Tokens)) + Tokens; every head runs in one
+    :func:`ops.attention` over the (heads, 3, C, d) array ``attn.wqkv``.
     """
-    rows = tokens.rows if isinstance(tokens, TokenSet) else tokens
-    config = params.config
-    if config.num_heads * config.head_dim != config.token_channels:
-        raise ConfigError("head_dim * num_heads must equal token_channels")
-    outs = [attention_head(rows, params[f"attn.head{h}.wq"], params[f"attn.head{h}.wk"],
-                           params[f"attn.head{h}.wv"])
-            for h in range(config.num_heads)]
-    mixed = ops.concat(outs, axis=-1)
-    return ops.add(mixed, rows)
+    return ops.add(ops.attention(tokens, params["attn.wqkv"]), tokens)
 
 
 def feature_and_classify(ta: Tensor, params: ModelParams):
     """Flatten the 5 attended tokens, fuse to the feature vector, classify.
 
-    (N, 5, C) -> logits (N, K) and features (N, feature_dim); a (5, C)
-    input yields (K,) and (feature_dim,). Class probabilities are
-    softmax(logits); the predicted class is the lowest-index argmax.
+    (N, 5, C) -> logits (N, K) and features (N, feature_dim). Class
+    probabilities are softmax(logits); the predicted class is the
+    lowest-index argmax.
     """
-    single = ta.data.ndim == 2
-    if single:
-        ta = ops.reshape(ta, (1,) + ta.data.shape)
     n = ta.data.shape[0]
     flat = ops.reshape(ta, (n, ta.data.shape[1] * ta.data.shape[2]))
     fea = ops.affine(flat, params["feature.weight"], params["feature.bias"])
     logits = ops.affine(fea, params["classifier.weight"], params["classifier.bias"])
-    if single:
-        logits = ops.reshape(logits, (logits.data.shape[1],))
-        fea = ops.reshape(fea, (fea.data.shape[1],))
     return logits, fea
 
 
@@ -381,15 +360,25 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(patch, params: ModelParams, trace: dict = None) -> Tensor:
-    """Full composition: encoder-decoder -> tokenize -> attention -> classify."""
+    """Full composition: encoder-decoder -> tokenize -> attention -> classify.
+
+    A batch (N, P, P, C_in) gives logits (N, K). One (P, P, C_in) patch is
+    run as a batch of one and gives (K,); ``trace`` then reports every
+    shape without the batch axis.
+    """
     x = patch if isinstance(patch, Tensor) else Tensor(patch)
-    feature = sed_forward(x, params, trace=trace)
+    single = x.data.ndim == 3
+    if single:
+        x = ops.reshape(x, (1,) + x.data.shape)
+    shapes = {}
+    feature = sed_forward(x, params, trace=shapes)
     tokens = assemble_tokens(tokenize(feature), params, params.config.use_global_token)
     ta = multi_head(tokens, params)
     logits, fea = feature_and_classify(ta, params)
     if trace is not None:
-        trace["tokens"] = tokens.rows.data.shape
-        trace["attended"] = ta.data.shape
-        trace["features"] = fea.data.shape
-        trace["logits"] = logits.data.shape
+        shapes.update(tokens=tokens.data.shape, attended=ta.data.shape,
+                      features=fea.data.shape, logits=logits.data.shape)
+        trace.update({k: v[1:] if single else v for k, v in shapes.items()})
+    if single:
+        logits = ops.reshape(logits, logits.data.shape[1:])
     return logits

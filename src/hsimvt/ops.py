@@ -1,9 +1,9 @@
 """Forward ops and their adjoints for the tensor engine.
 
 All ops accept and return :class:`~hsimvt.tensor.Tensor`. Convolutions and
-pooling take patches laid out as (H, W, C) or batched (N, H, W, C),
-channels last. While a :class:`~hsimvt.tensor.GradGraph` is active and any
-input requires a gradient, each op records one adjoint closure on the tape.
+pooling take batched patches laid out as (N, H, W, C), channels last.
+While a :class:`~hsimvt.tensor.GradGraph` is active and any input requires
+a gradient, each op records one adjoint closure on the tape.
 """
 
 from __future__ import annotations
@@ -84,18 +84,15 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     Each of the K kernels emits a full C-channel map (channel axis is
     zero-padded like the spatial axes), and the K maps are concatenated
-    kernel-major along the channel axis: output (..., H, W, K*C).
+    kernel-major along the channel axis: output (N, H, W, K*C).
 
     The window matrix keeps the channel axis innermost, (N*H*W, k1*k2*k3, C),
     so one batched product with the (K, k1*k2*k3) kernel matrix writes the
     kernel-major output directly.
     """
     xd = x.data
-    single = xd.ndim == 3
-    if single:
-        xd = xd[None]
     if xd.ndim != 4:
-        raise DimensionError(f"conv3d input must be (H,W,C) or (N,H,W,C), got {x.data.shape}")
+        raise DimensionError(f"conv3d input must be (N,H,W,C), got {xd.shape}")
     kd = kernels.data
     if kd.ndim != 4:
         raise DimensionError(f"conv3d kernels must be (K,k1,k2,k3), got {kd.shape}")
@@ -111,11 +108,7 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     wmat = kd.reshape(nk, -1)
     out = np.matmul(wmat, cols)  # (n*h*w, nk, c): kernel-major channels
     out += bias.data[:, None]
-    out = out.reshape(n, h, w, nk * c)
-    if single:
-        out = out[0]
-
-    result = Tensor(out)
+    result = Tensor(out.reshape(n, h, w, nk * c))
     g, track = _recording(x, kernels, bias)
     if track:
         result.requires_grad = True
@@ -132,15 +125,14 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                 bias.accumulate_grad(god.sum(axis=0).sum(axis=1))
             if x.requires_grad:
                 gcols = wmat.T @ np.moveaxis(god, 1, 0).reshape(nk, -1)
-                gx = _fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps)
-                x.accumulate_grad(gx[0] if single else gx)
+                x.accumulate_grad(_fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps))
 
         g.record(bwd)
     return result
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Spatial correlation over all input channels; output (..., H, W, K).
+    """Spatial correlation over all input channels; output (N, H, W, K).
 
     Computed on the output side, so no window of the (C-wide) input is ever
     copied: every input pixel is multiplied by each of the kh*kw kernel taps
@@ -148,11 +140,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     backward pass takes windows of the (K-wide) output gradient instead.
     """
     xd = x.data
-    single = xd.ndim == 3
-    if single:
-        xd = xd[None]
     if xd.ndim != 4:
-        raise DimensionError(f"conv2d input must be (H,W,C) or (N,H,W,C), got {x.data.shape}")
+        raise DimensionError(f"conv2d input must be (N,H,W,C), got {xd.shape}")
     kd = kernels.data
     if kd.ndim != 4:
         raise DimensionError(f"conv2d kernels must be (K,kh,kw,C), got {kd.shape}")
@@ -172,8 +161,6 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     wtaps = kd[:, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(kh * kw, cin, nk)
     out = _fold(np.matmul(xm, wtaps).reshape(ktaps + (n, h, w, nk)), ktaps)
     out += bias.data
-    if single:
-        out = out[0]
 
     result = Tensor(out)
     g, track = _recording(x, kernels, bias)
@@ -184,16 +171,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             go = result.grad
             if go is None:
                 return
-            god = go[None] if single else go
-            gcols = np.ascontiguousarray(_taps(god, ktaps)).reshape(-1, kh * kw * nk)
+            gcols = np.ascontiguousarray(_taps(go, ktaps)).reshape(-1, kh * kw * nk)
             if kernels.requires_grad:
                 gk = (xm.T @ gcols).reshape(cin, kh, kw, nk)[:, ::-1, ::-1].transpose(3, 1, 2, 0)
                 kernels.accumulate_grad(gk)
             if bias.requires_grad:
-                bias.accumulate_grad(god.reshape(-1, nk).sum(axis=0))
+                bias.accumulate_grad(go.reshape(-1, nk).sum(axis=0))
             if x.requires_grad:
-                gx = (gcols @ wtaps.transpose(0, 2, 1).reshape(-1, cin)).reshape(n, h, w, cin)
-                x.accumulate_grad(gx[0] if single else gx)
+                x.accumulate_grad(
+                    (gcols @ wtaps.transpose(0, 2, 1).reshape(-1, cin)).reshape(n, h, w, cin))
 
         g.record(bwd)
     return result
@@ -280,6 +266,59 @@ def softmax_rows(x: Tensor) -> Tensor:
             if go is None:
                 return
             x.accumulate_grad(y * (go - (go * y).sum(axis=-1, keepdims=True)))
+
+        g.record(bwd)
+    return result
+
+
+def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
+    """Multi-head scaled dot-product self-attention, all heads in one op.
+
+    ``tokens`` is (N, T, C) and ``wqkv`` is (heads, 3, C, d): head h has
+    Q = tokens @ wqkv[h, 0], K = tokens @ wqkv[h, 1], V = tokens @ wqkv[h, 2]
+    and computes softmax(Q K^T / sqrt(d)) V. The heads are concatenated
+    along the channel axis, so the output is (N, T, heads * d). Every
+    projection of every head comes from one (N*T, C) @ (C, heads*3*d)
+    product, and the backward pass reuses it the same way.
+    """
+    td, wd = tokens.data, wqkv.data
+    if td.ndim != 3:
+        raise DimensionError(f"attention tokens must be (N,T,C), got {td.shape}")
+    n, t, c = td.shape
+    if wd.ndim != 4 or wd.shape[1:3] != (3, c):
+        raise DimensionError(f"attention weights must be (heads,3,{c},d), got {wd.shape}")
+    heads, d = wd.shape[0], wd.shape[3]
+    s = 1.0 / math.sqrt(d)
+    x = td.reshape(n * t, c)
+    w = wd.transpose(2, 0, 1, 3).reshape(c, heads * 3 * d)
+    # Views of layout (N, heads, T, d) into the one projection product.
+    q, k, v = (x @ w).reshape(n, t, heads, 3, d).transpose(3, 0, 2, 1, 4)
+    logits = np.matmul(q, k.swapaxes(-1, -2)) * s
+    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    result = Tensor(np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, heads * d))
+    g, track = _recording(tokens, wqkv)
+    if track:
+        result.requires_grad = True
+
+        def bwd():
+            go = result.grad
+            if go is None:
+                return
+            gheads = go.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+            ga = np.matmul(gheads, v.swapaxes(-1, -2))
+            gl = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * s
+            gp = np.empty((n, t, heads, 3, d), dtype=td.dtype)
+            gq, gk, gv = gp.transpose(3, 0, 2, 1, 4)
+            gq[...] = np.matmul(gl, k)
+            gk[...] = np.matmul(gl.swapaxes(-1, -2), q)
+            gv[...] = np.matmul(a.swapaxes(-1, -2), gheads)
+            gp = gp.reshape(n * t, heads * 3 * d)
+            if wqkv.requires_grad:
+                gw = (x.T @ gp).reshape(c, heads, 3, d).transpose(1, 2, 0, 3)
+                wqkv.accumulate_grad(gw)
+            if tokens.requires_grad:
+                tokens.accumulate_grad((gp @ w.T).reshape(n, t, c))
 
         g.record(bwd)
     return result

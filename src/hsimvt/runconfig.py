@@ -143,7 +143,6 @@ class RunConfig:
             num_heads=m["heads"],
             feature_dim=m["feature_dim"],
             num_classes=num_classes,
-            use_mpca=p["enabled"],
             use_sed=m["use_sed"],
             use_global_token=m["use_global_token"],
         )

@@ -102,8 +102,3 @@ class GradGraph:
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self._tape):
             fn()
-
-
-def backward(loss: Tensor, graph: GradGraph):
-    """Replay ``graph`` to populate gradients of ``loss`` w.r.t. its inputs."""
-    graph.backward(loss)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TRAIN, VAL, LabelMap, PatchSource, SplitAssignment, stratified_split
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, DimensionError, DivergenceError, UsageError
 from .metrics import predict_coords
 from .model import ModelConfig, ModelParams, forward
 from .tensor import GradGraph, Tensor, active_graph
@@ -129,6 +129,9 @@ def derive_seeds(master_seed: int):
     return int(state[0]), int(state[1]), int(state[2])
 
 
+# A diverging run overflows; that is reported once, as DivergenceError,
+# instead of as numpy warnings on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfig,
           train_config: TrainConfig, split: SplitAssignment = None,
           fractions=(0.05, 0.05, 0.90), log=None) -> TrainResult:
@@ -137,7 +140,8 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
     Every epoch reshuffles the train pixels with its own stream, runs
     batches of ``batch_size``, then scores validation overall accuracy; the
     returned parameters are a snapshot from the epoch that scored best
-    (earliest epoch wins ties).
+    (earliest epoch wins ties). A non-finite loss or gradient raises
+    :class:`DivergenceError` before its epoch is logged.
     """
     if representation.ndim != 3:
         raise DimensionError(f"representation must be (H,W,C), got {representation.shape}")
@@ -178,6 +182,11 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
             graph.backward(loss)
             grads = {n: t.grad for n, t in params.trainable_parameters()}
             step += 1
+            bad = ["loss"] if not np.isfinite(loss.item()) else [
+                f"gradient of {n}" for n, g in grads.items() if not np.isfinite(g).all()]
+            if bad:
+                raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: "
+                                      f"non-finite {bad[0]}")
             adam_step(params.trainable_parameters(), grads, state, step, train_config)
             params.zero_grads()
             loss_sum += loss.item() * len(sel)

@@ -48,6 +48,19 @@ def conv2d_loop(x, kernels, bias):
     return out
 
 
+def extract_patch(source, h, w, patch_size):
+    """P x P window of an (H,W,C) raster centred on (h, w), zero off the raster."""
+    height, width, channels = source.shape
+    margin = patch_size // 2
+    out = np.zeros((patch_size, patch_size, channels), dtype=source.dtype)
+    for i in range(patch_size):
+        for j in range(patch_size):
+            r, c = h + i - margin, w + j - margin
+            if 0 <= r < height and 0 <= c < width:
+                out[i, j, :] = source[r, c, :]
+    return out
+
+
 def jacobi_eigh(matrix, sweeps=100):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix in longdouble.
 

@@ -101,7 +101,7 @@ def test_criterion_04_tokenizer_equivariance():
     for i in range(500):
         p = int(rng.choice([3, 5, 7, 9]))
         channels = int(rng.integers(1, 9))
-        feature = rng.normal(size=(p, p, channels)).astype(np.float32)
+        feature = rng.normal(size=(1, p, p, channels)).astype(np.float32)
         straight = [t.data.copy() for t in tokenize(Tensor(feature))]
         flipped = [t.data.copy() for t in tokenize(Tensor(rotate180(feature)))]
         for a, b in zip(flipped, reversed(straight)):

@@ -143,6 +143,41 @@ def test_sweep_rejects_malformed_values(workdir, capsys):
     assert json.loads(err)["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("axis", ["patch_size", "heads", "views", "components",
+                                  "train_fraction"])
+def test_sweep_mistyped_value_exits_with_one_json_line(workdir, capsys, axis):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    code, out, err = run(capsys, "sweep", "--config", config,
+                         "--axis", axis, "--values", "[1]")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "ConfigError"
+
+
+def _strict_json(line):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+def test_diverging_train_fails_without_checkpoint(workdir, capsys):
+    config = write_config(workdir, {"train": {"lr": 1e30}})
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", config)
+    code, out, err = run(capsys, "train", "--config", config)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["type"] == "DivergenceError" and "non-finite" in doc["error"]
+    assert not (workdir / "checkpoint.hsz").exists()
+    for line in (workdir / "history.jsonl").read_text().splitlines():
+        _strict_json(line)
+
+
 def test_errors_are_json_on_stderr(workdir, capsys):
     config = write_config(workdir)
 
@@ -224,7 +259,7 @@ def test_runconfig_builds_model_and_train_configs():
                         "model": {"patch_size": 7}})
     mc = config.model_config(num_classes=4)
     assert (mc.num_views, mc.view_components, mc.patch_size) == (5, 2, 7)
-    assert mc.input_channels == 10 and mc.use_mpca
+    assert mc.input_channels == 10
     tc = config.train_config()
     assert (tc.epochs, tc.batch_size, tc.learning_rate) == (300, 64, 1e-4)
 
@@ -234,7 +269,6 @@ def test_runconfig_plain_pca_ablation_keeps_width():
     mc = config.model_config(num_classes=4)
     assert (mc.num_views, mc.view_components) == (1, 10)
     assert mc.input_channels == 10
-    assert not mc.use_mpca
 
 
 # -------------------------------------------------------------------- render

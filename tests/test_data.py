@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
-                    LabelMap, extract_patch, load_cube, load_labels, mmnorm,
-                    rotate180, save_cube, save_labels, stratified_split,
-                    synth_scene)
+                    LabelMap, load_cube, load_labels, mmnorm, rotate180,
+                    save_cube, save_labels, stratified_split, synth_scene)
 from hsimvt.data import TEST, TRAIN, VAL, PatchSource
+
+from oracles import extract_patch
 
 
 def test_cube_validation():
@@ -124,22 +125,21 @@ def test_split_partitions_each_class(counts, seed):
 def test_extract_patch_interior_and_padding():
     source = np.arange(5 * 5 * 2, dtype=np.float64).reshape(5, 5, 2)
     patch = extract_patch(source, 2, 2, 3)
-    np.testing.assert_array_equal(patch.values, source[1:4, 1:4, :])
+    np.testing.assert_array_equal(patch, source[1:4, 1:4, :])
     corner = extract_patch(source, 0, 0, 3)
-    assert (corner.values[0, :, :] == 0).all()
-    assert (corner.values[:, 0, :] == 0).all()
-    np.testing.assert_array_equal(corner.values[1:, 1:, :], source[0:2, 0:2, :])
-    assert (patch.center_h, patch.center_w) == (2, 2)
+    assert (corner[0, :, :] == 0).all()
+    assert (corner[:, 0, :] == 0).all()
+    np.testing.assert_array_equal(corner[1:, 1:, :], source[0:2, 0:2, :])
 
 
-def test_extract_patch_contract_errors():
+def test_patch_source_contract_errors():
     source = np.zeros((4, 4, 1))
     with pytest.raises(ConfigError):
-        extract_patch(source, 1, 1, 4)
+        PatchSource(source, 4)
+    with pytest.raises(ConfigError):
+        PatchSource(source, 0)
     with pytest.raises(DimensionError):
-        extract_patch(source, 4, 0, 3)
-    with pytest.raises(DimensionError):
-        extract_patch(np.zeros((4, 4)), 0, 0, 3)
+        PatchSource(np.zeros((4, 4)), 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,7 +152,7 @@ def test_patch_source_matches_extract_patch(margin, seed):
     coords = np.stack([rng.integers(0, 6, size=10), rng.integers(0, 7, size=10)], axis=1)
     batch = source.gather(coords)
     for row, (h, w) in zip(batch, coords):
-        np.testing.assert_array_equal(row, extract_patch(raster, h, w, patch_size).values)
+        np.testing.assert_array_equal(row, extract_patch(raster, h, w, patch_size))
 
 
 def test_patch_source_rotated_gather():

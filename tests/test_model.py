@@ -1,20 +1,26 @@
 """Network components: encoder-decoder, tokenizer, attention, heads, ckpt IO."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from hsimvt import (CompatibilityError, ConfigError, DimensionError,
                     ModelConfig, ModelParams, Tensor, assemble_tokens,
-                    attention_head, feature_and_classify, forward, load_params,
-                    multi_head, predict, quadrant_bounds, rotate180,
-                    save_params, sed_forward, tokenize)
-from hsimvt import hsz
+                    feature_and_classify, forward, load_params, multi_head,
+                    predict, quadrant_bounds, rotate180, save_params,
+                    sed_forward, tokenize)
+from hsimvt import hsz, ops
 
 from oracles import attention_longdouble, quadrant_means_loop
 
 TOY = ModelConfig(patch_size=3, num_views=2, view_components=2,
                   encoder_kernels=4, squeeze_channels=6, token_channels=8,
                   num_heads=2, feature_dim=8, num_classes=3)
+
+# Written by the format-1 save_params (per-head attn.head{h}.w{q,k,v} arrays,
+# a use_mpca config key) from ModelParams.initialize(TOY, seed=19).
+V1_CHECKPOINT = pathlib.Path(__file__).parent / "fixtures" / "toy_v1_seed19.hsz"
 
 
 # -------------------------------------------------------------------- config
@@ -114,14 +120,14 @@ def test_params_validate_shapes_and_names():
 def test_sed_stage_shapes_match_defaults():
     config = ModelConfig()
     params = ModelParams.initialize(config, seed=1)
-    patch = Tensor(np.random.default_rng(0).normal(size=(5, 5, 30)).astype(np.float32))
+    patch = Tensor(np.random.default_rng(0).normal(size=(1, 5, 5, 30)).astype(np.float32))
     trace = {}
     out = sed_forward(patch, params, trace=trace)
-    assert trace["sed.expanded"] == (5, 5, 240)
-    assert trace["sed.squeezed"] == (5, 5, 40)
-    assert trace["sed.decoded"] == (5, 5, 64)
-    assert out.data.shape == (5, 5, 64)
-    batched = sed_forward(Tensor(np.stack([patch.data, patch.data])), params)
+    assert trace["sed.expanded"] == (1, 5, 5, 240)
+    assert trace["sed.squeezed"] == (1, 5, 5, 40)
+    assert trace["sed.decoded"] == (1, 5, 5, 64)
+    assert out.data.shape == (1, 5, 5, 64)
+    batched = sed_forward(Tensor(np.concatenate([patch.data, patch.data])), params)
     assert batched.data.shape == (2, 5, 5, 64)
 
 
@@ -134,17 +140,17 @@ def test_sed_zero_input_zero_biases_gives_zero():
 def test_sed_rejects_wrong_shapes():
     params = ModelParams.initialize(TOY, seed=0)
     with pytest.raises(DimensionError, match="channels"):
-        sed_forward(Tensor(np.zeros((3, 3, 5), dtype=np.float32)), params)
+        sed_forward(Tensor(np.zeros((1, 3, 3, 5), dtype=np.float32)), params)
     with pytest.raises(DimensionError, match="spatial"):
-        sed_forward(Tensor(np.zeros((5, 5, 4), dtype=np.float32)), params)
+        sed_forward(Tensor(np.zeros((1, 5, 5, 4), dtype=np.float32)), params)
 
 
 def test_sed_ablation_path_gives_token_width():
     config = ModelConfig(**{**TOY.to_json_dict(), "use_sed": False})
     params = ModelParams.initialize(config, seed=3)
     assert "sed.flat.kernels" in dict(params.named_parameters())
-    out = sed_forward(Tensor(np.ones((3, 3, 4), dtype=np.float32)), params)
-    assert out.data.shape == (3, 3, 8)
+    out = sed_forward(Tensor(np.ones((1, 3, 3, 4), dtype=np.float32)), params)
+    assert out.data.shape == (1, 3, 3, 8)
     assert (out.data >= 0).all()  # the substitute conv is relu'd too
 
 
@@ -164,24 +170,24 @@ def test_quadrant_bounds_all_contain_center():
 
 
 def test_tokenize_hand_example_p3():
-    values = np.arange(1, 10, dtype=np.float32).reshape(3, 3, 1)
+    values = np.arange(1, 10, dtype=np.float32).reshape(1, 3, 3, 1)
     tokens = tokenize(Tensor(values))
-    got = [float(t.data[0]) for t in tokens]
+    got = [float(t.data[0, 0]) for t in tokens]
     assert got == [3.0, 4.0, 6.0, 7.0]
 
 
 def test_tokenize_constant_channel():
-    values = np.full((5, 5, 3), 0.0, dtype=np.float32)
-    values[:, :, 1] = 2.5
+    values = np.full((1, 5, 5, 3), 0.0, dtype=np.float32)
+    values[..., 1] = 2.5
     for token in tokenize(Tensor(values)):
-        np.testing.assert_array_equal(token.data, [0.0, 2.5, 0.0])
+        np.testing.assert_array_equal(token.data, [[0.0, 2.5, 0.0]])
 
 
 def test_tokenize_matches_loop_oracle():
     rng = np.random.default_rng(4)
     for p in (3, 5, 7):
         feature = rng.normal(size=(p, p, 6)).astype(np.float32)
-        got = [t.data for t in tokenize(Tensor(feature))]
+        got = [t.data[0] for t in tokenize(Tensor(feature[None]))]
         want = quadrant_means_loop(feature)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-6)
@@ -191,8 +197,8 @@ def test_tokenize_rotation_equivariance_exact():
     rng = np.random.default_rng(5)
     for p in (3, 5, 7, 9):
         feature = rng.normal(size=(p, p, 8)).astype(np.float32)
-        straight = [t.data.copy() for t in tokenize(Tensor(feature))]
-        flipped = [t.data.copy() for t in tokenize(Tensor(rotate180(feature)))]
+        straight = [t.data.copy() for t in tokenize(Tensor(feature[None]))]
+        flipped = [t.data.copy() for t in tokenize(Tensor(rotate180(feature)[None]))]
         for a, b in zip(flipped, reversed(straight)):
             np.testing.assert_array_equal(a, b)  # bit-exact, not approx
 
@@ -202,39 +208,39 @@ def test_tokenize_batched_matches_single():
     batch = rng.normal(size=(4, 5, 5, 3)).astype(np.float32)
     batched = tokenize(Tensor(batch))
     for i in range(4):
-        singles = tokenize(Tensor(batch[i]))
+        singles = tokenize(Tensor(batch[i:i + 1]))
         for bt, st in zip(batched, singles):
-            np.testing.assert_array_equal(bt.data[i], st.data)
+            np.testing.assert_array_equal(bt.data[i], st.data[0])
 
 
 # ------------------------------------------------------------ token assembly
 
 def test_assemble_prepends_stored_global_token():
     params = ModelParams.initialize(TOY, seed=7)
-    tokens = [Tensor(np.full(8, float(i), dtype=np.float32)) for i in range(1, 5)]
-    rows = assemble_tokens(tokens, params, use_global_token=True).rows.data
-    assert rows.shape == (5, 8)
-    np.testing.assert_array_equal(rows[0], params["global_token"].data)
+    tokens = [Tensor(np.full((1, 8), float(i), dtype=np.float32)) for i in range(1, 5)]
+    rows = assemble_tokens(tokens, params, use_global_token=True).data
+    assert rows.shape == (1, 5, 8)
+    np.testing.assert_array_equal(rows[0, 0], params["global_token"].data)
     for i in range(1, 5):
-        np.testing.assert_array_equal(rows[i], tokens[i - 1].data)
+        np.testing.assert_array_equal(rows[:, i], tokens[i - 1].data)
 
 
 def test_assemble_zero_row_under_gt_ablation():
     params = ModelParams.initialize(TOY, seed=8)
-    tokens = [Tensor(np.ones(8, dtype=np.float32)) for _ in range(4)]
-    rows = assemble_tokens(tokens, params, use_global_token=False).rows.data
-    np.testing.assert_array_equal(rows[0], 0.0)
+    tokens = [Tensor(np.ones((1, 8), dtype=np.float32)) for _ in range(4)]
+    rows = assemble_tokens(tokens, params, use_global_token=False).data
+    np.testing.assert_array_equal(rows[0, 0], 0.0)
     with pytest.raises(DimensionError):
         assemble_tokens(tokens[:3], params, use_global_token=True)
 
 
 def test_assemble_permutation_moves_rows():
     params = ModelParams.initialize(TOY, seed=9)
-    tokens = [Tensor(np.full(8, float(i), dtype=np.float32)) for i in range(1, 5)]
+    tokens = [Tensor(np.full((1, 8), float(i), dtype=np.float32)) for i in range(1, 5)]
     swapped = assemble_tokens([tokens[3], tokens[2], tokens[1], tokens[0]],
-                              params, use_global_token=True).rows.data
-    np.testing.assert_array_equal(swapped[1], tokens[3].data)
-    np.testing.assert_array_equal(swapped[4], tokens[0].data)
+                              params, use_global_token=True).data
+    np.testing.assert_array_equal(swapped[:, 1], tokens[3].data)
+    np.testing.assert_array_equal(swapped[:, 4], tokens[0].data)
 
 
 # ----------------------------------------------------------------- attention
@@ -242,41 +248,52 @@ def test_assemble_permutation_moves_rows():
 def test_attention_identical_tokens_identical_rows():
     rng = np.random.default_rng(10)
     row = rng.normal(size=8).astype(np.float32)
-    tokens = Tensor(np.tile(row, (5, 1)))
-    wq, wk, wv = (Tensor(rng.normal(size=(8, 4)).astype(np.float32)) for _ in range(3))
-    out = attention_head(tokens, wq, wk, wv).data
+    tokens = Tensor(np.tile(row, (1, 5, 1)))
+    wqkv = Tensor(rng.normal(size=(1, 3, 8, 4)).astype(np.float32))
+    out = ops.attention(tokens, wqkv).data[0]
     np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-7)
 
 
 def test_attention_zero_query_averages_values():
     rng = np.random.default_rng(11)
-    tokens = Tensor(rng.normal(size=(5, 8)).astype(np.float32))
-    wq = Tensor(np.zeros((8, 4), dtype=np.float32))
-    wk = Tensor(rng.normal(size=(8, 4)).astype(np.float32))
-    wv = Tensor(rng.normal(size=(8, 4)).astype(np.float32))
-    out = attention_head(tokens, wq, wk, wv).data
-    v = tokens.data @ wv.data
+    tokens = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
+    wk = rng.normal(size=(8, 4)).astype(np.float32)
+    wv = rng.normal(size=(8, 4)).astype(np.float32)
+    wqkv = Tensor(np.stack([np.zeros_like(wk), wk, wv])[None])
+    out = ops.attention(tokens, wqkv).data[0]
+    v = tokens.data[0] @ wv
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-6)
 
 
 def test_attention_matches_longdouble_oracle():
     rng = np.random.default_rng(12)
-    tokens64 = rng.normal(size=(5, 8))
-    wq64, wk64, wv64 = (rng.normal(size=(8, 8)) for _ in range(3))
-    got = attention_head(Tensor(tokens64.astype(np.float64)),
-                         Tensor(wq64), Tensor(wk64), Tensor(wv64)).data
-    want = attention_longdouble(tokens64, wq64, wk64, wv64)
-    np.testing.assert_allclose(got, want, atol=1e-10)
+    tokens64 = rng.normal(size=(3, 5, 8))
+    wqkv64 = rng.normal(size=(2, 3, 8, 8))  # 2 heads of width 8
+    got = ops.attention(Tensor(tokens64), Tensor(wqkv64)).data
+    assert got.shape == (3, 5, 16)
+    for n in range(3):
+        for h in range(2):
+            want = attention_longdouble(tokens64[n], *wqkv64[h])
+            np.testing.assert_allclose(got[n, :, 8 * h:8 * h + 8], want, atol=1e-10)
+
+
+def test_attention_rejects_mismatched_weights():
+    tokens = Tensor(np.zeros((2, 5, 8)))
+    with pytest.raises(DimensionError):
+        ops.attention(tokens, Tensor(np.zeros((2, 3, 6, 4))))
+    with pytest.raises(DimensionError):
+        ops.attention(tokens, Tensor(np.zeros((2, 2, 8, 4))))
+    with pytest.raises(DimensionError):
+        ops.attention(Tensor(np.zeros((5, 8))), Tensor(np.zeros((2, 3, 8, 4))))
 
 
 def test_multi_head_concat_shape_and_residual():
     params = ModelParams.initialize(ModelConfig(), seed=13)
     rng = np.random.default_rng(13)
-    tokens = Tensor(rng.normal(size=(5, 64)).astype(np.float32))
+    tokens = Tensor(rng.normal(size=(1, 5, 64)).astype(np.float32))
     out = multi_head(tokens, params)
-    assert out.data.shape == (5, 64)
-    for h in range(8):
-        params[f"attn.head{h}.wv"].data[...] = 0.0
+    assert out.data.shape == (1, 5, 64)
+    params["attn.wqkv"].data[:, 2] = 0.0  # every head's value projection
     np.testing.assert_array_equal(multi_head(tokens, params).data, tokens.data)
 
 
@@ -287,9 +304,11 @@ def test_classifier_with_zero_weights_reads_bias():
     params["classifier.weight"].data[...] = 0.0
     params["classifier.bias"].data[...] = [0.0, 1.0, -1.0]
     rng = np.random.default_rng(14)
-    logits_a, _ = feature_and_classify(Tensor(rng.normal(size=(5, 8)).astype(np.float32)), params)
-    logits_b, _ = feature_and_classify(Tensor(rng.normal(size=(5, 8)).astype(np.float32)), params)
-    np.testing.assert_array_equal(logits_a.data, [0.0, 1.0, -1.0])
+    logits_a, _ = feature_and_classify(
+        Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32)), params)
+    logits_b, _ = feature_and_classify(
+        Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32)), params)
+    np.testing.assert_array_equal(logits_a.data, [[0.0, 1.0, -1.0]])
     np.testing.assert_array_equal(logits_a.data, logits_b.data)
 
 
@@ -364,6 +383,20 @@ def test_checkpoint_round_trip(tmp_path):
     assert (tmp_path / "m.hsz").read_bytes() == (tmp_path / "m2.hsz").read_bytes()
 
 
+def test_checkpoint_reads_format_1(tmp_path):
+    loaded = load_params(V1_CHECKPOINT)
+    assert loaded.config == TOY
+    fresh = ModelParams.initialize(TOY, seed=19)
+    for (na, ta), (nb, tb) in zip(fresh.named_parameters(), loaded.named_parameters()):
+        assert na == nb
+        np.testing.assert_array_equal(ta.data, tb.data)
+    # rewritten as format 2, the arrays keep their bytes and their order
+    save_params(tmp_path / "v2.hsz", loaded)
+    header, payload = hsz.read_framed(tmp_path / "v2.hsz", hsz.MODEL_MAGIC)
+    assert header["format_version"] == 2
+    assert payload == hsz.read_framed(V1_CHECKPOINT, hsz.MODEL_MAGIC)[1]
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     params = ModelParams.initialize(TOY, seed=20)
     path = tmp_path / "m.hsz"
@@ -383,3 +416,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
     hsz.write_framed(tmp_path / "bad3.hsz", hsz.MODEL_MAGIC, header, payload[:-8])
     with pytest.raises(CompatibilityError, match="payload"):
         load_params(tmp_path / "bad3.hsz")
+
+    hsz.write_framed(tmp_path / "bad4.hsz", hsz.MODEL_MAGIC, dict(header, format_version=3),
+                     payload)
+    with pytest.raises(CompatibilityError, match="format_version"):
+        load_params(tmp_path / "bad4.hsz")

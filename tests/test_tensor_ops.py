@@ -39,10 +39,10 @@ def test_conv3d_matches_loop_oracle(shape, kshape):
     x = rng.normal(size=shape)
     kernels = rng.normal(size=kshape)
     bias = rng.normal(size=kshape[0])
-    out = ops.conv3d(Tensor(x), Tensor(kernels), Tensor(bias))
+    out = ops.conv3d(Tensor(x[None]), Tensor(kernels), Tensor(bias))
     want = conv3d_loop(x, kernels, bias)
-    assert out.data.shape == (shape[0], shape[1], kshape[0] * shape[2])
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    assert out.data.shape == (1, shape[0], shape[1], kshape[0] * shape[2])
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
 def test_conv3d_batch_equals_stacked_singles():
@@ -51,23 +51,23 @@ def test_conv3d_batch_equals_stacked_singles():
     k = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32))
     b = Tensor(rng.normal(size=2).astype(np.float32))
     batched = ops.conv3d(Tensor(x), k, b).data
-    singles = np.stack([ops.conv3d(Tensor(x[i]), k, b).data for i in range(3)])
+    singles = np.concatenate([ops.conv3d(Tensor(x[i:i + 1]), k, b).data for i in range(3)])
     np.testing.assert_array_equal(batched, singles)
 
 
 @pytest.mark.parametrize("bad_kshape", [(2, 2, 3, 3), (2, 3, 4, 3), (2, 3, 3, 2)])
 def test_conv3d_rejects_even_kernel_extents(bad_kshape):
     with pytest.raises(ConfigError):
-        ops.conv3d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros(bad_kshape)),
+        ops.conv3d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros(bad_kshape)),
                    Tensor(np.zeros(bad_kshape[0])))
 
 
 def test_conv3d_rejects_bad_bias_and_rank():
     with pytest.raises(DimensionError):
-        ops.conv3d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
+        ops.conv3d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
                    Tensor(np.zeros(3)))
-    with pytest.raises(DimensionError):
-        ops.conv3d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
+    with pytest.raises(DimensionError):  # one unbatched (H, W, C) patch
+        ops.conv3d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
                    Tensor(np.zeros(2)))
 
 
@@ -83,15 +83,15 @@ def test_conv2d_matches_loop_oracle(shape, kshape):
     x = rng.normal(size=shape)
     kernels = rng.normal(size=kshape)
     bias = rng.normal(size=kshape[0])
-    out = ops.conv2d(Tensor(x), Tensor(kernels), Tensor(bias))
+    out = ops.conv2d(Tensor(x[None]), Tensor(kernels), Tensor(bias))
     want = conv2d_loop(x, kernels, bias)
-    assert out.data.shape == (shape[0], shape[1], kshape[0])
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    assert out.data.shape == (1, shape[0], shape[1], kshape[0])
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
 def test_conv2d_rejects_channel_mismatch():
     with pytest.raises(DimensionError):
-        ops.conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((2, 3, 3, 5))),
+        ops.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3, 5))),
                    Tensor(np.zeros(2)))
 
 
@@ -198,7 +198,7 @@ def test_tile_vector():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ops_preserve_dtype(dtype):
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(4, 4, 6)).astype(dtype))
+    x = Tensor(rng.normal(size=(1, 4, 4, 6)).astype(dtype))
     k3 = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(dtype))
     b3 = Tensor(np.zeros(2, dtype=dtype))
     assert ops.conv3d(x, k3, b3).dtype == dtype
@@ -207,3 +207,5 @@ def test_ops_preserve_dtype(dtype):
     assert ops.relu(x).dtype == dtype
     assert ops.scale(x, 0.5).dtype == dtype
     assert ops.softmax_rows(x).dtype == dtype
+    tokens = Tensor(rng.normal(size=(2, 5, 6)).astype(dtype))
+    assert ops.attention(tokens, Tensor(rng.normal(size=(2, 3, 6, 3)).astype(dtype))).dtype == dtype

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
                     MetricsReport, ModelConfig, ModelParams, Tensor,
                     TrainConfig, UsageError, adam_step, confusion_matrix,
-                    cross_entropy, derive_seeds, evaluate, mmnorm, mpca,
-                    report_from_confusion, rotation_audit, stratified_split,
-                    synth_scene, train)
+                    cross_entropy, derive_seeds, evaluate, forward, mmnorm,
+                    mpca, report_from_confusion, rotation_audit,
+                    stratified_split, synth_scene, train)
 from hsimvt.data import TEST, PatchSource, SplitAssignment
 from hsimvt.metrics import predict_coords
 
@@ -152,6 +152,19 @@ def test_derive_seeds_distinct_and_stable():
 
 
 # ------------------------------------------------------------- training loop
+
+def test_default_train_step_tape_length():
+    """SED 6 closures, quadrant pooling 4, token assembly 6 (global-token
+    tile, 4 reshapes, concat), attention and its residual 2, feature and
+    classifier 3, loss 1."""
+    params = ModelParams.initialize(ModelConfig(), seed=0)
+    batch = Tensor(np.random.default_rng(24).normal(size=(4, 5, 5, 30)).astype(np.float32))
+    with GradGraph() as graph:
+        loss = cross_entropy(forward(batch, params), np.arange(1, 5))
+    assert len(graph) == 22
+    graph.backward(loss)
+    assert all(t.grad is not None for _, t in params.trainable_parameters())
+
 
 def test_train_lr_zero_freezes_parameters():
     representation, labels = small_scene()
