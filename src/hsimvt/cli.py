@@ -8,6 +8,7 @@ on stderr: {"error": message, "type": exception class}.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -118,12 +119,15 @@ def cmd_train(args) -> int:
     _, labels = _load_inputs(config)
     rep = _load_representation(config)
     history_path = _out_path(config, HISTORY_FILE)
+    ckpt_path = _out_path(config, CHECKPOINT_FILE)
+    # A failed run must not leave an earlier run's checkpoint to be scored.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(ckpt_path)
     with open(history_path, "w") as history_file:
         result = train(rep, labels, config.model_config(labels.num_classes),
                        config.train_config(), fractions=config.fractions,
                        log=lambda h: print(json.dumps(h, sort_keys=True),
                                            file=history_file))
-    ckpt_path = _out_path(config, CHECKPOINT_FILE)
     save_params(ckpt_path, result.params)
     _emit({"checkpoint": ckpt_path, "history": history_path,
            "best_epoch": result.best_epoch, "best_val_oa": result.best_val_oa})

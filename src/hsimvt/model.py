@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import hsz, ops
-from .errors import CompatibilityError, ConfigError, DimensionError
+from .errors import CompatibilityError, ConfigError, DimensionError, FormatError
 from .tensor import Tensor
 
 
@@ -79,10 +79,16 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        """Config from a JSON object; each value must have its field's type
+        (an int that is not a bool, or a bool)."""
+        types = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        for name, value in doc.items():
+            if type(value) is not types[name]:
+                raise ConfigError(f"model config {name} must be {types[name].__name__}, "
+                                  f"got {type(value).__name__}")
         return cls(**doc)
 
 
@@ -215,9 +221,16 @@ def _merge_v1_heads(manifest: list, config: ModelConfig) -> list:
                 for h in range(config.num_heads) for proj in ("wq", "wk", "wv")]
     i = list(ModelParams.expected_shapes(config)).index("attn.wqkv")
     if manifest[i:i + len(per_head)] != per_head:
-        return manifest
+        raise CompatibilityError("format-1 checkpoint lacks the per-head attention arrays")
     merged = {"name": "attn.wqkv", "shape": [config.num_heads, 3, c, d]}
     return manifest[:i] + [merged] + manifest[i + len(per_head):]
+
+
+def _is_array_entry(entry) -> bool:
+    """Whether ``entry`` reads as one checkpoint manifest entry."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(s) is int and s >= 0 for s in entry["shape"]))
 
 
 def load_params(path) -> ModelParams:
@@ -230,10 +243,15 @@ def load_params(path) -> ModelParams:
     if header.get("dtype") != "f32le":
         raise CompatibilityError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     version = header.get("format_version")
-    if version not in (1, 2):
+    if type(version) is not int or version not in (1, 2):
         raise CompatibilityError(f"{path}: unsupported format_version {version!r}")
     config_doc = header.get("config", {})
+    if not isinstance(config_doc, dict):
+        raise FormatError(f"{path}: header config must be a JSON object")
     manifest = header.get("arrays", [])
+    if not (isinstance(manifest, list) and all(_is_array_entry(e) for e in manifest)):
+        raise FormatError(f"{path}: header arrays must be a list of "
+                          f"{{name: string, shape: [non-negative integers]}}")
     if version == 1:
         config_doc = {k: v for k, v in config_doc.items() if k != "use_mpca"}
     config = ModelConfig.from_json_dict(config_doc)
@@ -242,15 +260,15 @@ def load_params(path) -> ModelParams:
     expected = ModelParams.expected_shapes(config)
     if [e["name"] for e in manifest] != list(expected):
         raise CompatibilityError(f"{path}: checkpoint arrays do not match its config")
-    total = sum(int(np.prod(e["shape"])) for e in manifest) * 4
+    total = sum(math.prod(e["shape"]) for e in manifest) * 4
     if len(payload) != total:
         raise CompatibilityError(
             f"{path}: payload is {len(payload)} bytes, manifest implies {total}")
     tensors = {}
     offset = 0
     for entry in manifest:
-        shape = tuple(int(s) for s in entry["shape"])
-        n_bytes = int(np.prod(shape)) * 4
+        shape = tuple(entry["shape"])
+        n_bytes = math.prod(shape) * 4
         arr = np.frombuffer(payload[offset:offset + n_bytes], dtype="<f4").reshape(shape)
         tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
         offset += n_bytes

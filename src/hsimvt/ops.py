@@ -2,8 +2,10 @@
 
 All ops accept and return :class:`~hsimvt.tensor.Tensor`. Convolutions and
 pooling take batched patches laid out as (N, H, W, C), channels last.
-While a :class:`~hsimvt.tensor.GradGraph` is active and any input requires
-a gradient, each op records one adjoint closure on the tape.
+Each op computes its output and hands it, with its inputs and its adjoint,
+to :func:`~hsimvt.tensor.record_op`, which puts the adjoint on the tape
+while a :class:`~hsimvt.tensor.GradGraph` is active and any input requires
+a gradient.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, active_graph
-
-
-def _recording(*tensors):
-    g = active_graph()
-    if g is None:
-        return None, False
-    return g, any(t.requires_grad for t in tensors)
+from .tensor import Tensor, record_op
 
 
 def _taps(a: np.ndarray, kshape) -> np.ndarray:
@@ -79,6 +74,8 @@ def _fold(cols: np.ndarray, kshape) -> np.ndarray:
     return out
 
 
+
+
 def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Correlation with 3-D kernels sliding over rows, columns and channels.
 
@@ -108,27 +105,20 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     wmat = kd.reshape(nk, -1)
     out = np.matmul(wmat, cols)  # (n*h*w, nk, c): kernel-major channels
     out += bias.data[:, None]
-    result = Tensor(out.reshape(n, h, w, nk * c))
-    g, track = _recording(x, kernels, bias)
-    if track:
-        result.requires_grad = True
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            god = go.reshape(n * h * w, nk, c)
-            if kernels.requires_grad:
-                gk = np.matmul(god, cols.transpose(0, 2, 1)).sum(axis=0)
-                kernels.accumulate_grad(gk.reshape(kd.shape))
-            if bias.requires_grad:
-                bias.accumulate_grad(god.sum(axis=0).sum(axis=1))
-            if x.requires_grad:
-                gcols = wmat.T @ np.moveaxis(god, 1, 0).reshape(nk, -1)
-                x.accumulate_grad(_fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps))
+    def adjoint(go, need):
+        god = go.reshape(n * h * w, nk, c)
+        gx = gk = gb = None
+        if need[1]:
+            gk = np.matmul(god, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
+        if need[2]:
+            gb = god.sum(axis=0).sum(axis=1)
+        if need[0]:
+            gcols = wmat.T @ np.moveaxis(god, 1, 0).reshape(nk, -1)
+            gx = _fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps)
+        return gx, gk, gb
 
-        g.record(bwd)
-    return result
+    return record_op(out.reshape(n, h, w, nk * c), (x, kernels, bias), adjoint)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -162,27 +152,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out = _fold(np.matmul(xm, wtaps).reshape(ktaps + (n, h, w, nk)), ktaps)
     out += bias.data
 
-    result = Tensor(out)
-    g, track = _recording(x, kernels, bias)
-    if track:
-        result.requires_grad = True
+    def adjoint(go, need):
+        gcols = np.ascontiguousarray(_taps(go, ktaps)).reshape(-1, kh * kw * nk)
+        gx = gk = gb = None
+        if need[1]:
+            gk = (xm.T @ gcols).reshape(cin, kh, kw, nk)[:, ::-1, ::-1].transpose(3, 1, 2, 0)
+        if need[2]:
+            gb = go.reshape(-1, nk).sum(axis=0)
+        if need[0]:
+            gx = (gcols @ wtaps.transpose(0, 2, 1).reshape(-1, cin)).reshape(n, h, w, cin)
+        return gx, gk, gb
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            gcols = np.ascontiguousarray(_taps(go, ktaps)).reshape(-1, kh * kw * nk)
-            if kernels.requires_grad:
-                gk = (xm.T @ gcols).reshape(cin, kh, kw, nk)[:, ::-1, ::-1].transpose(3, 1, 2, 0)
-                kernels.accumulate_grad(gk)
-            if bias.requires_grad:
-                bias.accumulate_grad(go.reshape(-1, nk).sum(axis=0))
-            if x.requires_grad:
-                x.accumulate_grad(
-                    (gcols @ wtaps.transpose(0, 2, 1).reshape(-1, cin)).reshape(n, h, w, cin))
-
-        g.record(bwd)
-    return result
+    return record_op(out, (x, kernels, bias), adjoint)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -192,83 +173,10 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"affine expects 2-D input and weight, got {xd.shape} and {wd.shape}")
     if xd.shape[1] != wd.shape[0] or bd.shape != (wd.shape[1],):
         raise DimensionError(f"affine shapes disagree: {xd.shape} @ {wd.shape} + {bd.shape}")
-    result = Tensor(xd @ wd + bd)
-    g, track = _recording(x, weight, bias)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            if x.requires_grad:
-                x.accumulate_grad(go @ wd.T)
-            if weight.requires_grad:
-                weight.accumulate_grad(xd.T @ go)
-            if bias.requires_grad:
-                bias.accumulate_grad(go.sum(axis=0))
-
-        g.record(bwd)
-    return result
-
-
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Matrix product over the last two axes; ``b`` may be unbatched (2-D).
-
-    Leading batch axes of ``a`` and ``b`` must match exactly when both are
-    batched; a 2-D ``b`` broadcasts over ``a``'s batch.
-    """
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise DimensionError("matmul operands must have ndim >= 2")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise DimensionError(f"matmul batch shapes disagree: {ad.shape} vs {bd.shape}")
-    bm = np.swapaxes(bd, -1, -2) if transpose_b else bd
-    if ad.shape[-1] != bm.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
-    result = Tensor(ad @ bm)
-    g, track = _recording(a, b)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(go @ np.swapaxes(bm, -1, -2))
-            if b.requires_grad:
-                if transpose_b:
-                    gb = np.swapaxes(go, -1, -2) @ ad
-                else:
-                    gb = np.swapaxes(ad, -1, -2) @ go
-                if bd.ndim == 2 and gb.ndim > 2:
-                    gb = gb.reshape(-1, *bd.shape).sum(axis=0)
-                b.accumulate_grad(gb)
-
-        g.record(bwd)
-    return result
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis (row-max subtracted)."""
-    xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    result = Tensor(y)
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            x.accumulate_grad(y * (go - (go * y).sum(axis=-1, keepdims=True)))
-
-        g.record(bwd)
-    return result
+    return record_op(xd @ wd + bd, (x, weight, bias), lambda go, need: (
+        go @ wd.T if need[0] else None,
+        xd.T @ go if need[1] else None,
+        go.sum(axis=0) if need[2] else None))
 
 
 def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
@@ -296,153 +204,62 @@ def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
     logits = np.matmul(q, k.swapaxes(-1, -2)) * s
     a = np.exp(logits - logits.max(axis=-1, keepdims=True))
     a /= a.sum(axis=-1, keepdims=True)
-    result = Tensor(np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, heads * d))
-    g, track = _recording(tokens, wqkv)
-    if track:
-        result.requires_grad = True
+    out = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, heads * d)
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            gheads = go.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
-            ga = np.matmul(gheads, v.swapaxes(-1, -2))
-            gl = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * s
-            gp = np.empty((n, t, heads, 3, d), dtype=td.dtype)
-            gq, gk, gv = gp.transpose(3, 0, 2, 1, 4)
-            gq[...] = np.matmul(gl, k)
-            gk[...] = np.matmul(gl.swapaxes(-1, -2), q)
-            gv[...] = np.matmul(a.swapaxes(-1, -2), gheads)
-            gp = gp.reshape(n * t, heads * 3 * d)
-            if wqkv.requires_grad:
-                gw = (x.T @ gp).reshape(c, heads, 3, d).transpose(1, 2, 0, 3)
-                wqkv.accumulate_grad(gw)
-            if tokens.requires_grad:
-                tokens.accumulate_grad((gp @ w.T).reshape(n, t, c))
+    def adjoint(go, need):
+        gheads = go.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+        ga = np.matmul(gheads, v.swapaxes(-1, -2))
+        gl = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * s
+        gp = np.empty((n, t, heads, 3, d), dtype=td.dtype)
+        gq, gk, gv = gp.transpose(3, 0, 2, 1, 4)
+        gq[...] = np.matmul(gl, k)
+        gk[...] = np.matmul(gl.swapaxes(-1, -2), q)
+        gv[...] = np.matmul(a.swapaxes(-1, -2), gheads)
+        gp = gp.reshape(n * t, heads * 3 * d)
+        return ((gp @ w.T).reshape(n, t, c) if need[0] else None,
+                (x.T @ gp).reshape(c, heads, 3, d).transpose(1, 2, 0, 3) if need[1] else None)
 
-        g.record(bwd)
-    return result
+    return record_op(out, (tokens, wqkv), adjoint)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x)."""
     xd = x.data
-    result = Tensor(np.maximum(xd, 0))
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            x.accumulate_grad(go * (xd > 0))
-
-        g.record(bwd)
-    return result
+    return record_op(np.maximum(xd, 0), (x,), lambda go, need: (go * (xd > 0),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
-    result = Tensor(a.data + b.data)
-    g, track = _recording(a, b)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(go)
-            if b.requires_grad:
-                b.accumulate_grad(go)
-
-        g.record(bwd)
-    return result
+    return record_op(a.data + b.data, (a, b), lambda go, need: (go, go))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
-    result = Tensor(a.data * b.data)
-    g, track = _recording(a, b)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(go * b.data)
-            if b.requires_grad:
-                b.accumulate_grad(go * a.data)
-
-        g.record(bwd)
-    return result
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar (dtype preserved)."""
-    s = float(s)
-    result = Tensor(x.data * s)
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            x.accumulate_grad(go * s)
-
-        g.record(bwd)
-    return result
+    return record_op(a.data * b.data, (a, b), lambda go, need: (
+        go * b.data if need[0] else None,
+        go * a.data if need[1] else None))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    result = Tensor(x.data.reshape(shape))
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
-        orig = x.data.shape
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            x.accumulate_grad(go.reshape(orig))
-
-        g.record(bwd)
-    return result
+    return record_op(x.data.reshape(tuple(shape)), (x,),
+                     lambda go, need: (go.reshape(x.data.shape),))
 
 
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along an existing axis."""
     tensors = list(tensors)
-    result = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    g, track = _recording(*tensors)
-    if track:
-        result.requires_grad = True
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            moved = np.moveaxis(go, axis, 0)
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    t.accumulate_grad(np.moveaxis(moved[lo:hi], 0, axis))
+    def adjoint(go, need):
+        moved = np.moveaxis(go, axis, 0)
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        return [np.moveaxis(moved[lo:hi], 0, axis) if wanted else None
+                for wanted, lo, hi in zip(need, offsets[:-1], offsets[1:])]
 
-        g.record(bwd)
-    return result
+    return record_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, adjoint)
 
 
 def box_mean(x: Tensor, rows, cols) -> Tensor:
@@ -471,21 +288,13 @@ def box_mean(x: Tensor, rows, cols) -> Tensor:
             total = total + flat[:, half]
     else:
         total = flat[:, 0].copy()
-    result = Tensor(total / count)
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            gx = np.zeros_like(xd)
-            gx[:, r0:r1, c0:c1, :] = (go / count)[:, None, None, :]
-            x.accumulate_grad(gx)
+    def adjoint(go, need):
+        gx = np.zeros_like(xd)
+        gx[:, r0:r1, c0:c1, :] = (go / count)[:, None, None, :]
+        return (gx,)
 
-        g.record(bwd)
-    return result
+    return record_op(total / count, (x,), adjoint)
 
 
 def tile_vector(v: Tensor, n: int) -> Tensor:
@@ -493,33 +302,10 @@ def tile_vector(v: Tensor, n: int) -> Tensor:
     vd = v.data
     if vd.ndim != 1:
         raise DimensionError(f"tile_vector expects a vector, got shape {vd.shape}")
-    result = Tensor(np.ascontiguousarray(np.broadcast_to(vd, (n, 1, vd.shape[0]))))
-    g, track = _recording(v)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            v.accumulate_grad(go.sum(axis=(0, 1)))
-
-        g.record(bwd)
-    return result
+    return record_op(np.ascontiguousarray(np.broadcast_to(vd, (n, 1, vd.shape[0]))), (v,),
+                     lambda go, need: (go.sum(axis=(0, 1)),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    result = Tensor(x.data.sum())
-    g, track = _recording(x)
-    if track:
-        result.requires_grad = True
-
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            x.accumulate_grad(np.full_like(x.data, go))
-
-        g.record(bwd)
-    return result
+    return record_op(x.data.sum(), (x,), lambda go, need: (np.full_like(x.data, go),))

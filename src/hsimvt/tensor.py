@@ -1,9 +1,9 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 A ``GradGraph`` is a tape: every differentiable op executed while a graph
-is active appends one adjoint closure. ``backward`` replays the tape in
-exact reverse execution order, so each op sees the fully accumulated
-gradient of its output before propagating to its inputs.
+is active appends one adjoint closure, through ``record_op``. ``backward``
+replays the tape in exact reverse execution order, so each op sees the
+fully accumulated gradient of its output before propagating to its inputs.
 
 Training runs in float32; gradient checks use float64 tensors. Ops never
 change the dtype of their inputs.
@@ -63,6 +63,37 @@ def active_graph():
     return getattr(_ACTIVE, "graph", None)
 
 
+def record_op(value, inputs, adjoint) -> Tensor:
+    """Wrap an op's output ``value`` in a Tensor and put its adjoint on the tape.
+
+    Only while a graph is recording and some input requires a gradient does
+    the output require one too; then one closure is recorded. Once the
+    output has a gradient ``go``, that closure calls ``adjoint(go, need)``,
+    where ``need`` holds one requires-grad flag per input, and adds each
+    returned array into the input it belongs to when that input needs it.
+    The adjoint may return anything (such as None) for the others.
+    """
+    result = Tensor(value)
+    graph = active_graph()
+    if graph is None:
+        return result
+    need = tuple(t.requires_grad for t in inputs)
+    if not any(need):
+        return result
+    result.requires_grad = True
+
+    def backward():
+        go = result.grad
+        if go is None:
+            return
+        for t, wanted, g in zip(inputs, need, adjoint(go, need)):
+            if wanted:
+                t.accumulate_grad(g)
+
+    graph.record(backward)
+    return result
+
+
 class GradGraph:
     """Ordered record of executed ops; replays adjoints in reverse order.
 
@@ -86,7 +117,7 @@ class GradGraph:
         return False
 
     def record(self, backward_fn):
-        """Append one adjoint closure; called by ops while recording."""
+        """Append one adjoint closure; called by :func:`record_op`."""
         self._tape.append(backward_fn)
 
     def __len__(self):

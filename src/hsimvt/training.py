@@ -16,7 +16,7 @@ from .data import TRAIN, VAL, LabelMap, PatchSource, SplitAssignment, stratified
 from .errors import ConfigError, DimensionError, DivergenceError, UsageError
 from .metrics import predict_coords
 from .model import ModelConfig, ModelParams, forward
-from .tensor import GradGraph, Tensor, active_graph
+from .tensor import GradGraph, Tensor, record_op
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     exps = np.exp(shifted)
     log_norm = np.log(exps.sum(axis=1))
     picked = shifted[np.arange(n), idx]
-    result = Tensor(np.asarray((log_norm - picked).mean()))
 
-    graph = active_graph()
-    if graph is not None and logits.requires_grad:
-        result.requires_grad = True
-        probs = exps / exps.sum(axis=1, keepdims=True)
+    def adjoint(go, need):
+        g = exps / exps.sum(axis=1, keepdims=True)
+        g[np.arange(n), idx] -= 1.0
+        return (g * (go / n),)
 
-        def bwd():
-            go = result.grad
-            if go is None:
-                return
-            g = probs.copy()
-            g[np.arange(n), idx] -= 1.0
-            logits.accumulate_grad(g * (go / n))
-
-        graph.record(bwd)
-    return result
+    return record_op(np.asarray((log_norm - picked).mean()), (logits,), adjoint)
 
 
 class AdamState:

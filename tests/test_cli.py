@@ -1,11 +1,16 @@
 """End-to-end CLI pipeline, run config parsing, and map rendering."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hsimvt import ConfigError, RunConfig, class_palette, render_class_map, write_ppm
+from hsimvt import ConfigError, RunConfig, class_palette, hsz, render_class_map, write_ppm
 from hsimvt.cli import main
 from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
@@ -178,6 +183,25 @@ def test_diverging_train_fails_without_checkpoint(workdir, capsys):
         _strict_json(line)
 
 
+@pytest.mark.filterwarnings("error")
+def test_failed_train_leaves_no_earlier_checkpoint_to_score(workdir, capsys):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", good)
+    code, _, _ = run(capsys, "train", "--config", good)
+    assert code == 0 and (workdir / "checkpoint.hsz").exists()
+    diverging = write_config(workdir, {"train": {"lr": 1e30}})
+    code, _, _ = run(capsys, "train", "--config", diverging)
+    assert code == 1
+    assert not (workdir / "checkpoint.hsz").exists()
+    code, out, err = run(capsys, "eval", "--config", diverging)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["type"] == "ConfigError" and "checkpoint" in doc["error"]
+
+
 def test_errors_are_json_on_stderr(workdir, capsys):
     config = write_config(workdir)
 
@@ -226,6 +250,65 @@ def test_checkpoint_config_mismatch_is_rejected(workdir, capsys):
     code, _, err = run(capsys, "eval", "--config", other)
     assert code == 1
     assert json.loads(err)["type"] == "CompatibilityError"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A config with absolute paths, and the header and payload of the
+    checkpoint that training under it wrote."""
+    root = tmp_path_factory.mktemp("trained")
+    doc = json.loads(json.dumps(CONFIG))
+    doc["data"] = {"cube_path": str(root / "synth_cube.hsz"),
+                   "labels_path": str(root / "synth_labels.hsz")}
+    doc["output"] = {"dir": str(root)}
+    config = root / "config.json"
+    config.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", *SCENE, "--out", str(root)]) == 0
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+    header, payload = hsz.read_framed(root / "checkpoint.hsz", hsz.MODEL_MAGIC)
+    return config, header, payload
+
+
+def _header_paths(header):
+    """Key paths to every value in a checkpoint header, nested ones included."""
+    paths = [(key,) for key in header] + [("config", key) for key in header["config"]]
+    for i, entry in enumerate(header["arrays"]):
+        paths += [("arrays", i), ("arrays", i, "name"), ("arrays", i, "shape")]
+        paths += [("arrays", i, "shape", j) for j in range(len(entry["shape"]))]
+    return paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_changed_checkpoint_header_value_exits_with_one_json_line(trained_run, data):
+    config, header, payload = trained_run
+    *parents, last = data.draw(st.sampled_from(_header_paths(header)), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    doc = copy.deepcopy(header)
+    target = doc
+    for key in parents:
+        target = target[key]
+    assume(json.dumps(value, sort_keys=True) != json.dumps(target[last], sort_keys=True))
+    target[last] = value
+    checkpoint = config.parent / "changed.hsz"
+    hsz.write_framed(checkpoint, hsz.MODEL_MAGIC, doc, payload)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+    assert code == 1 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "type"}
 
 
 # ------------------------------------------------------------------ RunConfig

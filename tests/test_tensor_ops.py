@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsimvt import ConfigError, DimensionError, Tensor
 from hsimvt import ops
 
-from oracles import conv2d_loop, conv3d_loop, softmax_rows_longdouble
+from oracles import attention_longdouble, conv2d_loop, conv3d_loop
 
 
 def test_tensor_coerces_ints_to_float32():
@@ -104,37 +104,18 @@ def test_affine_matches_manual():
         ops.affine(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
-def test_matmul_batched_and_transposed():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 5, 4))
-    b = rng.normal(size=(3, 4, 2))
-    np.testing.assert_allclose(ops.matmul(Tensor(a), Tensor(b)).data,
-                               np.einsum("nij,njk->nik", a, b), atol=1e-13)
-    c = rng.normal(size=(3, 2, 4))
-    np.testing.assert_allclose(ops.matmul(Tensor(a), Tensor(c), transpose_b=True).data,
-                               np.einsum("nij,nkj->nik", a, c), atol=1e-13)
-    flat = rng.normal(size=(4, 2))
-    np.testing.assert_allclose(ops.matmul(Tensor(a), Tensor(flat)).data,
-                               a @ flat, atol=1e-13)
-    with pytest.raises(DimensionError):
-        ops.matmul(Tensor(a), Tensor(rng.normal(size=(2, 4, 2))))
-    with pytest.raises(DimensionError):
-        ops.matmul(Tensor(a), Tensor(rng.normal(size=(3, 2))))
-
-
-def test_softmax_rows_against_extended_precision():
+def test_attention_survives_huge_logits():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(6, 9)) * 30.0
-    y = ops.softmax_rows(Tensor(x)).data
-    np.testing.assert_allclose(y, softmax_rows_longdouble(x).astype(np.float64),
-                               atol=1e-12)
-    np.testing.assert_allclose(y.sum(axis=1), np.ones(6), atol=1e-9)
-
-
-def test_softmax_rows_survives_huge_logits():
-    y = ops.softmax_rows(Tensor(np.array([[1e4, 0.0, -1e4]]))).data
-    assert np.isfinite(y).all()
-    assert y[0, 0] == pytest.approx(1.0)
+    tokens = rng.normal(size=(2, 5, 4))
+    wqkv = rng.normal(size=(1, 3, 4, 4))
+    wqkv[0, :2] *= 30.0  # queries and keys: logits reach about +-1e4
+    q, k = tokens @ wqkv[0, 0], tokens @ wqkv[0, 1]
+    assert 5e3 < np.abs(q @ k.swapaxes(-1, -2)).max() / np.sqrt(4) < 5e4  # d = 4
+    got = ops.attention(Tensor(tokens), Tensor(wqkv)).data
+    assert np.isfinite(got).all()
+    for n in range(2):
+        np.testing.assert_allclose(got[n], attention_longdouble(tokens[n], *wqkv[0]),
+                                   atol=1e-9)
 
 
 def test_elementwise_ops():
@@ -143,7 +124,8 @@ def test_elementwise_ops():
     np.testing.assert_array_equal(ops.relu(Tensor(a)).data, np.maximum(a, 0))
     np.testing.assert_array_equal(ops.add(Tensor(a), Tensor(b)).data, a + b)
     np.testing.assert_array_equal(ops.mul(Tensor(a), Tensor(b)).data, a * b)
-    np.testing.assert_array_equal(ops.scale(Tensor(a), -1.5).data, a * -1.5)
+    np.testing.assert_array_equal(ops.mul(Tensor(a), Tensor(np.full_like(a, -1.5))).data,
+                                  a * -1.5)
     assert ops.sum_all(Tensor(a)).item() == pytest.approx(a.sum())
     with pytest.raises(DimensionError):
         ops.add(Tensor(a), Tensor(np.zeros(3)))
@@ -205,7 +187,7 @@ def test_ops_preserve_dtype(dtype):
     k2 = Tensor(rng.normal(size=(2, 3, 3, 6)).astype(dtype))
     assert ops.conv2d(x, k2, Tensor(np.zeros(2, dtype=dtype))).dtype == dtype
     assert ops.relu(x).dtype == dtype
-    assert ops.scale(x, 0.5).dtype == dtype
-    assert ops.softmax_rows(x).dtype == dtype
+    assert ops.add(x, x).dtype == dtype
+    assert ops.mul(x, x).dtype == dtype
     tokens = Tensor(rng.normal(size=(2, 5, 6)).astype(dtype))
     assert ops.attention(tokens, Tensor(rng.normal(size=(2, 3, 6, 3)).astype(dtype))).dtype == dtype
