@@ -27,7 +27,9 @@ class HsiCube:
             raise DimensionError(f"cube values must be (H,W,B), got {self.values.shape}")
         if self.values.shape[2] < 1:
             raise DimensionError("cube must have at least one band")
-        if not np.isfinite(self.values).all():
+        # min and max are non-finite exactly when some value is, without a bool array
+        values = self.values
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise DegenerateInputError(f"cube {self.name!r} contains non-finite values")
 
     @property
@@ -75,6 +77,7 @@ def save_cube(cube: HsiCube, path):
 
 
 def load_cube(path, name: str = "") -> HsiCube:
+    """Read a cube file; its values are a read-only view of the file's bytes."""
     values, _ = hsz.read_cube_raster(path)
     return HsiCube(values=values, name=name or str(path))
 
@@ -89,14 +92,19 @@ def load_labels(path) -> LabelMap:
 
 
 def mmnorm(cube: HsiCube) -> HsiCube:
-    """Rescale with the single global min and max so values span [0, 1]."""
-    lo = float(cube.values.min())
-    hi = float(cube.values.max())
+    """Rescale with the single global min and max so values span [0, 1].
+
+    Float cubes are scaled in their own precision into one new array.
+    """
+    values = cube.values
+    lo = float(values.min())
+    hi = float(values.max())
     if hi == lo:
         raise DegenerateInputError("cannot normalize a constant cube (max == min)")
-    scaled = (cube.values - np.float32(lo)) / np.float32(hi - lo) \
-        if cube.values.dtype == np.float32 else (cube.values - lo) / (hi - lo)
-    return HsiCube(values=scaled.astype(cube.values.dtype, copy=False), name=cube.name)
+    scalar = values.dtype.type if values.dtype.kind == "f" else np.float64
+    scaled = np.subtract(values, scalar(lo))
+    np.divide(scaled, scalar(hi - lo), out=scaled)
+    return HsiCube(values=scaled.astype(values.dtype, copy=False), name=cube.name)
 
 
 @dataclass

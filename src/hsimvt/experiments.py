@@ -25,10 +25,9 @@ def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True)
     reduced to ``views * components`` channels — plain PCA with the same
     output width, the representation-ablation baseline.
     """
-    normalized = mmnorm(cube)
-    if enabled:
-        return mpca(normalized, num_views=views, components=components)
-    return mpca(normalized, num_views=1, components=views * components)
+    if not enabled:
+        views, components = 1, views * components
+    return mpca(mmnorm(cube), num_views=views, components=components)
 
 
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):

@@ -26,7 +26,8 @@ PCA_MAGIC = b"HSZPCA\0\0"
 MODEL_MAGIC = b"HSZMDL\0\0"
 
 
-def write_framed(path, magic: bytes, header: dict, payload: bytes):
+def write_framed(path, magic: bytes, header: dict, payload):
+    """Write one frame; ``payload`` is bytes-like and ``len(payload)`` is its size in bytes."""
     if len(magic) != 8:
         raise ValueError("magic must be 8 bytes")
     head = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -38,26 +39,32 @@ def write_framed(path, magic: bytes, header: dict, payload: bytes):
 
 
 def read_framed(path, magic: bytes):
-    """Return (header dict, payload bytes); validates magic and framing."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12:
-        raise FormatError(f"{path}: file too short for an HSZ frame")
-    if raw[:8] != magic:
-        raise FormatError(f"{path}: bad magic {raw[:8]!r}, expected {magic!r}")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    if len(raw) < 12 + hlen:
-        raise FormatError(f"{path}: header length {hlen} exceeds file size")
+    """Return (header dict, payload bytes); validates magic and framing.
+
+    The payload is read straight into its own bytes object (the file is
+    unbuffered, so no copy is made), which keeps it aligned for numpy.
+    """
+    with open(path, "rb", buffering=0) as f:
+        prefix = f.read(12)
+        if len(prefix) < 12:
+            raise FormatError(f"{path}: file too short for an HSZ frame")
+        if prefix[:8] != magic:
+            raise FormatError(f"{path}: bad magic {prefix[:8]!r}, expected {magic!r}")
+        (hlen,) = struct.unpack("<I", prefix[8:])
+        head = f.read(hlen)
+        if len(head) < hlen:
+            raise FormatError(f"{path}: header length {hlen} exceeds file size")
+        payload = f.read()
     try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
-    return header, raw[12 + hlen:]
+    return header, payload
 
 
-def _dims(header: dict, path, *keys):
+def header_ints(header: dict, path, *keys):
     """The header's values for ``keys``, each a non-negative JSON integer."""
     dims = []
     for key in keys:
@@ -77,14 +84,17 @@ def write_cube_raster(path, values: np.ndarray):
         raise ValueError(f"cube raster must be 3-D, got shape {values.shape}")
     h, w, b = values.shape
     header = {"height": h, "width": w, "bands": b, "dtype": "f32le", "order": "bip"}
-    payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(values, dtype="<f4").reshape(-1).view(np.uint8)
     write_framed(path, CUBE_MAGIC, header, payload)
 
 
 def read_cube_raster(path):
-    """Read an HSZCUBE file; returns (values (H,W,B) float32, header)."""
+    """Read an HSZCUBE file; returns (values (H,W,B) float32, header).
+
+    ``values`` is a read-only view of the file's bytes, not a copy.
+    """
     header, payload = read_framed(path, CUBE_MAGIC)
-    h, w, b = _dims(header, path, "height", "width", "bands")
+    h, w, b = header_ints(header, path, "height", "width", "bands")
     if header.get("dtype") != "f32le":
         raise FormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     if header.get("order") != "bip":
@@ -93,8 +103,7 @@ def read_cube_raster(path):
     if len(payload) != expected:
         raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(h, w, b)
-    return np.ascontiguousarray(values), header
+    return np.frombuffer(payload, dtype="<f4").reshape(h, w, b), header
 
 
 def write_label_raster(path, ids: np.ndarray, num_classes: int):
@@ -110,7 +119,7 @@ def write_label_raster(path, ids: np.ndarray, num_classes: int):
 def read_label_raster(path):
     """Read an HSZLBL file; returns (ids (H,W) uint16, num_classes)."""
     header, payload = read_framed(path, LABEL_MAGIC)
-    h, w, k = _dims(header, path, "height", "width", "classes")
+    h, w, k = header_ints(header, path, "height", "width", "classes")
     expected = h * w * 2
     if len(payload) != expected:
         raise PayloadLengthError(

@@ -134,6 +134,33 @@ def pca_project_oracle(samples, components):
             vectors.astype(np.float64))
 
 
+def mpca_float64_reference(values, num_views, components):
+    """Multiview PCA as first written: cast the whole cube to float64, zero-pad
+    the band axis to whole groups, fancy-index each interleaved view, fit and
+    apply each view's PCA, concatenate view-major, cast to float32.
+
+    Returns (H x W x num_views*components float32, [(mean, projection,
+    eigenvalues)] per view), meant to match the package bit for bit.
+    """
+    values = values.astype(np.float64)
+    bands = values.shape[2]
+    groups = -(-bands // num_views)
+    values = np.pad(values, ((0, 0), (0, 0), (0, groups * num_views - bands)))
+    parts, fitted = [], []
+    for n in range(num_views):
+        view = np.ascontiguousarray(values[:, :, np.arange(groups) * num_views + n])
+        samples = view.reshape(-1, groups)
+        mean = samples.mean(axis=0)
+        centered = samples - mean
+        cov = (centered.T @ centered) / (samples.shape[0] - 1)
+        eigenvalues, vectors = np.linalg.eigh(cov)
+        order = np.argsort(eigenvalues)[::-1][:components]
+        projection = fix_signs_oracle(vectors[:, order])
+        fitted.append((mean, projection, np.maximum(eigenvalues[order], 0.0)))
+        parts.append(((samples - mean) @ projection).reshape(*view.shape[:2], components))
+    return np.concatenate(parts, axis=2).astype(np.float32), fitted
+
+
 def softmax_rows_longdouble(x):
     z = np.array(x, dtype=np.longdouble)
     z = z - z.max(axis=-1, keepdims=True)

@@ -24,6 +24,20 @@ def test_cube_validation():
     assert (cube.height, cube.width, cube.bands) == (3, 4, 5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cube_rejects_any_non_finite_value(bad, dtype):
+    for at in ((0, 0, 0), (2, 1, 3)):
+        values = np.zeros((3, 2, 4), dtype=dtype)
+        values[at] = bad
+        with pytest.raises(DegenerateInputError):
+            HsiCube(values=values)
+
+
+def test_cube_accepts_empty_raster():
+    assert HsiCube(values=np.zeros((0, 4, 3), dtype=np.float32)).height == 0
+
+
 def test_label_map_validation():
     ids = np.array([[1, 2], [0, 2]])
     labels = LabelMap(ids=ids, num_classes=2)
@@ -54,6 +68,18 @@ def test_mmnorm_is_global_not_per_band():
     out = mmnorm(HsiCube(values=values)).values
     np.testing.assert_allclose(out[0, 0], [0.0, 0.5])
     np.testing.assert_allclose(out[0, 1], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_mmnorm_keeps_the_out_of_place_bits(dtype):
+    rng = np.random.default_rng(1)
+    values = (rng.normal(size=(4, 5, 6)) * 3 + 10).astype(dtype)
+    values.flags.writeable = False
+    lo, hi = float(values.min()), float(values.max())
+    want = (values - dtype(lo)) / dtype(hi - lo)
+    out = mmnorm(HsiCube(values=values)).values
+    assert out.dtype == dtype
+    assert out.tobytes() == want.tobytes()
 
 
 def test_mmnorm_rejects_constant_cube():

@@ -31,6 +31,40 @@ def test_cube_write_accepts_noncontiguous_and_float64(tmp_path):
     np.testing.assert_array_equal(back, values[:, ::2, :].astype(np.float32))
 
 
+def test_cube_read_is_a_read_only_view_and_writes_back(tmp_path):
+    values = np.random.default_rng(3).normal(size=(3, 4, 5)).astype(np.float32)
+    hsz.write_cube_raster(tmp_path / "a.hsz", values)
+    header, payload = hsz.read_framed(tmp_path / "a.hsz", hsz.CUBE_MAGIC)
+    assert len(payload) == values.nbytes
+    back, _ = hsz.read_cube_raster(tmp_path / "a.hsz")
+    assert not back.flags.writeable
+    with pytest.raises(ValueError):
+        back[0, 0, 0] = 1.0
+    hsz.write_cube_raster(tmp_path / "b.hsz", back)
+    assert (tmp_path / "a.hsz").read_bytes() == (tmp_path / "b.hsz").read_bytes()
+
+
+@pytest.mark.parametrize("note", range(8))
+def test_cube_read_is_aligned_whatever_the_header_length(tmp_path, note):
+    values = np.arange(60, dtype=np.float32).reshape(3, 4, 5)
+    header = {"height": 3, "width": 4, "bands": 5, "dtype": "f32le", "order": "bip",
+              "note": "x" * note}
+    hsz.write_framed(tmp_path / "a.hsz", hsz.CUBE_MAGIC, header, values.tobytes())
+    back, _ = hsz.read_cube_raster(tmp_path / "a.hsz")
+    assert back.flags.aligned and back.ctypes.data % 8 == 0
+    np.testing.assert_array_equal(back, values)
+
+
+def test_cube_write_hands_over_a_payload_sized_in_bytes(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(hsz, "write_framed", lambda path, magic, header, payload:
+                        sizes.append(len(payload)))
+    values = np.ones((3, 4, 5), dtype=np.float32)
+    hsz.write_cube_raster(tmp_path / "a.hsz", values)
+    hsz.write_cube_raster(tmp_path / "b.hsz", np.zeros((0, 4, 5)))
+    assert sizes == [values.nbytes, 0]
+
+
 def test_label_round_trip(tmp_path):
     ids = np.random.default_rng(2).integers(0, 9, size=(6, 9)).astype(np.uint16)
     path = tmp_path / "labels.hsz"

@@ -1,16 +1,20 @@
 """Multiview PCA: view construction, per-view PCA, concatenation, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
-                    build_views, fit_pca, load_pca_models, mmnorm, mpca,
+from hsimvt import (ConfigError, DegenerateInputError, DimensionError, FormatError,
+                    HsiCube, build_views, fit_pca, hsz, load_pca_models, mmnorm, mpca,
                     save_pca_models, synth_scene, transform_view, view_spec)
+from hsimvt.experiments import preprocess
 from hsimvt.mpca import PcaModel, fix_signs
 
-from oracles import fix_signs_oracle, jacobi_eigh, pca_project_oracle
+from oracles import (fix_signs_oracle, jacobi_eigh, mpca_float64_reference,
+                     pca_project_oracle)
 
 
 # ---------------------------------------------------------------- view layout
@@ -238,6 +242,46 @@ def test_mpca_bit_identical_across_runs():
     assert first.tobytes() == second.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
+def test_mpca_matches_float64_reference_bit_for_bit(bands, views, dtype):
+    # 45 x 30 x 103 spans three row blocks of build_views' gather
+    rng = np.random.default_rng(bands * 100 + views)
+    values = rng.normal(size=(45, 30, bands)).astype(dtype)
+    components = min(3, -(-bands // views))
+    want, fitted = mpca_float64_reference(values, views, components)
+    for layout in (values, np.asfortranarray(values)):
+        stacked, models = mpca(HsiCube(values=layout), views, components)
+        assert stacked.dtype == np.float32
+        assert np.array_equal(stacked, want)
+        for model, (mean, projection, eigenvalues) in zip(models, fitted, strict=True):
+            assert np.array_equal(model.mean, mean)
+            assert np.array_equal(model.projection, projection)
+            assert np.array_equal(model.eigenvalues, eigenvalues)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (0, 3, 4)])
+def test_mpca_of_an_empty_cube_is_degenerate(shape):
+    with pytest.raises(DegenerateInputError, match="at least 2 pixels"):
+        mpca(HsiCube(values=np.zeros(shape, dtype=np.float32)), num_views=2, components=1)
+
+
+@pytest.mark.parametrize("shape,views,components,enabled,bound", [
+    ((60, 50, 103), 10, 3, True, 4.5),    # first written: 5.49x
+    ((30, 30, 37), 10, 3, False, 7.2),    # one view of 30 components; first written: 7.14x
+])
+def test_preprocess_peak_memory(shape, views, components, enabled, bound):
+    rng = np.random.default_rng(12)
+    cube = HsiCube(values=rng.random(shape, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        preprocess(cube, views, components, enabled=enabled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * cube.values.nbytes
+
+
 # ----------------------------------------------------------------- HSZ files
 
 def test_pca_model_round_trip(tmp_path):
@@ -265,3 +309,33 @@ def test_pca_save_validates_model_list(tmp_path):
     mixed = models[:-1] + [fit_pca(rasters[-1], 1)]
     with pytest.raises(ConfigError):
         save_pca_models(tmp_path / "x.hsz", spec, mixed)
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("change", [
+    {"views": "x"}, {"views": 1.5}, {"views": True}, {"groups": 4.0}, {"components": False},
+    {"original_bands": None}, {"views": -3}, {"components": DROP},
+    {"views": 0}, {"groups": 0}, {"components": 0},
+    {"groups": 5},                                       # ceil(10 / 3) is 4
+    {"original_bands": 13},                              # ceil(13 / 3) is 5
+    {"components": 5},                                   # more components than groups
+    {"views": 12, "groups": 1},                          # more views than bands
+])
+def test_load_pca_models_rejects_malformed_header(tmp_path, change):
+    rng = np.random.default_rng(13)
+    spec, rasters = build_views(HsiCube(values=rng.normal(size=(6, 6, 10))), 3)
+    path = tmp_path / "pca.hsz"
+    save_pca_models(path, spec, [fit_pca(r, 2) for r in rasters])
+    header, payload = hsz.read_framed(path, hsz.PCA_MAGIC)
+    for key, value in change.items():
+        if value is DROP:
+            del header[key]
+        else:
+            header[key] = value
+    for body in (payload, b""):  # the header is refused before the payload is sized
+        hsz.write_framed(path, hsz.PCA_MAGIC, header, body)
+        with pytest.raises(FormatError) as refused:
+            load_pca_models(path)
+        assert refused.type is FormatError
