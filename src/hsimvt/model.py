@@ -323,30 +323,35 @@ def quadrant_bounds(patch_size: int):
     return [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
 
 
-def tokenize(feature: Tensor):
-    """Mean-pool each quadrant per channel: (N, P, P, C) -> 4 tokens (N, C)."""
+def tokenize(feature: Tensor) -> Tensor:
+    """Mean-pool each quadrant per channel: (N, P, P, C) -> tokens (N, 4, C).
+
+    Token i pools quadrant i of :func:`quadrant_bounds`; all four come from
+    one :func:`ops.box_mean`, so they take one tape closure.
+    """
     if feature.data.ndim != 4:
         raise DimensionError(f"feature must be (N,P,P,C), got {feature.data.shape}")
     p = feature.data.shape[1]
     if feature.data.shape[2] != p:
         raise DimensionError(f"feature spatial extent must be square, got {feature.data.shape}")
-    return [ops.box_mean(feature, rows, cols) for rows, cols in quadrant_bounds(p)]
+    return ops.box_mean(feature, quadrant_bounds(p))
 
 
-def assemble_tokens(tokens, params: ModelParams, use_global_token: bool) -> Tensor:
+def assemble_tokens(tokens: Tensor, params: ModelParams, use_global_token: bool) -> Tensor:
     """Prepend the global token (or a zero row under its ablation).
 
-    No positional encoding is added anywhere. 4 tokens (N, C) -> rows
-    (N, 5, C): row 0 the global token, rows 1-4 the quadrant tokens.
+    No positional encoding is added anywhere. Quadrant tokens (N, 4, C) ->
+    rows (N, 5, C): row 0 the global token, rows 1-4 the quadrant tokens,
+    joined by one :func:`ops.concat`.
     """
-    if len(tokens) != 4:
-        raise DimensionError(f"expected 4 quadrant tokens, got {len(tokens)}")
-    n, c = tokens[0].data.shape
+    if tokens.data.ndim != 3 or tokens.data.shape[1] != 4:
+        raise DimensionError(f"expected quadrant tokens (N,4,C), got {tokens.data.shape}")
+    n, _, c = tokens.data.shape
     if use_global_token:
         head_row = ops.tile_vector(params["global_token"], n)
     else:
-        head_row = Tensor(np.zeros((n, 1, c), dtype=tokens[0].data.dtype))
-    return ops.concat([head_row] + [ops.reshape(t, (n, 1, c)) for t in tokens], axis=1)
+        head_row = Tensor(np.zeros((n, 1, c), dtype=tokens.data.dtype))
+    return ops.concat([head_row, tokens], axis=1)
 
 
 def multi_head(tokens: Tensor, params: ModelParams) -> Tensor:

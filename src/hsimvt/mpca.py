@@ -117,13 +117,8 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pca(view: np.ndarray, components: int) -> PcaModel:
-    """PCA over all pixels of an H x W x M view raster.
-
-    Covariance uses the N-1 divisor; eigenvectors come from a symmetric
-    eigendecomposition, sorted by descending eigenvalue, sign-fixed so each
-    column's largest-magnitude entry is positive.
-    """
+def _fit_centered(view: np.ndarray, components: int):
+    """:func:`fit_pca`'s model, plus the (H*W, M) centered samples it was fitted on."""
     if view.ndim != 3:
         raise DimensionError(f"view raster must be (H,W,M), got {view.shape}")
     bands = view.shape[2]
@@ -141,7 +136,17 @@ def fit_pca(view: np.ndarray, components: int) -> PcaModel:
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.maximum(eigenvalues[order[:components]], 0.0)
     vectors = fix_signs(vectors[:, order[:components]])
-    return PcaModel(mean=mean, projection=vectors, eigenvalues=eigenvalues)
+    return PcaModel(mean=mean, projection=vectors, eigenvalues=eigenvalues), centered
+
+
+def fit_pca(view: np.ndarray, components: int) -> PcaModel:
+    """PCA over all pixels of an H x W x M view raster.
+
+    Covariance uses the N-1 divisor; eigenvectors come from a symmetric
+    eigendecomposition, sorted by descending eigenvalue, sign-fixed so each
+    column's largest-magnitude entry is positive.
+    """
+    return _fit_centered(view, components)[0]
 
 
 def transform_view(view: np.ndarray, model: PcaModel) -> np.ndarray:
@@ -161,14 +166,20 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     """Full pipeline: views -> per-view PCA -> view-major channel concat.
 
     Returns (H x W x (num_views*components) float32 raster, list of PcaModel).
-    The cube should already be min-max normalized.
+    The cube should already be min-max normalized. Each view is centered
+    once: its projection reuses the centered samples its PCA was fitted on,
+    which gives :func:`transform_view`'s bits.
     """
     spec, rasters = build_views(cube, num_views)
     del cube  # the views hold all that is needed; a caller's temporary cube is freed
-    models = [fit_pca(r, components) for r in rasters]
-    stacked = np.empty((*rasters[0].shape[:2], num_views * components), dtype=np.float32)
-    for n, (raster, model) in enumerate(zip(rasters, models)):
-        stacked[:, :, n * components:(n + 1) * components] = transform_view(raster, model)
+    height, width = rasters[0].shape[:2]
+    stacked = np.empty((height, width, num_views * components), dtype=np.float32)
+    models = []
+    for n, raster in enumerate(rasters):
+        model, centered = _fit_centered(raster, components)
+        models.append(model)
+        stacked[:, :, n * components:(n + 1) * components] = \
+            (centered @ model.projection).reshape(height, width, components)
     return stacked, models
 
 

@@ -10,6 +10,7 @@ a gradient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -39,7 +40,42 @@ def _taps(a: np.ndarray, kshape) -> np.ndarray:
                       st[:3] + st[1:1 + m] + st[3:], writeable=False)
 
 
-def _fold(cols: np.ndarray, kshape) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _fold_plan(kshape: tuple, grid: tuple) -> tuple:
+    """What :func:`_fold` does for one kernel shape and block shape.
+
+    Returns (centre, edges, adds) on the (*kshape, *grid) windows with the
+    taps flattened row-major. ``centre`` is the centre tap. ``edges`` index
+    the entries that would cross a block edge, one slab per kernel axis and
+    off-centre position along it. ``adds`` holds, for every other tap in
+    order, (tap, destination slice, source slice) on the flattened block;
+    a tap whose shift leaves nothing inside is left out.
+    """
+    m = len(kshape)
+    size = math.prod(grid)
+    steps = [math.prod(grid[axis + 1:]) for axis in range(1, m + 1)]
+    centre = tuple(k // 2 for k in kshape)
+    edges = []
+    for axis, (k, c) in enumerate(zip(kshape, centre)):
+        for i in range(k):
+            if i != c:
+                index = [slice(None)] * (m + len(grid))
+                index[axis] = i
+                extent = grid[axis + 1]
+                index[m + axis + 1] = slice(max(extent - (i - c), 0), None) if i > c \
+                    else slice(None, c - i)
+                edges.append(tuple(index))
+    adds = []
+    for tap, t in enumerate(itertools.product(*map(range, kshape))):
+        offset = sum((i - c) * step for i, c, step in zip(t, centre, steps))
+        n = size - abs(offset)
+        if t != centre and n > 0:
+            adds.append((tap, slice(offset, None), slice(None, n)) if offset >= 0 else
+                        (tap, slice(None, n), slice(-offset, None)))
+    return (math.prod(kshape) - 1) // 2, tuple(edges), tuple(adds)
+
+
+def _fold(cols: np.ndarray, kshape: tuple) -> np.ndarray:
     """Adjoint of :func:`_taps` (col2im), taking the windows tap-major.
 
     ``cols`` has layout (*kshape, N, H, W, C) and is overwritten. Tap ``t``
@@ -47,33 +83,18 @@ def _fold(cols: np.ndarray, kshape) -> np.ndarray:
     ``t - kshape // 2`` along axes 1, 2 (and 3); what would land outside is
     dropped. On the flattened block that shift is a single offset, so each
     tap is one contiguous add once the entries that would cross an edge are
-    zeroed. Returns a new (N, H, W, C) array.
+    zeroed. The slices for this come from :func:`_fold_plan`, worked out
+    once per shape. Returns a new (N, H, W, C) array.
     """
     grid = cols.shape[len(kshape):]
-    steps = [math.prod(grid[axis + 1:]) for axis in range(len(grid))]
-    centre = tuple(k // 2 for k in kshape)
-    out = cols[centre].copy()
-    flat = out.reshape(-1)
-    for t in itertools.product(*map(range, kshape)):
-        if t == centre:
-            continue
-        src = cols[t]
-        offset = 0
-        for axis, d in enumerate((i - c for i, c in zip(t, centre)), start=1):
-            if d:
-                edge = [slice(None)] * len(grid)
-                edge[axis] = slice(max(grid[axis] - d, 0), None) if d > 0 else slice(None, -d)
-                src[tuple(edge)] = 0
-                offset += d * steps[axis]
-        src = src.reshape(-1)
-        n = flat.size - abs(offset)
-        if n > 0 and offset >= 0:
-            flat[offset:] += src[:n]
-        elif n > 0:
-            flat[:n] += src[-offset:]
-    return out
-
-
+    centre, edges, adds = _fold_plan(kshape, grid)
+    for edge in edges:
+        cols[edge] = 0
+    taps = cols.reshape(math.prod(kshape), -1)
+    flat = taps[centre].copy()
+    for tap, dst, src in adds:
+        flat[dst] += taps[tap, src]
+    return flat.reshape(grid)
 
 
 def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -262,39 +283,47 @@ def concat(tensors, axis: int) -> Tensor:
     return record_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, adjoint)
 
 
-def box_mean(x: Tensor, rows, cols) -> Tensor:
-    """Per-channel mean over the spatial window rows[0]:rows[1] x cols[0]:cols[1].
+def box_mean(x: Tensor, boxes) -> Tensor:
+    """Per-channel means over spatial windows, one per box.
 
-    Input (N, H, W, C) -> output (N, C). The window is summed with a fold
-    (element i paired with element n-1-i of the row-major flattening) so the
-    result is bit-identical when the window content is reversed on both
-    spatial axes; plain sequential summation would not be.
+    ``boxes`` lists ((r0, r1), (c0, c1)) windows rows r0:r1 x cols c0:c1.
+    Input (N, H, W, C) -> output (N, len(boxes), C). Each window is summed
+    with a fold (element i paired with element n-1-i of the row-major
+    flattening) so its mean is bit-identical when the window content is
+    reversed on both spatial axes; plain sequential summation would not be.
+    The backward pass adds the boxes into one gradient, last box first.
     """
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"box_mean input must be (N,H,W,C), got {xd.shape}")
-    r0, r1 = rows
-    c0, c1 = cols
     n_batch, h, w, c = xd.shape
-    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-        raise DimensionError(f"box ({rows}, {cols}) outside spatial extent {(h, w)}")
-    block = xd[:, r0:r1, c0:c1, :]
-    count = (r1 - r0) * (c1 - c0)
-    flat = block.reshape(n_batch, count, c)
-    half = count // 2
-    if half:
-        total = (flat[:, :half] + flat[:, count - 1:count - 1 - half:-1]).sum(axis=1)
-        if count % 2:
-            total = total + flat[:, half]
-    else:
-        total = flat[:, 0].copy()
+    boxes = list(boxes)
+    if not boxes:
+        raise DimensionError("box_mean needs at least one box")
+    for (r0, r1), (c0, c1) in boxes:
+        if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+            raise DimensionError(f"box ({(r0, r1)}, {(c0, c1)}) outside spatial extent {(h, w)}")
+    out = np.empty((n_batch, len(boxes), c), dtype=xd.dtype)
+    for i, ((r0, r1), (c0, c1)) in enumerate(boxes):
+        count = (r1 - r0) * (c1 - c0)
+        flat = xd[:, r0:r1, c0:c1, :].reshape(n_batch, count, c)
+        half = count // 2
+        if half:
+            total = (flat[:, :half] + flat[:, count - 1:count - 1 - half:-1]).sum(axis=1)
+            if count % 2:
+                total = total + flat[:, half]
+        else:
+            total = flat[:, 0]
+        np.divide(total, count, out=out[:, i])
 
     def adjoint(go, need):
         gx = np.zeros_like(xd)
-        gx[:, r0:r1, c0:c1, :] = (go / count)[:, None, None, :]
+        for i in reversed(range(len(boxes))):
+            (r0, r1), (c0, c1) = boxes[i]
+            gx[:, r0:r1, c0:c1, :] += (go[:, i] / ((r1 - r0) * (c1 - c0)))[:, None, None, :]
         return (gx,)
 
-    return record_op(total / count, (x,), adjoint)
+    return record_op(out, (x,), adjoint)
 
 
 def tile_vector(v: Tensor, n: int) -> Tensor:

@@ -72,6 +72,13 @@ def record_op(value, inputs, adjoint) -> Tensor:
     where ``need`` holds one requires-grad flag per input, and adds each
     returned array into the input it belongs to when that input needs it.
     The adjoint may return anything (such as None) for the others.
+
+    An adjoint returns new arrays, or ``go`` or views of it. An input's
+    first gradient is the returned array itself, with no zero fill, when it
+    has the input's shape and dtype and cannot share memory with ``go`` or
+    with an array returned for an earlier input (``add`` returns ``go`` for
+    both). Otherwise it is added into a zeroed copy, so no two tensors'
+    gradients share memory.
     """
     result = Tensor(value)
     graph = active_graph()
@@ -86,9 +93,17 @@ def record_op(value, inputs, adjoint) -> Tensor:
         go = result.grad
         if go is None:
             return
+        given = [go]
         for t, wanted, g in zip(inputs, need, adjoint(go, need)):
-            if wanted:
+            if not wanted:
+                continue
+            if t.grad is None and isinstance(g, np.ndarray) and g.shape == t.data.shape \
+                    and g.dtype == t.data.dtype \
+                    and not any(np.may_share_memory(g, h) for h in given):
+                t.grad = g
+            else:
                 t.accumulate_grad(g)
+            given.append(g)
 
     graph.record(backward)
     return result

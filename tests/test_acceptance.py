@@ -102,11 +102,10 @@ def test_criterion_04_tokenizer_equivariance():
         p = int(rng.choice([3, 5, 7, 9]))
         channels = int(rng.integers(1, 9))
         feature = rng.normal(size=(1, p, p, channels)).astype(np.float32)
-        straight = [t.data.copy() for t in tokenize(Tensor(feature))]
-        flipped = [t.data.copy() for t in tokenize(Tensor(rotate180(feature)))]
-        for a, b in zip(flipped, reversed(straight)):
-            assert np.array_equal(a, b), \
-                f"cuboid {i} (P={p}, C={channels}): rotation equivariance is not exact"
+        straight = tokenize(Tensor(feature)).data
+        flipped = tokenize(Tensor(rotate180(feature))).data
+        assert np.array_equal(flipped, straight[:, ::-1]), \
+            f"cuboid {i} (P={p}, C={channels}): rotation equivariance is not exact"
     print("[criterion 04] PASS - 500 cuboids, tokenize(rotate180) == reversed "
           "tokens with exact float32 equality")
 
@@ -183,6 +182,7 @@ def artifacts():
             "timings": timings}
 
 
+@pytest.mark.slow
 def test_criterion_05_shape_conformance(artifacts):
     for p in (3, 5, 7):
         got = artifacts["doc"]["shapes"][str(p)]
@@ -196,6 +196,7 @@ def test_criterion_05_shape_conformance(artifacts):
           "-> PxPx64 -> 5x64 tokens -> 16 logits")
 
 
+@pytest.mark.slow
 def test_criterion_06_synthetic_scene_learning(artifacts):
     doc = artifacts["doc"]
     clean_oa = doc["noiseless"]["test"]["oa"]
@@ -208,6 +209,7 @@ def test_criterion_06_synthetic_scene_learning(artifacts):
           f"noisy OA {noisy_oa:.4f} >= 0.95 (300 epochs) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_rotation_audit(artifacts):
     audit = artifacts["doc"]["audit"]
     delta = abs(audit["delta_oa"])
@@ -221,6 +223,7 @@ def test_criterion_07_rotation_audit(artifacts):
 DATASET_DIR = os.environ.get("HSIMVT_DATASETS", "")
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not DATASET_DIR, reason=(
     "optional criterion: set HSIMVT_DATASETS to a directory holding "
     "indian_pines_cube.hsz and indian_pines_labels.hsz"))
@@ -246,6 +249,7 @@ def test_criterion_08_indian_pines_reproduction():
           f"P=7 {means[7]:.4f} >= 0.93")
 
 
+@pytest.mark.slow
 def test_criterion_09_sed_ablation_direction():
     cube, labels = synth_scene(seed=0, height=48, width=48, bands=40,
                                num_classes=8, noise_sigma=1.0)
@@ -270,6 +274,7 @@ def test_criterion_09_sed_ablation_direction():
           f"seeds ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(artifacts):
     rebuilt, _ = _build_artifacts()
     assert rebuilt == artifacts["canonical"], \

@@ -92,15 +92,15 @@ def test_relu_gradient_away_from_kink():
 
 
 def test_box_mean_and_tile_and_concat_gradients():
-    x = _param((2, 3, 3, 4))
-    v = _param((4,))
-    probe = Tensor(RNG.normal(size=(2, 3, 4)))
+    # boxes of 4, 12 and 1 pixels; the first two overlap on row 1, cols 1-2
+    x = _param((2, 4, 5, 3))
+    v = _param((3,))
+    probe = Tensor(RNG.normal(size=(2, 5, 3)))
 
     def model():
-        pooled = ops.box_mean(x, (0, 2), (1, 3))          # (2, 4)
-        lifted = ops.reshape(pooled, (2, 1, 4))
-        tiled = ops.tile_vector(v, 2)                      # (2, 1, 4)
-        both = ops.concat([lifted, tiled, ops.add(lifted, tiled)], axis=1)
+        pooled = ops.box_mean(x, [((0, 2), (1, 3)), ((1, 4), (0, 4)), ((3, 4), (4, 5))])
+        tiled = ops.tile_vector(v, 2)                      # (2, 1, 3)
+        both = ops.concat([pooled, tiled, ops.add(tiled, tiled)], axis=1)
         return ops.sum_all(ops.mul(both, probe))
 
     _check(model, {"x": x, "v": v})
@@ -202,3 +202,79 @@ def test_attention_gradients():
     probe = Tensor(rng.normal(size=(3, 5, 6)))
     _check(lambda: ops.sum_all(ops.mul(ops.attention(tokens, wqkv), probe)),
            {"tokens": tokens, "wqkv": wqkv})
+
+
+def _backward_grads(loss_fn, tensors):
+    """Run ``loss_fn`` on a fresh graph and backpropagate. Returns the
+    gradients of the tensors it lists and of ``tensors``, after checking
+    that no two of them share memory."""
+    with GradGraph() as graph:
+        loss, named = loss_fn()
+    graph.backward(loss)
+    named = dict(named, **tensors)
+    grads = {name: t.grad for name, t in named.items() if t.grad is not None}
+    names = list(grads)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert not np.shares_memory(grads[a], grads[b]), \
+                f"{a}.grad and {b}.grad share memory"
+    return grads
+
+
+def test_add_of_one_tensor_to_itself_owns_its_gradient():
+    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    probe = RNG.normal(size=(3, 4))
+
+    def loss_fn():
+        y = ops.add(x, x)
+        return ops.sum_all(ops.mul(y, Tensor(probe))), {"y": y}
+
+    grads = _backward_grads(loss_fn, {"x": x})
+    np.testing.assert_array_equal(grads["x"], 2 * probe)
+    np.testing.assert_array_equal(grads["y"], probe)
+
+
+def test_residual_add_owns_its_gradients():
+    """``model.multi_head``'s residual: the attention output and the tokens
+    both get ``go`` from ``add``, and the tokens then also get attention's
+    input gradient."""
+    rng = np.random.default_rng(22)
+    tokens = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    wqkv = Tensor(0.5 * rng.normal(size=(2, 3, 6, 3)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 5, 6)))
+
+    def loss_fn():
+        attended = ops.attention(tokens, wqkv)
+        out = ops.add(attended, tokens)
+        return ops.sum_all(ops.mul(out, probe)), {"attended": attended, "out": out}
+
+    grads = _backward_grads(loss_fn, {"tokens": tokens, "wqkv": wqkv})
+    np.testing.assert_array_equal(grads["attended"], probe.data)
+    # float64 reference: central differences of the same loss
+    for name, t in (("tokens", tokens), ("wqkv", wqkv)):
+        want = np.empty_like(t.data)
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + 1e-5
+            plus = loss_fn()[0].item()
+            t.data[i] = orig - 1e-5
+            minus = loss_fn()[0].item()
+            t.data[i] = orig
+            want[i] = (plus - minus) / 2e-5
+        np.testing.assert_allclose(grads[name], want, rtol=1e-6, atol=1e-8)
+
+
+def test_reshape_chain_owns_its_gradients():
+    """Each reshape's adjoint returns a view of its output's gradient."""
+    x = Tensor(RNG.normal(size=(2, 6)), requires_grad=True)
+    probe = RNG.normal(size=12)
+
+    def loss_fn():
+        square = ops.reshape(x, (3, 4))
+        flat = ops.reshape(square, (12,))
+        return ops.sum_all(ops.mul(flat, Tensor(probe))), {"square": square, "flat": flat}
+
+    grads = _backward_grads(loss_fn, {"x": x})
+    np.testing.assert_array_equal(grads["x"], probe.reshape(2, 6))
+    np.testing.assert_array_equal(grads["square"], probe.reshape(3, 4))
+    np.testing.assert_array_equal(grads["flat"], probe)

@@ -172,22 +172,23 @@ def test_quadrant_bounds_all_contain_center():
 def test_tokenize_hand_example_p3():
     values = np.arange(1, 10, dtype=np.float32).reshape(1, 3, 3, 1)
     tokens = tokenize(Tensor(values))
-    got = [float(t.data[0, 0]) for t in tokens]
+    assert tokens.data.shape == (1, 4, 1)
+    got = [float(v) for v in tokens.data[0, :, 0]]
     assert got == [3.0, 4.0, 6.0, 7.0]
 
 
 def test_tokenize_constant_channel():
     values = np.full((1, 5, 5, 3), 0.0, dtype=np.float32)
     values[..., 1] = 2.5
-    for token in tokenize(Tensor(values)):
-        np.testing.assert_array_equal(token.data, [[0.0, 2.5, 0.0]])
+    for token in tokenize(Tensor(values)).data[0]:
+        np.testing.assert_array_equal(token, [0.0, 2.5, 0.0])
 
 
 def test_tokenize_matches_loop_oracle():
     rng = np.random.default_rng(4)
     for p in (3, 5, 7):
         feature = rng.normal(size=(p, p, 6)).astype(np.float32)
-        got = [t.data[0] for t in tokenize(Tensor(feature[None]))]
+        got = tokenize(Tensor(feature[None])).data[0]
         want = quadrant_means_loop(feature)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-6)
@@ -197,50 +198,49 @@ def test_tokenize_rotation_equivariance_exact():
     rng = np.random.default_rng(5)
     for p in (3, 5, 7, 9):
         feature = rng.normal(size=(p, p, 8)).astype(np.float32)
-        straight = [t.data.copy() for t in tokenize(Tensor(feature[None]))]
-        flipped = [t.data.copy() for t in tokenize(Tensor(rotate180(feature)[None]))]
-        for a, b in zip(flipped, reversed(straight)):
-            np.testing.assert_array_equal(a, b)  # bit-exact, not approx
+        straight = tokenize(Tensor(feature[None])).data
+        flipped = tokenize(Tensor(rotate180(feature)[None])).data
+        np.testing.assert_array_equal(flipped, straight[:, ::-1])  # bit-exact, not approx
 
 
 def test_tokenize_batched_matches_single():
     rng = np.random.default_rng(6)
     batch = rng.normal(size=(4, 5, 5, 3)).astype(np.float32)
-    batched = tokenize(Tensor(batch))
+    batched = tokenize(Tensor(batch)).data
     for i in range(4):
-        singles = tokenize(Tensor(batch[i:i + 1]))
-        for bt, st in zip(batched, singles):
-            np.testing.assert_array_equal(bt.data[i], st.data[0])
+        singles = tokenize(Tensor(batch[i:i + 1])).data
+        np.testing.assert_array_equal(batched[i], singles[0])
 
 
 # ------------------------------------------------------------ token assembly
 
 def test_assemble_prepends_stored_global_token():
     params = ModelParams.initialize(TOY, seed=7)
-    tokens = [Tensor(np.full((1, 8), float(i), dtype=np.float32)) for i in range(1, 5)]
+    tokens = Tensor(np.stack([np.full((1, 8), float(i), dtype=np.float32)
+                              for i in range(1, 5)], axis=1))
     rows = assemble_tokens(tokens, params, use_global_token=True).data
     assert rows.shape == (1, 5, 8)
     np.testing.assert_array_equal(rows[0, 0], params["global_token"].data)
     for i in range(1, 5):
-        np.testing.assert_array_equal(rows[:, i], tokens[i - 1].data)
+        np.testing.assert_array_equal(rows[:, i], tokens.data[:, i - 1])
 
 
 def test_assemble_zero_row_under_gt_ablation():
     params = ModelParams.initialize(TOY, seed=8)
-    tokens = [Tensor(np.ones((1, 8), dtype=np.float32)) for _ in range(4)]
+    tokens = Tensor(np.ones((1, 4, 8), dtype=np.float32))
     rows = assemble_tokens(tokens, params, use_global_token=False).data
     np.testing.assert_array_equal(rows[0, 0], 0.0)
     with pytest.raises(DimensionError):
-        assemble_tokens(tokens[:3], params, use_global_token=True)
+        assemble_tokens(Tensor(tokens.data[:, :3]), params, use_global_token=True)
 
 
 def test_assemble_permutation_moves_rows():
     params = ModelParams.initialize(TOY, seed=9)
-    tokens = [Tensor(np.full((1, 8), float(i), dtype=np.float32)) for i in range(1, 5)]
-    swapped = assemble_tokens([tokens[3], tokens[2], tokens[1], tokens[0]],
-                              params, use_global_token=True).data
-    np.testing.assert_array_equal(swapped[:, 1], tokens[3].data)
-    np.testing.assert_array_equal(swapped[:, 4], tokens[0].data)
+    tokens = np.stack([np.full((1, 8), float(i), dtype=np.float32) for i in range(1, 5)],
+                      axis=1)
+    swapped = assemble_tokens(Tensor(tokens[:, ::-1]), params, use_global_token=True).data
+    np.testing.assert_array_equal(swapped[:, 1], tokens[:, 3])
+    np.testing.assert_array_equal(swapped[:, 4], tokens[:, 0])
 
 
 # ----------------------------------------------------------------- attention

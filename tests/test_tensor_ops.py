@@ -89,6 +89,21 @@ def test_conv2d_matches_loop_oracle(shape, kshape):
     np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
+def test_conv2d_interleaved_shapes_match_loop_oracle():
+    """Two batch sizes and two kernel sizes, run alternately twice: each
+    call must fold with the plan for its own shape, not the last one's."""
+    rng = np.random.default_rng(12)
+    cases = [(n, k) for n in (1, 3) for k in (3, 5)]
+    for n, k in cases + cases[::-1]:
+        x = rng.normal(size=(n, 5, 4, 3))
+        kernels = rng.normal(size=(2, k, k, 3))
+        bias = rng.normal(size=2)
+        out = ops.conv2d(Tensor(x), Tensor(kernels), Tensor(bias)).data
+        assert out.shape == (n, 5, 4, 2)
+        for i in range(n):
+            np.testing.assert_allclose(out[i], conv2d_loop(x[i], kernels, bias), atol=1e-12)
+
+
 def test_conv2d_rejects_channel_mismatch():
     with pytest.raises(DimensionError):
         ops.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3, 5))),
@@ -146,25 +161,46 @@ def test_reshape_and_concat():
 def test_box_mean_matches_plain_mean():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 5, 5, 3))
-    out = ops.box_mean(Tensor(x), (1, 4), (0, 3)).data
-    np.testing.assert_allclose(out, x[:, 1:4, 0:3, :].mean(axis=(1, 2)), rtol=1e-6)
+    boxes = [((1, 4), (0, 3)), ((0, 5), (2, 4)), ((4, 5), (4, 5))]
+    out = ops.box_mean(Tensor(x), boxes).data
+    assert out.shape == (2, 3, 3)
+    for i, ((r0, r1), (c0, c1)) in enumerate(boxes):
+        np.testing.assert_allclose(out[:, i], x[:, r0:r1, c0:c1, :].mean(axis=(1, 2)),
+                                   rtol=1e-6)
     with pytest.raises(DimensionError):
-        ops.box_mean(Tensor(x), (0, 6), (0, 3))
+        ops.box_mean(Tensor(x), [((0, 6), (0, 3))])
+    with pytest.raises(DimensionError):  # one box inside, one past the edge
+        ops.box_mean(Tensor(x), [((0, 2), (0, 2)), ((0, 2), (4, 6))])
     with pytest.raises(DimensionError):
-        ops.box_mean(Tensor(x[0]), (0, 2), (0, 2))
+        ops.box_mean(Tensor(x), [])
+    with pytest.raises(DimensionError):
+        ops.box_mean(Tensor(x[0]), [((0, 2), (0, 2))])
+
+
+def _mirrored(box, rows, cols):
+    """The box a 180-degree flip of a rows x cols extent moves ``box`` to."""
+    (r0, r1), (c0, c1) = box
+    return (rows - r1, rows - r0), (cols - c1, cols - c0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
 def test_box_mean_is_exactly_reversal_invariant(rows, cols, seed):
-    """The fold summation makes full-window means bit-identical under a
-    180-degree flip of the window — the float32 property the tokenizer
-    equivariance guarantee rests on."""
+    """The fold summation makes each box mean bit-identical under a
+    180-degree flip of the input, read from the mirrored box: the float32
+    property the tokenizer equivariance guarantee rests on. The full
+    window comes first, then up to three random boxes."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(1, rows, cols, 2)).astype(np.float32)
     flipped = x[:, ::-1, ::-1, :].copy()
-    a = ops.box_mean(Tensor(x), (0, rows), (0, cols)).data
-    b = ops.box_mean(Tensor(flipped), (0, rows), (0, cols)).data
+    boxes = [((0, rows), (0, cols))]
+    for _ in range(rng.integers(0, 4)):
+        r0, r1 = sorted(rng.choice(rows + 1, size=2, replace=False))
+        c0, c1 = sorted(rng.choice(cols + 1, size=2, replace=False))
+        boxes.append(((int(r0), int(r1)), (int(c0), int(c1))))
+    a = ops.box_mean(Tensor(x), boxes).data
+    b = ops.box_mean(Tensor(flipped), [_mirrored(box, rows, cols) for box in boxes]).data
+    assert a.shape == (1, len(boxes), 2)
     np.testing.assert_array_equal(a, b)
 
 

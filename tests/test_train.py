@@ -154,14 +154,15 @@ def test_derive_seeds_distinct_and_stable():
 # ------------------------------------------------------------- training loop
 
 def test_default_train_step_tape_length():
-    """SED 6 closures, quadrant pooling 4, token assembly 6 (global-token
-    tile, 4 reshapes, concat), attention and its residual 2, feature and
-    classifier 3, loss 1."""
+    """SED 6 closures (3 convs, 3 relus), quadrant pooling 1 (one box_mean
+    for all four quadrants), token assembly 2 (global-token tile, concat),
+    attention and its residual 2, feature and classifier 3 (flattening
+    reshape, 2 affines), loss 1."""
     params = ModelParams.initialize(ModelConfig(), seed=0)
     batch = Tensor(np.random.default_rng(24).normal(size=(4, 5, 5, 30)).astype(np.float32))
     with GradGraph() as graph:
         loss = cross_entropy(forward(batch, params), np.arange(1, 5))
-    assert len(graph) == 22
+    assert len(graph) == 15
     graph.backward(loss)
     assert all(t.grad is not None for _, t in params.trainable_parameters())
 
