@@ -22,13 +22,11 @@ from .errors import CompatibilityError, ConfigError, HsimvtError
 from .experiments import preprocess, sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
 from .model import ModelParams, load_params, save_params
-from .mpca import save_pca_models, view_spec
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
 from .training import derive_seeds, train
 
 REPRESENTATION_FILE = "representation.hsz"
-PCA_FILE = "pca_models.hsz"
 CHECKPOINT_FILE = "checkpoint.hsz"
 HISTORY_FILE = "history.jsonl"
 
@@ -103,14 +101,10 @@ def cmd_preprocess(args) -> int:
     config = RunConfig.load(args.config)
     cube, _ = _load_inputs(config)
     p = config["mpca"]
-    rep, models = preprocess(cube, p["views"], p["components"], enabled=p["enabled"])
+    rep, _ = preprocess(cube, p["views"], p["components"], enabled=p["enabled"])
     rep_path = _out_path(config, REPRESENTATION_FILE)
     hsz.write_cube_raster(rep_path, rep)
-    pca_path = _out_path(config, PCA_FILE)
-    fitted_views = p["views"] if p["enabled"] else 1
-    save_pca_models(pca_path, view_spec(cube.bands, fitted_views), models)
-    _emit({"representation": rep_path, "pca": pca_path,
-           "channels": int(rep.shape[2])})
+    _emit({"representation": rep_path, "channels": int(rep.shape[2])})
     return 0
 
 

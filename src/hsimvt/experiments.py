@@ -19,7 +19,7 @@ SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
 
 
 def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True):
-    """MMNorm then multiview PCA; returns (raster, PcaModel list, ViewSpec fields).
+    """MMNorm then multiview PCA; returns (raster, PcaModel list).
 
     With ``enabled`` false the whole cube is treated as a single view and
     reduced to ``views * components`` channels — plain PCA with the same

@@ -1,4 +1,4 @@
-"""HSZ container files: framed binary rasters and model/PCA payloads.
+"""HSZ container files: framed binary rasters and model checkpoints.
 
 Every file is framed the same way: an 8-byte magic, a 4-byte little-endian
 unsigned header length, a UTF-8 JSON header, then a raw payload whose size
@@ -7,7 +7,6 @@ must match the header exactly.
 Magics:
   HSZCUBE\\0  float32 raster, band-interleaved-by-pixel (row-major (H,W,B))
   HSZLBL\\0\\0  uint16 class-id raster, row-major
-  HSZPCA\\0\\0  per-view PCA models, float64 payload
   HSZMDL\\0\\0  model checkpoint, float32 payload
 """
 
@@ -22,7 +21,6 @@ from .errors import FormatError, PayloadLengthError
 
 CUBE_MAGIC = b"HSZCUBE\0"
 LABEL_MAGIC = b"HSZLBL\0\0"
-PCA_MAGIC = b"HSZPCA\0\0"
 MODEL_MAGIC = b"HSZMDL\0\0"
 
 

@@ -95,25 +95,40 @@ class ModelConfig:
 class ModelParams:
     """All trainable arrays, in a fixed canonical order.
 
-    ``named_parameters`` drives initialization, checkpoint layout and the
+    ``expected_shapes`` drives initialization, checkpoint layout and the
     optimizer state, so its order must never change between versions.
     ``global_token`` is always stored but trains only when
     ``use_global_token`` is set.
+
+    The parameters live in one vector ``values`` and their gradients in one
+    vector ``grads`` of the same size, both in canonical order. Each named
+    Tensor's ``data`` and ``grad`` are reshaped views of slices of those two,
+    so nothing may rebind them: write into them instead.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict):
+        """Copy ``tensors`` (name -> Tensor, any float dtype) into the vectors."""
         self.config = config
-        self._tensors = tensors
-        for name, shape in self.expected_shapes(config).items():
+        shapes = self.expected_shapes(config)
+        for name, shape in shapes.items():
             if name not in tensors:
                 raise ConfigError(f"missing parameter {name!r}")
             if tensors[name].data.shape != shape:
                 raise CompatibilityError(
                     f"parameter {name!r} has shape {tensors[name].data.shape}, "
                     f"config implies {shape}")
-        extra = set(tensors) - set(self.expected_shapes(config))
+        extra = set(tensors) - set(shapes)
         if extra:
             raise ConfigError(f"unexpected parameters: {sorted(extra)}")
+        self.values = np.concatenate([tensors[n].data.ravel() for n in shapes])
+        self.grads = np.zeros_like(self.values)
+        self._tensors = {}
+        end = 0
+        for name, shape in shapes.items():
+            start, end = end, end + math.prod(shape)
+            t = Tensor(self.values[start:end].reshape(shape), requires_grad=True)
+            t.grad = self.grads[start:end].reshape(shape)
+            self._tensors[name] = t
 
     @staticmethod
     def expected_shapes(config: ModelConfig) -> dict:
@@ -169,7 +184,7 @@ class ModelParams:
 
     def named_parameters(self):
         """All (name, Tensor) pairs in canonical order."""
-        return [(n, self._tensors[n]) for n in self.expected_shapes(self.config)]
+        return list(self._tensors.items())
 
     def trainable_parameters(self):
         """Canonical order, minus the global token when its ablation is off."""
@@ -181,32 +196,22 @@ class ModelParams:
         return out
 
     def zero_grads(self):
-        for _, t in self.named_parameters():
-            t.zero_grad()
+        self.grads.fill(0)
 
     def copy(self) -> "ModelParams":
-        tensors = {n: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                   for n, t in self.named_parameters()}
-        return ModelParams(self.config, tensors)
-
-    def load_values(self, other: "ModelParams"):
-        """Overwrite this model's arrays with another's (shapes must match)."""
-        for (_, mine), (_, theirs) in zip(self.named_parameters(), other.named_parameters()):
-            mine.data[...] = theirs.data
+        return ModelParams(self.config, self._tensors)
 
 
 def save_params(path, params: ModelParams):
     """Write a checkpoint: JSON config header + arrays as f32le, canonical order."""
-    names = list(ModelParams.expected_shapes(params.config))
     header = {
         "format_version": 2,
         "config": params.config.to_json_dict(),
-        "arrays": [{"name": n, "shape": list(params[n].data.shape)} for n in names],
+        "arrays": [{"name": n, "shape": list(t.data.shape)}
+                   for n, t in params.named_parameters()],
         "dtype": "f32le",
     }
-    payload = b"".join(np.ascontiguousarray(params[n].data, dtype="<f4").tobytes()
-                       for n in names)
-    hsz.write_framed(path, hsz.MODEL_MAGIC, header, payload)
+    hsz.write_framed(path, hsz.MODEL_MAGIC, header, params.values.astype("<f4").tobytes())
 
 
 def _merge_v1_heads(manifest: list, config: ModelConfig) -> list:
@@ -264,14 +269,12 @@ def load_params(path) -> ModelParams:
     if len(payload) != total:
         raise CompatibilityError(
             f"{path}: payload is {len(payload)} bytes, manifest implies {total}")
+    flat = np.frombuffer(payload, dtype="<f4")
     tensors = {}
-    offset = 0
+    end = 0
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        n_bytes = math.prod(shape) * 4
-        arr = np.frombuffer(payload[offset:offset + n_bytes], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-        offset += n_bytes
+        start, end = end, end + math.prod(entry["shape"])
+        tensors[entry["name"]] = Tensor(flat[start:end].reshape(entry["shape"]))
     return ModelParams(config, tensors)
 
 

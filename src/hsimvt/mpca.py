@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hsz
 from .data import HsiCube
-from .errors import (ConfigError, DegenerateInputError, DimensionError,
-                     FormatError, PayloadLengthError)
+from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -181,50 +179,3 @@ def mpca(cube: HsiCube, num_views: int, components: int):
         stacked[:, :, n * components:(n + 1) * components] = \
             (centered @ model.projection).reshape(height, width, components)
     return stacked, models
-
-
-def save_pca_models(path, spec: ViewSpec, models: list):
-    """Persist per-view PCA models in an HSZPCA file (float64 payload).
-
-    Payload order per view: mean (M), projection (M*d row-major), eigenvalues (d).
-    """
-    if len(models) != spec.num_views:
-        raise ConfigError(f"expected {spec.num_views} models, got {len(models)}")
-    d = models[0].components
-    chunks = []
-    for m in models:
-        if m.input_bands != spec.num_groups or m.components != d:
-            raise ConfigError("all per-view models must share M and d")
-        chunks.append(np.ascontiguousarray(m.mean, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(m.projection, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(m.eigenvalues, dtype="<f8").tobytes())
-    header = {"views": spec.num_views, "groups": spec.num_groups,
-              "original_bands": spec.original_bands, "components": d, "dtype": "f64le"}
-    hsz.write_framed(path, hsz.PCA_MAGIC, header, b"".join(chunks))
-
-
-def load_pca_models(path):
-    """Read an HSZPCA file; returns (ViewSpec, list of PcaModel)."""
-    header, payload = hsz.read_framed(path, hsz.PCA_MAGIC)
-    g, m, b, d = hsz.header_ints(header, path, "views", "groups", "original_bands",
-                                 "components")
-    if not (1 <= g <= b and 1 <= d <= m and m == -(-b // g)):
-        raise FormatError(f"{path}: header views {g}, groups {m}, original_bands {b} and "
-                          f"components {d} do not describe a view split")
-    if header.get("dtype") != "f64le":
-        raise FormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    per_view = (m + m * d + d) * 8
-    if len(payload) != per_view * g:
-        raise PayloadLengthError(
-            f"{path}: payload is {len(payload)} bytes, header implies {per_view * g}")
-    spec = ViewSpec(num_views=g, num_groups=m, original_bands=b)
-    flat = np.frombuffer(payload, dtype="<f8")
-    models = []
-    stride = m + m * d + d
-    for v in range(g):
-        base = v * stride
-        mean = flat[base:base + m].copy()
-        proj = flat[base + m:base + m + m * d].reshape(m, d).copy()
-        eig = flat[base + m + m * d:base + stride].copy()
-        models.append(PcaModel(mean=mean, projection=proj, eigenvalues=eig))
-    return spec, models

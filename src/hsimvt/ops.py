@@ -15,7 +15,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, record_op
@@ -36,8 +35,10 @@ def _taps(a: np.ndarray, kshape) -> np.ndarray:
                       dtype=a.dtype)
     padded[(slice(None),) + tuple(slice(p, p + s) for p, s in zip(pads, a.shape[1:]))] = a
     st = padded.strides
-    return as_strided(padded, a.shape[:3] + tuple(kshape) + a.shape[3:],
-                      st[:3] + st[1:1 + m] + st[3:], writeable=False)
+    view = np.ndarray(a.shape[:3] + tuple(kshape) + a.shape[3:], a.dtype, buffer=padded,
+                      strides=st[:3] + st[1:1 + m] + st[3:])
+    view.flags.writeable = False
+    return view
 
 
 @functools.lru_cache(maxsize=64)

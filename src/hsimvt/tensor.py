@@ -46,9 +46,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

@@ -74,33 +74,33 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per named parameter."""
+    """First/second moment accumulators, flat like the parameter vector."""
 
-    def __init__(self, named_params):
-        self.first = {n: np.zeros_like(t.data) for n, t in named_params}
-        self.second = {n: np.zeros_like(t.data) for n, t in named_params}
+    def __init__(self, values: np.ndarray):
+        self.first = np.zeros_like(values)
+        self.second = np.zeros_like(values)
 
 
-def adam_step(named_params, grads: dict, state: AdamState, t: int, config: TrainConfig):
-    """One bias-corrected Adam update, in place. ``t`` counts from 1."""
+def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
+              config: TrainConfig):
+    """One bias-corrected Adam update of ``values``, in place. ``t`` counts from 1.
+
+    Adam is elementwise, so one call updates every parameter; an entry whose
+    gradient has always been 0 (the global token under its ablation) takes
+    a step of exactly 0.
+    """
     if t < 1:
         raise UsageError(f"Adam step index must be >= 1, got {t}")
+    if grads.shape != values.shape:
+        raise DimensionError(f"gradient has shape {grads.shape}, parameters {values.shape}")
     b1, b2 = config.beta1, config.beta2
-    correct1 = 1.0 - b1 ** t
-    correct2 = 1.0 - b2 ** t
-    for name, p in named_params:
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise DimensionError(
-                f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}")
-        m = state.first[name]
-        v = state.second[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        step = (m / correct1) / (np.sqrt(v / correct2) + config.epsilon)
-        p.data -= config.learning_rate * step
+    m, v = state.first, state.second
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    values -= config.learning_rate * ((m / (1.0 - b1 ** t))
+                                      / (np.sqrt(v / (1.0 - b2 ** t)) + config.epsilon))
 
 
 @dataclass
@@ -153,7 +153,7 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
     source = PatchSource(representation.astype(np.float32, copy=False),
                          model_config.patch_size)
     params = ModelParams.initialize(model_config, seed=init_seed)
-    state = AdamState(params.trainable_parameters())
+    state = AdamState(params.values)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     history = []
@@ -170,14 +170,14 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
                 logits = forward(batch, params)
                 loss = cross_entropy(logits, train_labels[sel])
             graph.backward(loss)
-            grads = {n: t.grad for n, t in params.trainable_parameters()}
             step += 1
-            bad = ["loss"] if not np.isfinite(loss.item()) else [
-                f"gradient of {n}" for n, g in grads.items() if not np.isfinite(g).all()]
-            if bad:
+            if not (np.isfinite(loss.item()) and np.isfinite(params.grads).all()):
+                bad = "loss" if not np.isfinite(loss.item()) else next(
+                    f"gradient of {n}" for n, t in params.named_parameters()
+                    if not np.isfinite(t.grad).all())
                 raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: "
-                                      f"non-finite {bad[0]}")
-            adam_step(params.trainable_parameters(), grads, state, step, train_config)
+                                      f"non-finite {bad}")
+            adam_step(params.values, params.grads, state, step, train_config)
             params.zero_grads()
             loss_sum += loss.item() * len(sel)
 

@@ -204,6 +204,31 @@ def adam_trace_scalar(grad_fn, x0, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return xs
 
 
+def adam_per_array(arrays, grads, first, second, t, lr, beta1, beta2, eps):
+    """Adam as first written: one in-place update per named array, with the
+    moments ``first``/``second`` keyed by the same names."""
+    for name, p in arrays.items():
+        g, m, v = grads[name], first[name], second[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * ((m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
+
+
+def assert_flat_views(params):
+    """Every parameter's data and grad are views into ``params.values`` and
+    ``params.grads``, and no two parameters overlap."""
+    named = params.named_parameters()
+    assert sum(t.data.size for _, t in named) == params.values.size == params.grads.size
+    for i, (name, t) in enumerate(named):
+        assert np.shares_memory(t.data, params.values), f"{name}.data"
+        assert np.shares_memory(t.grad, params.grads), f"{name}.grad"
+        for other, u in named[i + 1:]:
+            assert not np.shares_memory(t.data, u.data), f"{name} and {other} overlap"
+            assert not np.shares_memory(t.grad, u.grad), f"{name} and {other} grads overlap"
+
+
 def quadrant_means_loop(feature):
     """Tokenizer oracle: per-channel means of the four overlapping quadrants
     of a (P, P, C) array, order top-left, top-right, bottom-left,

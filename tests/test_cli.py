@@ -59,7 +59,7 @@ def test_golden_path(workdir, capsys):
     assert code == 0
     assert json.loads(out)["channels"] == 6
     assert (workdir / "representation.hsz").exists()
-    assert (workdir / "pca_models.hsz").exists()
+    assert not (workdir / "pca_models.hsz").exists()
 
     code, out, _ = run(capsys, "train", "--config", config)
     assert code == 0

@@ -168,7 +168,7 @@ def test_rejects_unknown_dtype_or_order(tmp_path):
 def test_header_json_is_byte_stable(tmp_path):
     """Key order must not leak into the bytes; headers are sorted."""
     path = tmp_path / "x.hsz"
-    hsz.write_framed(path, hsz.PCA_MAGIC, {"b": 1, "a": 2}, b"")
+    hsz.write_framed(path, hsz.MODEL_MAGIC, {"b": 1, "a": 2}, b"")
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     assert raw[12:12 + hlen] == json.dumps({"a": 2, "b": 1}, sort_keys=True).encode()

@@ -12,7 +12,7 @@ from hsimvt import (CompatibilityError, ConfigError, DimensionError,
                     sed_forward, tokenize)
 from hsimvt import hsz, ops
 
-from oracles import attention_longdouble, quadrant_means_loop
+from oracles import assert_flat_views, attention_longdouble, quadrant_means_loop
 
 TOY = ModelConfig(patch_size=3, num_views=2, view_components=2,
                   encoder_kernels=4, squeeze_channels=6, token_channels=8,
@@ -113,6 +113,32 @@ def test_params_validate_shapes_and_names():
     tensors["extra"] = Tensor(np.zeros(1))
     with pytest.raises(ConfigError, match="unexpected"):
         ModelParams(TOY, tensors)
+
+
+def test_params_are_views_of_one_values_and_one_grads_vector(tmp_path):
+    params = ModelParams.initialize(TOY, seed=0)
+    assert_flat_views(params)
+    assert params.values.dtype == np.float32
+    copied = params.copy()
+    assert_flat_views(copied)
+    assert not np.shares_memory(copied.values, params.values)
+    assert copied.values.tobytes() == params.values.tobytes()
+    save_params(tmp_path / "m.hsz", params)
+    loaded = load_params(tmp_path / "m.hsz")
+    assert_flat_views(loaded)
+    assert loaded.values.tobytes() == params.values.tobytes()
+    assert loaded.values.flags.writeable
+
+
+def test_dict_constructor_copies_and_keeps_float64():
+    source = ModelParams.initialize(TOY, seed=1)
+    tensors = {n: Tensor(t.data.astype(np.float64)) for n, t in source.named_parameters()}
+    params = ModelParams(TOY, tensors)
+    assert params.values.dtype == params.grads.dtype == np.float64
+    assert_flat_views(params)
+    assert all(t.data.dtype == np.float64 for _, t in params.named_parameters())
+    np.testing.assert_array_equal(params.values, source.values)
+    assert not any(np.shares_memory(params[n].data, t.data) for n, t in tensors.items())
 
 
 # --------------------------------------------------------------- sed_forward

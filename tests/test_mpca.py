@@ -1,4 +1,4 @@
-"""Multiview PCA: view construction, per-view PCA, concatenation, persistence."""
+"""Multiview PCA: view construction, per-view PCA, concatenation."""
 
 import tracemalloc
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (ConfigError, DegenerateInputError, DimensionError, FormatError,
-                    HsiCube, build_views, fit_pca, hsz, load_pca_models, mmnorm, mpca,
-                    save_pca_models, synth_scene, transform_view, view_spec)
+from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
+                    build_views, fit_pca, mmnorm, mpca, synth_scene, transform_view,
+                    view_spec)
 from hsimvt.experiments import preprocess
 from hsimvt.mpca import PcaModel, fix_signs
 
@@ -280,62 +280,3 @@ def test_preprocess_peak_memory(shape, views, components, enabled, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * cube.values.nbytes
-
-
-# ----------------------------------------------------------------- HSZ files
-
-def test_pca_model_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    cube = HsiCube(values=rng.normal(size=(8, 8, 23)))
-    spec, rasters = build_views(cube, 5)
-    models = [fit_pca(r, 2) for r in rasters]
-    path = tmp_path / "pca.hsz"
-    save_pca_models(path, spec, models)
-    spec2, models2 = load_pca_models(path)
-    assert spec2 == spec
-    for a, b in zip(models, models2):
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.projection, b.projection)
-        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-
-
-def test_pca_save_validates_model_list(tmp_path):
-    rng = np.random.default_rng(10)
-    cube = HsiCube(values=rng.normal(size=(8, 8, 23)))
-    spec, rasters = build_views(cube, 5)
-    models = [fit_pca(r, 2) for r in rasters]
-    with pytest.raises(ConfigError):
-        save_pca_models(tmp_path / "x.hsz", spec, models[:-1])
-    mixed = models[:-1] + [fit_pca(rasters[-1], 1)]
-    with pytest.raises(ConfigError):
-        save_pca_models(tmp_path / "x.hsz", spec, mixed)
-
-
-DROP = object()
-
-
-@pytest.mark.parametrize("change", [
-    {"views": "x"}, {"views": 1.5}, {"views": True}, {"groups": 4.0}, {"components": False},
-    {"original_bands": None}, {"views": -3}, {"components": DROP},
-    {"views": 0}, {"groups": 0}, {"components": 0},
-    {"groups": 5},                                       # ceil(10 / 3) is 4
-    {"original_bands": 13},                              # ceil(13 / 3) is 5
-    {"components": 5},                                   # more components than groups
-    {"views": 12, "groups": 1},                          # more views than bands
-])
-def test_load_pca_models_rejects_malformed_header(tmp_path, change):
-    rng = np.random.default_rng(13)
-    spec, rasters = build_views(HsiCube(values=rng.normal(size=(6, 6, 10))), 3)
-    path = tmp_path / "pca.hsz"
-    save_pca_models(path, spec, [fit_pca(r, 2) for r in rasters])
-    header, payload = hsz.read_framed(path, hsz.PCA_MAGIC)
-    for key, value in change.items():
-        if value is DROP:
-            del header[key]
-        else:
-            header[key] = value
-    for body in (payload, b""):  # the header is refused before the payload is sized
-        hsz.write_framed(path, hsz.PCA_MAGIC, header, body)
-        with pytest.raises(FormatError) as refused:
-            load_pca_models(path)
-        assert refused.type is FormatError

@@ -24,8 +24,22 @@ def test_tensor_item_and_grad_bookkeeping():
     t.accumulate_grad(np.array(1.0))
     t.accumulate_grad(np.array(0.5))
     assert t.grad == pytest.approx(1.5)
-    t.zero_grad()
-    assert t.grad is None
+
+
+@pytest.mark.parametrize("kshape", [(3, 3), (3, 5), (3, 3, 3)])
+def test_taps_is_a_read_only_view_of_the_shifted_input(kshape):
+    a = np.random.default_rng(26).normal(size=(2, 4, 5, 6))
+    view = ops._taps(a, kshape)
+    assert view.shape == (2, 4, 5) + kshape + (6,)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view[(0,) * view.ndim] = 1.0
+    pads = [(k // 2, k // 2) for k in kshape] + [(0, 0)] * (3 - len(kshape))
+    padded = np.pad(a, [(0, 0)] + pads)
+    for t in np.ndindex(*kshape):
+        t3 = t + (0,) * (3 - len(t))
+        want = padded[:, t3[0]:t3[0] + 4, t3[1]:t3[1] + 5, t3[2]:t3[2] + 6]
+        np.testing.assert_array_equal(view[(slice(None),) * 3 + t], want)
 
 
 @pytest.mark.parametrize("shape,kshape", [

@@ -16,7 +16,8 @@ from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
 from hsimvt.data import TEST, PatchSource, SplitAssignment
 from hsimvt.metrics import predict_coords
 
-from oracles import adam_trace_scalar, confusion_loop, cross_entropy_longdouble
+from oracles import (adam_per_array, adam_trace_scalar, assert_flat_views, confusion_loop,
+                     cross_entropy_longdouble)
 
 SMALL_MODEL = ModelConfig(patch_size=3, num_views=3, view_components=2,
                           encoder_kernels=4, squeeze_channels=6, token_channels=8,
@@ -84,52 +85,67 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 # ----------------------------------------------------------------------- adam
 
-def _single_param(value):
-    t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-    return [("x", t)], t
-
-
 def test_adam_first_step_is_signed_lr():
     config = TrainConfig(epochs=1, learning_rate=1e-3)
-    named, t = _single_param([2.0, -3.0, 0.5])
-    state = AdamState(named)
-    adam_step(named, {"x": np.array([0.4, -0.2, 1e-12])}, state, t=1, config=config)
+    x = np.array([2.0, -3.0, 0.5])
+    adam_step(x, np.array([0.4, -0.2, 1e-12]), AdamState(x), t=1, config=config)
     # first bias-corrected step is g/(|g| + eps) ~= sign(g) for |g| >> eps
-    np.testing.assert_allclose(t.data[:2], [2.0 - 1e-3, -3.0 + 1e-3], atol=1e-9)
-    assert abs(t.data[2] - 0.5) < 1e-3  # tiny gradient, eps-damped step
+    np.testing.assert_allclose(x[:2], [2.0 - 1e-3, -3.0 + 1e-3], atol=1e-9)
+    assert abs(x[2] - 0.5) < 1e-3  # tiny gradient, eps-damped step
 
 
 def test_adam_zero_gradient_is_identity():
     config = TrainConfig(epochs=1)
-    named, t = _single_param([1.0, 2.0])
-    state = AdamState(named)
+    x = np.array([1.0, 2.0])
+    state = AdamState(x)
     for step in range(1, 6):
-        adam_step(named, {"x": np.zeros(2)}, state, t=step, config=config)
-    np.testing.assert_array_equal(t.data, [1.0, 2.0])
+        adam_step(x, np.zeros(2), state, t=step, config=config)
+    np.testing.assert_array_equal(x, [1.0, 2.0])
 
 
 def test_adam_matches_scalar_trace_on_quadratic():
     lr = 0.1
     config = TrainConfig(epochs=1, learning_rate=lr)
-    named, t = _single_param(1.0)
-    state = AdamState(named)
+    x = np.array(1.0)
+    state = AdamState(x)
     visited = []
     for step in range(1, 11):
-        grad = 2.0 * float(t.data)  # d/dx x^2
-        adam_step(named, {"x": np.array(grad)}, state, t=step, config=config)
-        visited.append(float(t.data))
+        grad = 2.0 * float(x)  # d/dx x^2
+        adam_step(x, np.array(grad), state, t=step, config=config)
+        visited.append(float(x))
     want = adam_trace_scalar(lambda x: 2.0 * x, 1.0, steps=10, lr=lr)
     np.testing.assert_allclose(visited, want, atol=1e-12)
 
 
 def test_adam_step_contract_errors():
     config = TrainConfig(epochs=1)
-    named, _ = _single_param([1.0])
-    state = AdamState(named)
+    x = np.array([1.0])
+    state = AdamState(x)
     with pytest.raises(UsageError):
-        adam_step(named, {"x": np.zeros(1)}, state, t=0, config=config)
+        adam_step(x, np.zeros(1), state, t=0, config=config)
     with pytest.raises(DimensionError):
-        adam_step(named, {"x": np.zeros(3)}, state, t=1, config=config)
+        adam_step(x, np.zeros(3), state, t=1, config=config)
+
+
+def test_flat_adam_matches_per_array_loop_bit_for_bit():
+    """One whole-vector update equals one update per named array, over 5
+    steps of the default model's 12 float32 arrays."""
+    config = TrainConfig(learning_rate=1e-3)
+    params = ModelParams.initialize(ModelConfig(), seed=3)
+    arrays = {n: t.data.copy() for n, t in params.named_parameters()}
+    first = {n: np.zeros_like(a) for n, a in arrays.items()}
+    second = {n: np.zeros_like(a) for n, a in arrays.items()}
+    state = AdamState(params.values)
+    rng = np.random.default_rng(33)
+    for step in range(1, 6):
+        params.grads[...] = rng.normal(scale=1e-2, size=params.grads.size)
+        grads = {n: t.grad.copy() for n, t in params.named_parameters()}
+        adam_step(params.values, params.grads, state, step, config)
+        adam_per_array(arrays, grads, first, second, step, config.learning_rate,
+                       config.beta1, config.beta2, config.epsilon)
+    assert len(arrays) == 12
+    for name, t in params.named_parameters():
+        assert t.data.tobytes() == arrays[name].tobytes(), name
 
 
 def test_train_config_validation():
@@ -164,7 +180,7 @@ def test_default_train_step_tape_length():
         loss = cross_entropy(forward(batch, params), np.arange(1, 5))
     assert len(graph) == 15
     graph.backward(loss)
-    assert all(t.grad is not None for _, t in params.trainable_parameters())
+    assert all(np.any(t.grad != 0) for _, t in params.trainable_parameters())
 
 
 def test_train_lr_zero_freezes_parameters():
@@ -178,6 +194,38 @@ def test_train_lr_zero_freezes_parameters():
         np.testing.assert_array_equal(got.data, want.data)
     oas = [h["val_oa"] for h in result.history]
     assert len(set(oas)) == 1  # flat validation accuracy
+
+
+def test_train_without_global_token_leaves_it_bit_equal():
+    """Under the ablation the token's gradient stays 0, so its Adam step is 0."""
+    representation, labels = small_scene(noise=0.05)
+    model_config = ModelConfig(**{**SMALL_MODEL.to_json_dict(), "use_global_token": False})
+    config = TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=7)
+    result = train(representation, labels, model_config, config)
+    untouched = ModelParams.initialize(model_config, seed=derive_seeds(config.seed)[1])
+    final = result.final_params
+    assert final["global_token"].data.tobytes() == untouched["global_token"].data.tobytes()
+    assert not np.array_equal(final["feature.weight"].data, untouched["feature.weight"].data)
+
+
+def test_parameters_stay_views_of_the_flat_vectors_through_training():
+    representation, labels = small_scene()
+    result = train(representation, labels, SMALL_MODEL,
+                   TrainConfig(epochs=1, batch_size=32, seed=8))
+    assert_flat_views(result.final_params)
+    assert_flat_views(result.params)
+    params = ModelParams.initialize(ModelConfig(), seed=0)
+    batch = Tensor(np.random.default_rng(25).normal(size=(2, 5, 5, 30)).astype(np.float32))
+    with GradGraph() as graph:
+        loss = cross_entropy(forward(batch, params), np.array([1, 2]))
+    graph.backward(loss)
+    assert_flat_views(params)
+    assert params.grads.any()
+    adam_step(params.values, params.grads, AdamState(params.values), 1, TrainConfig())
+    assert_flat_views(params)
+    params.zero_grads()
+    assert_flat_views(params)
+    assert not params.grads.any()
 
 
 def test_train_same_seed_bit_identical():
