@@ -17,10 +17,16 @@ TRAIN, VAL, TEST = 1, 2, 3
 
 @dataclass
 class HsiCube:
-    """H x W x B reflectance raster plus a name tag."""
+    """H x W x B reflectance raster plus a name tag.
+
+    ``value_range`` is the (min, max) of the values, found by the
+    finiteness check at construction; the values are not to be changed
+    afterwards.
+    """
 
     values: np.ndarray
     name: str = ""
+    _range: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.ndim != 3:
@@ -29,8 +35,23 @@ class HsiCube:
             raise DimensionError("cube must have at least one band")
         # min and max are non-finite exactly when some value is, without a bool array
         values = self.values
-        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise DegenerateInputError(f"cube {self.name!r} contains non-finite values")
+        if values.size:
+            lo, hi = values.min(), values.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DegenerateInputError(f"cube {self.name!r} contains non-finite values")
+            self._range = (lo, hi)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, name: str, value_range: tuple) -> HsiCube:
+        """A cube over finite (H, W, B) values whose (min, max) is already known."""
+        cube = cls.__new__(cls)
+        cube.values, cube.name, cube._range = values, name, value_range
+        return cube
+
+    @property
+    def value_range(self):
+        """(min, max) of the values as scalars of their dtype; None for an empty cube."""
+        return self._range
 
     @property
     def height(self):
@@ -91,20 +112,43 @@ def load_labels(path) -> LabelMap:
     return LabelMap(ids=ids.astype(np.int64), num_classes=num_classes)
 
 
+def mmnorm_scalars(cube: HsiCube):
+    """MMNorm's (lo, span): every value x maps to (x - lo) / span.
+
+    Both are scalars of the arithmetic dtype, the cube's own for float
+    cubes and float64 otherwise. The normalized values are all finite
+    exactly when ``hi - lo`` in that dtype and ``span`` are: rounding is
+    monotone and ``0 <= x - lo <= hi - lo`` for every x, so the two
+    scalars are checked instead of the normalized values.
+    """
+    if cube.value_range is None:
+        raise DegenerateInputError("cannot normalize an empty cube")
+    lo, hi = (float(v) for v in cube.value_range)
+    if hi == lo:
+        raise DegenerateInputError("cannot normalize a constant cube (max == min)")
+    dtype = cube.values.dtype
+    scalar = dtype.type if dtype.kind == "f" else np.float64
+    with np.errstate(over="ignore"):
+        span = scalar(hi - lo)
+        top = np.subtract(scalar(hi), scalar(lo))
+    if not (np.isfinite(top) and np.isfinite(span)):
+        raise DegenerateInputError(
+            f"cube {cube.name!r} contains non-finite values after normalization")
+    return scalar(lo), span
+
+
 def mmnorm(cube: HsiCube) -> HsiCube:
     """Rescale with the single global min and max so values span [0, 1].
 
-    Float cubes are scaled in their own precision into one new array.
+    Float cubes are scaled in their own precision into one new array,
+    other cubes in float64; the cube's range is reused, not rescanned.
     """
-    values = cube.values
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi == lo:
-        raise DegenerateInputError("cannot normalize a constant cube (max == min)")
-    scalar = values.dtype.type if values.dtype.kind == "f" else np.float64
-    scaled = np.subtract(values, scalar(lo))
-    np.divide(scaled, scalar(hi - lo), out=scaled)
-    return HsiCube(values=scaled.astype(values.dtype, copy=False), name=cube.name)
+    lo, span = mmnorm_scalars(cube)
+    scaled = np.subtract(cube.values, lo)
+    np.divide(scaled, span, out=scaled)
+    # the min and max map to the new min and max, through the same ufunc loops
+    top = np.divide(np.subtract(np.asarray(cube.value_range[1], dtype=scaled.dtype), lo), span)
+    return HsiCube._checked(scaled, cube.name, (scaled.dtype.type(0), top))
 
 
 @dataclass
@@ -144,24 +188,21 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
 
     rng = np.random.default_rng(seed)
     assignment = np.zeros(labels.shape, dtype=np.int8)
+    flat = assignment.reshape(-1)
     issued = []
     for c in range(1, labels.num_classes + 1):
-        coords = np.argwhere(labels.ids == c)
-        n = len(coords)
+        pixels = np.flatnonzero(labels.ids == c)  # row-major
+        n = len(pixels)
         if n < 3:
             msg = f"class {c} has only {n} labeled pixels; assigning train first, then val"
             warnings.warn(msg)
             issued.append(msg)
-        order = rng.permutation(n)
-        coords = coords[order]
+        pixels = pixels[rng.permutation(n)]
         n_train = min(n, max(1, _round_half_up(f_train * n)))
         n_val = min(n - n_train, max(1, _round_half_up(f_val * n))) if f_val > 0 else 0
-        for (h, w) in coords[:n_train]:
-            assignment[h, w] = TRAIN
-        for (h, w) in coords[n_train:n_train + n_val]:
-            assignment[h, w] = VAL
-        for (h, w) in coords[n_train + n_val:]:
-            assignment[h, w] = TEST
+        flat[pixels[n_train + n_val:]] = TEST
+        flat[pixels[n_train:n_train + n_val]] = VAL
+        flat[pixels[:n_train]] = TRAIN
     return SplitAssignment(assignment=assignment, seed=seed, fractions=tuple(fractions),
                            warnings_issued=issued)
 

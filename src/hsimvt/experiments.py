@@ -5,10 +5,11 @@ from __future__ import annotations
 import copy
 import csv
 
-from .data import TEST, HsiCube, LabelMap, PatchSource, mmnorm
+from .data import TEST, HsiCube, LabelMap, PatchSource
+from .data import mmnorm  # noqa: F401 -- bench/spans.py traces experiments.mmnorm
 from .errors import ConfigError
 from .metrics import evaluate
-from .mpca import mpca
+from .mpca import _mpca
 from .runconfig import RunConfig
 from .training import train
 
@@ -21,13 +22,17 @@ SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
 def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True):
     """MMNorm then multiview PCA; returns (raster, PcaModel list).
 
+    The result is ``mpca(mmnorm(cube), views, components)`` bit for bit,
+    but each view is normalized as it is gathered from ``cube``, so no
+    normalized copy of the whole cube is made.
+
     With ``enabled`` false the whole cube is treated as a single view and
     reduced to ``views * components`` channels — plain PCA with the same
     output width, the representation-ablation baseline.
     """
     if not enabled:
         views, components = 1, views * components
-    return mpca(mmnorm(cube), num_views=views, components=components)
+    return _mpca(cube, views, components, normalize=True)
 
 
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HsiCube
+from .data import HsiCube, mmnorm_scalars
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
@@ -37,10 +37,6 @@ class ViewSpec:
         return np.arange(self.num_groups) * self.num_views + (view - 1)
 
 
-# Cube values copied per block in build_views: 64k float32 (256 KB) stays in L2.
-VIEW_BLOCK_VALUES = 1 << 16
-
-
 def view_spec(num_bands: int, num_views: int) -> ViewSpec:
     if num_views < 1:
         raise ConfigError(f"need at least 1 view, got {num_views}")
@@ -51,27 +47,36 @@ def view_spec(num_bands: int, num_views: int) -> ViewSpec:
                     original_bands=num_bands)
 
 
+def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
+                 norm=None):
+    """Write 0-based ``view`` of an (H, W, B) cube into ``out`` (H, W, M).
+
+    The view's bands are cast into ``out``, or with ``norm`` = (lo, span)
+    normalized into it as ``(x - lo) / span``, computed in ``out``'s
+    dtype; its padding groups are zeroed.
+    """
+    bands = values[:, :, view::num_views]
+    real = bands.shape[2]
+    out[:, :, real:] = 0
+    if norm is None:
+        out[:, :, :real] = bands
+    else:
+        lo, span = norm
+        np.subtract(bands, lo, out=out[:, :, :real])
+        np.divide(out, span, out=out)  # padding stays 0: 0 / span is +0
+
+
 def build_views(cube: HsiCube, num_views: int):
     """Split a cube into ``num_views`` interleaved views.
 
     Returns (ViewSpec, list of H x W x M float64 rasters). Bands past the
     original count are zero padding. The rasters are consecutive slices of
-    one (views, H, W, M) buffer, filled a block of rows at a time so each
-    block of the cube is read from cache by every view.
+    one (views, H, W, M) buffer.
     """
     spec = view_spec(cube.bands, num_views)
-    values = cube.values
-    height, width, bands = values.shape
-    full, extra = divmod(bands, num_views)  # whole groups; bands of the partial one
-    views = np.empty((num_views, height, width, spec.num_groups))
-    views[extra:, :, :, full:] = 0.0
-    grouped = values[:, :, :full * num_views].reshape(height, width, full, num_views)
-    step = max(1, VIEW_BLOCK_VALUES // max(1, width * bands))
-    for top in range(0, height, step):
-        rows = slice(top, top + step)
-        views[:, rows, :, :full] = grouped[rows].transpose(3, 0, 1, 2)
-        if extra:
-            views[:extra, rows, :, full] = values[rows, :, full * num_views:].transpose(2, 0, 1)
+    views = np.empty((num_views, cube.height, cube.width, spec.num_groups))
+    for n, view in enumerate(views):
+        _gather_view(cube.values, num_views, n, view)
     return spec, list(views)
 
 
@@ -115,26 +120,30 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_centered(view: np.ndarray, components: int):
-    """:func:`fit_pca`'s model, plus the (H*W, M) centered samples it was fitted on."""
+def _check_view(view: np.ndarray, components: int):
     if view.ndim != 3:
         raise DimensionError(f"view raster must be (H,W,M), got {view.shape}")
     bands = view.shape[2]
     if not 1 <= components <= bands:
         raise ConfigError(f"components must be in 1..{bands}, got {components}")
-    samples = view.reshape(-1, bands).astype(np.float64, copy=False)
+    samples = view.reshape(-1, bands)
     if samples.shape[0] < 2:
         raise DegenerateInputError("PCA needs at least 2 pixels")
-    if np.all(samples == samples[0]):
+    # some of the first rows differ in any real view: the full scan runs only if none do
+    if np.all(samples[:64] == samples[0]) and np.all(samples == samples[0]):
         raise DegenerateInputError("zero-variance view: every pixel is identical")
+
+
+def _fit_in_place(samples: np.ndarray, components: int) -> PcaModel:
+    """:func:`fit_pca` on checked (N, M) float64 samples, which it centers in place."""
     mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = (centered.T @ centered) / (samples.shape[0] - 1)
+    np.subtract(samples, mean, out=samples)
+    cov = (samples.T @ samples) / (samples.shape[0] - 1)
     eigenvalues, vectors = np.linalg.eigh(cov)  # ascending
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.maximum(eigenvalues[order[:components]], 0.0)
     vectors = fix_signs(vectors[:, order[:components]])
-    return PcaModel(mean=mean, projection=vectors, eigenvalues=eigenvalues), centered
+    return PcaModel(mean=mean, projection=vectors, eigenvalues=eigenvalues)
 
 
 def fit_pca(view: np.ndarray, components: int) -> PcaModel:
@@ -144,7 +153,8 @@ def fit_pca(view: np.ndarray, components: int) -> PcaModel:
     eigendecomposition, sorted by descending eigenvalue, sign-fixed so each
     column's largest-magnitude entry is positive.
     """
-    return _fit_centered(view, components)[0]
+    _check_view(view, components)
+    return _fit_in_place(view.reshape(-1, view.shape[2]).astype(np.float64), components)
 
 
 def transform_view(view: np.ndarray, model: PcaModel) -> np.ndarray:
@@ -164,18 +174,37 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     """Full pipeline: views -> per-view PCA -> view-major channel concat.
 
     Returns (H x W x (num_views*components) float32 raster, list of PcaModel).
-    The cube should already be min-max normalized. Each view is centered
-    once: its projection reuses the centered samples its PCA was fitted on,
-    which gives :func:`transform_view`'s bits.
+    The cube should already be min-max normalized.
     """
-    spec, rasters = build_views(cube, num_views)
-    del cube  # the views hold all that is needed; a caller's temporary cube is freed
-    height, width = rasters[0].shape[:2]
-    stacked = np.empty((height, width, num_views * components), dtype=np.float32)
+    return _mpca(cube, num_views, components, normalize=False)
+
+
+def _mpca(cube: HsiCube, num_views: int, components: int, normalize: bool):
+    """:func:`mpca`, of ``mmnorm(cube)`` when ``normalize`` is set.
+
+    One view at a time is gathered (and normalized) from the cube into a
+    buffer of the cube's dtype (MMNorm's arithmetic dtype when
+    normalizing), cast into a reused float64 (H*W, M) buffer,
+    centered there in place, fitted and projected into the float32 output.
+    Every float64 expression runs on the same contiguous arrays as
+    ``fit_pca``/``transform_view`` on :func:`build_views`' rasters, so the
+    bits are theirs.
+    """
+    groups = view_spec(cube.bands, num_views).num_groups
+    norm = mmnorm_scalars(cube) if normalize else None
+    dtype = norm[1].dtype if normalize else cube.values.dtype
+    view = np.empty((cube.height, cube.width, groups), dtype=dtype)
+    cast = dtype != np.float64
+    samples = np.empty((cube.height * cube.width, groups)) if cast else view.reshape(-1, groups)
+    stacked = np.empty((cube.height, cube.width, num_views * components), dtype=np.float32)
     models = []
-    for n, raster in enumerate(rasters):
-        model, centered = _fit_centered(raster, components)
+    for n in range(num_views):
+        _gather_view(cube.values, num_views, n, view, norm)
+        _check_view(view, components)  # on the view dtype: the float64 cast is exact
+        if cast:
+            samples[...] = view.reshape(-1, groups)
+        model = _fit_in_place(samples, components)
         models.append(model)
         stacked[:, :, n * components:(n + 1) * components] = \
-            (centered @ model.projection).reshape(height, width, components)
+            (samples @ model.projection).reshape(cube.height, cube.width, components)
     return stacked, models

@@ -161,6 +161,34 @@ def mpca_float64_reference(values, num_views, components):
     return np.concatenate(parts, axis=2).astype(np.float32), fitted
 
 
+def stratified_split_loop(ids, num_classes, fractions, seed):
+    """Per-class seeded split, one pixel at a time, as first written.
+
+    Class c's row-major pixels are permuted by the c-th
+    ``rng.permutation`` draw; the first round-half-up(f_train*n) (at least
+    1) go to train, the next round-half-up(f_val*n) (at least 1 when f_val
+    > 0, capped by what is left) to val, the rest to test. Returns the
+    int8 assignment map (1 train, 2 val, 3 test, 0 unlabeled) and the
+    number of classes with fewer than 3 pixels.
+    """
+    f_train, f_val, _ = fractions
+    rng = np.random.default_rng(seed)
+    assignment = np.zeros(ids.shape, dtype=np.int8)
+    small = 0
+    for c in range(1, num_classes + 1):
+        coords = [(h, w) for h in range(ids.shape[0]) for w in range(ids.shape[1])
+                  if ids[h, w] == c]
+        n = len(coords)
+        small += n < 3
+        order = rng.permutation(n)
+        n_train = min(n, max(1, int(np.floor(f_train * n + 0.5))))
+        n_val = min(n - n_train, max(1, int(np.floor(f_val * n + 0.5)))) if f_val > 0 else 0
+        for rank, i in enumerate(order):
+            h, w = coords[i]
+            assignment[h, w] = 1 if rank < n_train else 2 if rank < n_train + n_val else 3
+    return assignment, small
+
+
 def softmax_rows_longdouble(x):
     z = np.array(x, dtype=np.longdouble)
     z = z - z.max(axis=-1, keepdims=True)

@@ -10,7 +10,7 @@ from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
                     save_cube, save_labels, stratified_split, synth_scene)
 from hsimvt.data import TEST, TRAIN, VAL, PatchSource
 
-from oracles import extract_patch
+from oracles import extract_patch, stratified_split_loop
 
 
 def test_cube_validation():
@@ -36,6 +36,15 @@ def test_cube_rejects_any_non_finite_value(bad, dtype):
 
 def test_cube_accepts_empty_raster():
     assert HsiCube(values=np.zeros((0, 4, 3), dtype=np.float32)).height == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32])
+def test_cube_keeps_the_range_its_finiteness_check_found(dtype):
+    values = np.asfortranarray((np.arange(60).reshape(3, 4, 5) * 7 % 23 - 5).astype(dtype))
+    lo, hi = HsiCube(values=values).value_range
+    assert (lo.dtype, hi.dtype) == (values.dtype, values.dtype)
+    assert (lo, hi) == (values.min(), values.max())
+    assert HsiCube(values=np.zeros((0, 4, 3), dtype=np.float32)).value_range is None
 
 
 def test_label_map_validation():
@@ -82,9 +91,32 @@ def test_mmnorm_keeps_the_out_of_place_bits(dtype):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_mmnorm_range_is_the_normalized_min_and_max(dtype):
+    rng = np.random.default_rng(2)
+    for scale in (3.0, 1e-3, 3e3):
+        values = (rng.normal(size=(5, 4, 6)) * scale + 7 * scale).astype(dtype)
+        out = mmnorm(HsiCube(values=values))
+        lo, hi = out.value_range
+        assert (lo.dtype, hi.dtype) == (out.values.dtype, out.values.dtype)
+        assert lo.tobytes() == out.values.min().tobytes()
+        assert hi.tobytes() == out.values.max().tobytes()
+
+
+def test_mmnorm_of_an_integer_cube_is_float64():
+    out = mmnorm(HsiCube(values=np.arange(24, dtype=np.int16).reshape(2, 3, 4)))
+    assert out.values.dtype == np.float64
+    np.testing.assert_array_equal(out.values.reshape(-1), np.arange(24) / 23)
+
+
 def test_mmnorm_rejects_constant_cube():
     with pytest.raises(DegenerateInputError):
         mmnorm(HsiCube(values=np.full((2, 2, 2), 3.0)))
+
+
+def test_mmnorm_rejects_empty_cube():
+    with pytest.raises(DegenerateInputError, match="empty cube"):
+        mmnorm(HsiCube(values=np.zeros((2, 0, 3), dtype=np.float32)))
 
 
 def _labels_with_counts(counts):
@@ -115,6 +147,27 @@ def test_split_always_keeps_one_train_sample():
     assert (split.assignment[labels.ids == 3] == TRAIN).sum() == 1
     assert (split.assignment[labels.ids == 3] == VAL).sum() == 0
     assert len(split.warnings_issued) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 7),
+       st.sampled_from([(0.05, 0.05, 0.90), (0.3, 0.2, 0.5), (0.5, 0.0, 0.5)]))
+def test_split_matches_loop_oracle(seed, num_classes, fractions):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, num_classes + 1, size=(int(rng.integers(3, 25)), 17))
+    # a class of 1 pixel and one of 2 take the small-class warning path
+    ids[ids == 1], ids[ids == 2] = 0, 0
+    ids.flat[rng.choice(ids.size, 3, replace=False)] = [1, 2, 2]
+    for c in range(3, num_classes + 1):
+        if not (ids == c).any():
+            ids.flat[int(np.flatnonzero(ids == 0)[0])] = c
+    labels = LabelMap(ids=ids, num_classes=num_classes)
+    want, small = stratified_split_loop(ids, num_classes, fractions, seed)
+    with pytest.warns(UserWarning):
+        split = stratified_split(labels, fractions=fractions, seed=seed)
+    assert split.assignment.dtype == np.int8
+    np.testing.assert_array_equal(split.assignment, want)
+    assert len(split.warnings_issued) == small >= 2
 
 
 def test_split_rejects_bad_fractions():
