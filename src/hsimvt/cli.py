@@ -21,7 +21,7 @@ from .data import (TEST, LabelMap, PatchSource, load_cube, load_labels,
 from .errors import CompatibilityError, ConfigError, HsimvtError
 from .experiments import preprocess, sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
-from .model import ModelParams, load_params, save_params
+from .model import load_params, save_params
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
 from .training import derive_seeds, train
@@ -42,36 +42,44 @@ def _require_file(path, hint: str):
 
 
 def _out_path(config: RunConfig, name: str) -> str:
-    out_dir = config["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    return os.path.join(config["output"]["dir"], name)
 
 
-def _load_inputs(config: RunConfig):
-    cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
-    labels = load_labels(_require_file(config["data"]["labels_path"], "labels file"))
-    if labels.shape != (cube.height, cube.width):
-        raise ConfigError(
-            f"label raster {labels.shape} does not match cube {cube.height}x{cube.width}")
-    return cube, labels
+def _new_out_path(config: RunConfig, name: str) -> str:
+    """Path of a file to write in ``output.dir``, creating the directory."""
+    os.makedirs(config["output"]["dir"], exist_ok=True)
+    return _out_path(config, name)
 
 
-def _load_representation(config: RunConfig) -> np.ndarray:
+def _load_labels(config: RunConfig) -> LabelMap:
+    return load_labels(_require_file(config["data"]["labels_path"], "labels file"))
+
+
+def _labels_and_representation(config: RunConfig):
+    """The label raster and the preprocessed representation it must cover.
+
+    These are all that train, eval, audit and map read besides a
+    checkpoint; a representation of another H x W raises DimensionError.
+    """
+    labels = _load_labels(config)
     path = _require_file(_out_path(config, REPRESENTATION_FILE),
                          "preprocessed representation (run `hsimvt preprocess` first)")
-    values, _ = hsz.read_cube_raster(path)
-    return values
+    representation, _ = hsz.read_cube_raster(path)
+    labels.check_raster(representation)
+    return labels, representation
 
 
-def _checkpoint_params(config: RunConfig, checkpoint, labels: LabelMap) -> ModelParams:
-    path = checkpoint or _out_path(config, CHECKPOINT_FILE)
-    params = load_params(_require_file(path, "checkpoint"))
+def _scoring_inputs(config: RunConfig, checkpoint):
+    """(labels, checkpoint params, PatchSource) for eval, audit and map."""
+    labels, representation = _labels_and_representation(config)
+    params = load_params(_require_file(checkpoint or _out_path(config, CHECKPOINT_FILE),
+                                       "checkpoint"))
     expected = config.model_config(labels.num_classes)
     if params.config != expected:
         raise CompatibilityError(
             f"checkpoint config {params.config} does not match the run config "
             f"{expected}")
-    return params
+    return labels, params, PatchSource(representation, params.config.patch_size)
 
 
 def _test_set(config: RunConfig, labels: LabelMap):
@@ -99,10 +107,9 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     config = RunConfig.load(args.config)
-    cube, _ = _load_inputs(config)
-    p = config["mpca"]
-    rep, _ = preprocess(cube, p["views"], p["components"], enabled=p["enabled"])
-    rep_path = _out_path(config, REPRESENTATION_FILE)
+    cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
+    rep, _ = preprocess(cube, *config.mpca_shape)
+    rep_path = _new_out_path(config, REPRESENTATION_FILE)
     hsz.write_cube_raster(rep_path, rep)
     _emit({"representation": rep_path, "channels": int(rep.shape[2])})
     return 0
@@ -110,9 +117,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
-    _, labels = _load_inputs(config)
-    rep = _load_representation(config)
-    history_path = _out_path(config, HISTORY_FILE)
+    labels, rep = _labels_and_representation(config)
+    history_path = _new_out_path(config, HISTORY_FILE)
     ckpt_path = _out_path(config, CHECKPOINT_FILE)
     # A failed run must not leave an earlier run's checkpoint to be scored.
     with contextlib.suppress(FileNotFoundError):
@@ -130,38 +136,31 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = RunConfig.load(args.config)
-    _, labels = _load_inputs(config)
-    rep = _load_representation(config)
-    params = _checkpoint_params(config, args.checkpoint, labels)
+    labels, params, source = _scoring_inputs(config, args.checkpoint)
     coords, true_ids = _test_set(config, labels)
-    source = PatchSource(rep, params.config.patch_size)
-    report = evaluate(params, source, coords, true_ids)
-    _emit(report.to_json_dict())
+    _emit(evaluate(params, source, coords, true_ids).to_json_dict())
     return 0
 
 
 def cmd_audit(args) -> int:
     config = RunConfig.load(args.config)
-    _, labels = _load_inputs(config)
-    rep = _load_representation(config)
-    params = _checkpoint_params(config, args.checkpoint, labels)
+    labels, params, source = _scoring_inputs(config, args.checkpoint)
     coords, true_ids = _test_set(config, labels)
-    source = PatchSource(rep, params.config.patch_size)
-    audit = rotation_audit(params, source, coords, true_ids)
-    _emit(audit.to_json_dict())
+    _emit(rotation_audit(params, source, coords, true_ids).to_json_dict())
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = RunConfig.load(args.config)
-    cube, labels = _load_inputs(config)
+    cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
+    labels = _load_labels(config)
     try:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     rows = sweep(cube, labels, config, args.axis, values,
                  log=lambda row: print(json.dumps(row, sort_keys=True), file=sys.stderr))
-    csv_path = args.out or _out_path(config, "sweep.csv")
+    csv_path = args.out or _new_out_path(config, "sweep.csv")
     write_sweep_csv(rows, csv_path)
     _emit({"csv": csv_path, "rows": len(rows)})
     return 0
@@ -169,15 +168,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_map(args) -> int:
     config = RunConfig.load(args.config)
-    _, labels = _load_inputs(config)
-    rep = _load_representation(config)
-    params = _checkpoint_params(config, args.checkpoint, labels)
+    labels, params, source = _scoring_inputs(config, args.checkpoint)
     coords = labels.labeled_coords()
-    source = PatchSource(rep, params.config.patch_size)
     predicted = predict_coords(params, source, coords)
     ids = np.zeros(labels.shape, dtype=np.int64)
     ids[coords[:, 0], coords[:, 1]] = predicted
-    map_path = args.out or _out_path(config, "map.ppm")
+    map_path = args.out or _new_out_path(config, "map.ppm")
     write_ppm(map_path, render_class_map(ids, labels.num_classes))
     _emit({"map": map_path, "pixels": int(len(coords))})
     return 0

@@ -92,6 +92,13 @@ class LabelMap:
         """Row-major (h, w) coordinates of every labeled pixel."""
         return np.argwhere(self.ids > 0)
 
+    def check_raster(self, raster: np.ndarray):
+        """Raise DimensionError unless ``raster`` is (H, W, C) over this H x W grid."""
+        if raster.ndim != 3 or raster.shape[:2] != self.shape:
+            raise DimensionError(
+                f"representation must be (H, W, C) over the {self.shape[0]}x{self.shape[1]} "
+                f"label raster, got {raster.shape}")
+
 
 def save_cube(cube: HsiCube, path):
     hsz.write_cube_raster(path, cube.values)

@@ -19,26 +19,20 @@ SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
               "train_fraction": ("train", "fractions")}
 
 
-def preprocess(cube: HsiCube, views: int, components: int, enabled: bool = True):
+def preprocess(cube: HsiCube, views: int, components: int):
     """MMNorm then multiview PCA; returns (raster, PcaModel list).
 
     The result is ``mpca(mmnorm(cube), views, components)`` bit for bit,
     but each view is normalized as it is gathered from ``cube``, so no
-    normalized copy of the whole cube is made.
-
-    With ``enabled`` false the whole cube is treated as a single view and
-    reduced to ``views * components`` channels — plain PCA with the same
-    output width, the representation-ablation baseline.
+    normalized copy of the whole cube is made. A run config's
+    :attr:`RunConfig.mpca_shape` gives the (views, components) to pass.
     """
-    if not enabled:
-        views, components = 1, views * components
     return _mpca(cube, views, components, normalize=True)
 
 
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):
     """One preprocess -> train -> test-evaluate pass; returns (report, result)."""
-    p = config["mpca"]
-    rep, _ = preprocess(cube, p["views"], p["components"], enabled=p["enabled"])
+    rep, _ = preprocess(cube, *config.mpca_shape)
     model_config = config.model_config(labels.num_classes)
     result = train(rep, labels, model_config, config.train_config(),
                    fractions=config.fractions)

@@ -47,6 +47,11 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
     else:
         items = [(f"param{i}", p) for i, p in enumerate(params)]
 
+    # Zeroed in place, not dropped: a ModelParams tensor's grad is a view
+    # of its flat gradient vector, and backward would add to what is there.
+    for _, p in items:
+        if p.grad is not None:
+            p.grad.fill(0)
     with GradGraph() as graph:
         loss = model_fn()
     graph.backward(loss)

@@ -49,31 +49,13 @@ DEFAULTS = {
     },
 }
 
-_TYPES = {
-    ("data", "cube_path"): str,
-    ("data", "labels_path"): str,
-    ("mpca", "views"): int,
-    ("mpca", "components"): int,
-    ("mpca", "enabled"): bool,
-    ("model", "patch_size"): int,
-    ("model", "encoder_kernels"): int,
-    ("model", "squeeze_channels"): int,
-    ("model", "token_channels"): int,
-    ("model", "heads"): int,
-    ("model", "feature_dim"): int,
-    ("model", "use_sed"): bool,
-    ("model", "use_global_token"): bool,
-    ("train", "epochs"): int,
-    ("train", "batch"): int,
-    ("train", "lr"): float,
-    ("train", "seed"): int,
-    ("train", "fractions"): list,
-    ("output", "dir"): str,
-}
-
 
 class RunConfig:
-    """Merged defaults + user overrides; rejects unknown sections/keys."""
+    """Merged defaults + user overrides; rejects unknown sections/keys.
+
+    Each key takes the type of its default value; an int is accepted
+    where a float is expected (and promoted), a bool never where an int is.
+    """
 
     def __init__(self, doc: dict = None):
         doc = doc or {}
@@ -90,7 +72,7 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
             for key, value in values.items():
-                want = _TYPES[(section, key)]
+                want = type(DEFAULTS[section][key])
                 if want is float and isinstance(value, int) and not isinstance(value, bool):
                     value = float(value)
                 if not isinstance(value, want) or (want is int and isinstance(value, bool)):
@@ -111,10 +93,10 @@ class RunConfig:
         """Read a JSON config file; None means pure defaults."""
         if path is None:
             return cls()
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 doc = json.load(f)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return cls(doc)
 
@@ -125,14 +107,23 @@ class RunConfig:
     def fractions(self):
         return tuple(float(v) for v in self.doc["train"]["fractions"])
 
-    def model_config(self, num_classes: int) -> ModelConfig:
-        """Build the architecture config; channel width comes from the mpca section."""
-        m = self.doc["model"]
+    @property
+    def mpca_shape(self):
+        """(views, components) that preprocessing reduces the cube to.
+
+        With ``mpca.enabled`` false the whole cube is one view of
+        ``views * components`` channels: plain PCA with the same output
+        width, the representation-ablation baseline.
+        """
         p = self.doc["mpca"]
         if p["enabled"]:
-            views, components = p["views"], p["components"]
-        else:
-            views, components = 1, p["views"] * p["components"]
+            return p["views"], p["components"]
+        return 1, p["views"] * p["components"]
+
+    def model_config(self, num_classes: int) -> ModelConfig:
+        """Build the architecture config; channel width comes from :attr:`mpca_shape`."""
+        m = self.doc["model"]
+        views, components = self.mpca_shape
         return ModelConfig(
             patch_size=m["patch_size"],
             num_views=views,

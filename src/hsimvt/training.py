@@ -123,25 +123,25 @@ def derive_seeds(master_seed: int):
 # instead of as numpy warnings on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfig,
-          train_config: TrainConfig, split: SplitAssignment = None,
-          fractions=(0.05, 0.05, 0.90), log=None) -> TrainResult:
+          train_config: TrainConfig, fractions=(0.05, 0.05, 0.90),
+          log=None) -> TrainResult:
     """Train on the preprocessed raster; returns the best-val-OA parameters.
 
     Every epoch reshuffles the train pixels with its own stream, runs
     batches of ``batch_size``, then scores validation overall accuracy; the
     returned parameters are a snapshot from the epoch that scored best
-    (earliest epoch wins ties). A non-finite loss or gradient raises
+    (earliest epoch wins ties). A representation that is not (H, W, C) over
+    the label raster, or whose channel count is not the model's, raises
+    :class:`DimensionError`. A non-finite loss or gradient raises
     :class:`DivergenceError` before its epoch is logged.
     """
-    if representation.ndim != 3:
-        raise DimensionError(f"representation must be (H,W,C), got {representation.shape}")
+    labels.check_raster(representation)
     if representation.shape[2] != model_config.input_channels:
         raise DimensionError(
             f"representation has {representation.shape[2]} channels, model config "
             f"implies {model_config.input_channels}")
     split_seed, init_seed, shuffle_seed = derive_seeds(train_config.seed)
-    if split is None:
-        split = stratified_split(labels, fractions=fractions, seed=split_seed)
+    split = stratified_split(labels, fractions=fractions, seed=split_seed)
 
     train_coords = split.coords(TRAIN)
     val_coords = split.coords(VAL)

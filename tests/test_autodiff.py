@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hsimvt import GradGraph, Tensor, UsageError, check_gradients
+from hsimvt import (GradGraph, ModelConfig, ModelParams, Tensor, UsageError, check_gradients,
+                    cross_entropy, forward)
 from hsimvt import ops
 
 RNG = np.random.default_rng(20)
@@ -176,6 +177,27 @@ def test_check_gradients_reports_per_parameter():
     assert list(report.per_param) == ["param0"]
     assert report.max_rel_err < 1e-6
     assert "ok" in report.summary()
+
+
+def test_check_gradients_twice_on_the_same_params():
+    """A second check must not add onto the gradients the first one left."""
+    toy = ModelConfig(patch_size=3, num_views=4, view_components=2, encoder_kernels=2,
+                      squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
+                      num_classes=3)
+    params = ModelParams.initialize(toy, seed=0, dtype=np.float64)
+    batch = Tensor(np.random.default_rng(1).normal(size=(2, 3, 3, 8)))
+    named = dict(params.trainable_parameters())
+    checked = {name: named[name] for name in ("classifier.bias", "feature.bias")}
+    grads = params.grads
+
+    def loss_fn():
+        return cross_entropy(forward(batch, params), np.array([1, 3]))
+
+    first = check_gradients(loss_fn, checked)
+    second = check_gradients(loss_fn, checked)
+    assert first.ok and second.ok, second.summary()
+    assert first.per_param == second.per_param
+    assert all(np.shares_memory(t.grad, grads) for t in checked.values())
 
 
 def test_diamond_reuse_accumulates_correctly():

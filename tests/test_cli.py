@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline, run config parsing, and map rendering."""
 
 import copy
+import inspect
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsimvt import ConfigError, RunConfig, class_palette, hsz, render_class_map, write_ppm
+from hsimvt import (ConfigError, ModelConfig, RunConfig, TrainConfig, class_palette, hsz,
+                    render_class_map, stratified_split, train, write_ppm)
 from hsimvt.cli import main
 from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
@@ -205,10 +207,15 @@ def test_failed_train_leaves_no_earlier_checkpoint_to_score(workdir, capsys):
 def test_errors_are_json_on_stderr(workdir, capsys):
     config = write_config(workdir)
 
-    code, out, err = run(capsys, "eval", "--config", config)
+    code, out, err = run(capsys, "preprocess", "--config", config)
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["type"] == "ConfigError" and "cube file" in doc["error"]
+
+    code, out, err = run(capsys, "eval", "--config", config)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "ConfigError" and "labels file" in doc["error"]
 
     run(capsys, "synth", *SCENE)
     code, _, err = run(capsys, "train", "--config", config)
@@ -224,6 +231,71 @@ def test_errors_are_json_on_stderr(workdir, capsys):
     code, _, err = run(capsys, "eval", "--config", str(bad))
     assert code == 1
     assert json.loads(err)["type"] == "ConfigError"
+
+    bad.write_bytes(b'{"train": {"seed": 1}}\xff')  # not UTF-8
+    code, out, err = run(capsys, "eval", "--config", str(bad))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "ConfigError"
+
+
+def test_each_command_reads_only_its_own_inputs(workdir, capsys):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    (workdir / "synth_labels.hsz").rename(workdir / "labels.hsz")
+    code, _, _ = run(capsys, "preprocess", "--config", config)
+    assert code == 0
+    (workdir / "synth_cube.hsz").unlink()
+    (workdir / "labels.hsz").rename(workdir / "synth_labels.hsz")
+    for command in ("train", "eval", "audit", "map"):
+        code, out, err = run(capsys, command, "--config", config)
+        assert code == 0 and err == "", command
+        json.loads(out)
+
+
+def test_scoring_a_missing_file_creates_no_output_dir(workdir, capsys):
+    config = write_config(workdir, {"output": {"dir": "results"}})
+    run(capsys, "synth", *SCENE)
+    for command in ("train", "eval", "audit", "map"):
+        code, _, err = run(capsys, command, "--config", config)
+        assert code == 1 and "preprocess" in json.loads(err)["error"], command
+    assert not (workdir / "results").exists()
+
+
+@pytest.mark.parametrize("height", [20, 28])
+def test_representation_of_another_size_exits_with_one_json_line(workdir, capsys, height):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", config)
+    run(capsys, "train", "--config", config)
+    (workdir / "checkpoint.hsz").rename(workdir / "earlier.hsz")
+    (workdir / "synth_cube.hsz").rename(workdir / "big_cube.hsz")
+    # Another scene's cube and labels, which agree with each other but not
+    # with the representation preprocessed above.
+    run(capsys, "synth", "--height", str(height), *SCENE[2:])
+    for argv in (["train"], ["eval", "--checkpoint", "earlier.hsz"],
+                 ["audit", "--checkpoint", "earlier.hsz"],
+                 ["map", "--checkpoint", "earlier.hsz"]):
+        code, out, err = run(capsys, argv[0], "--config", config, *argv[1:])
+        assert code == 1 and out == "", argv[0]
+        lines = err.splitlines()
+        assert len(lines) == 1, argv[0]
+        doc = json.loads(lines[0])
+        assert doc["type"] == "DimensionError", argv[0]
+        assert f"{height}x24 label raster, got (24, 24, 6)" in doc["error"], argv[0]
+    assert not (workdir / "checkpoint.hsz").exists()
+    assert not (workdir / "map.ppm").exists()
+
+    # sweep preprocesses its own cube, which here is not the labels' size
+    mixed = write_config(workdir, {"data": {"cube_path": "big_cube.hsz"}})
+    code, out, err = run(capsys, "sweep", "--config", mixed,
+                         "--axis", "heads", "--values", "1")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "DimensionError"
+    assert not (workdir / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("fractions", [
@@ -349,9 +421,19 @@ def test_runconfig_builds_model_and_train_configs():
 
 def test_runconfig_plain_pca_ablation_keeps_width():
     config = RunConfig({"mpca": {"views": 5, "components": 2, "enabled": False}})
+    assert config.mpca_shape == (1, 10)
     mc = config.model_config(num_classes=4)
     assert (mc.num_views, mc.view_components) == (1, 10)
     assert mc.input_channels == 10
+    assert RunConfig({"mpca": {"views": 5, "components": 2}}).mpca_shape == (5, 2)
+
+
+def test_runconfig_defaults_are_the_library_defaults():
+    config = RunConfig()
+    assert config.model_config(16) == ModelConfig()
+    assert config.train_config() == TrainConfig()
+    for fn in (train, stratified_split):
+        assert config.fractions == inspect.signature(fn).parameters["fractions"].default
 
 
 # -------------------------------------------------------------------- render

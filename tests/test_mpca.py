@@ -286,11 +286,11 @@ def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(bands, views
     values = (rng.normal(size=(45, 30, bands)) * 3 + 10).astype(dtype)
     values.flags.writeable = False
     components = min(3, -(-bands // views))
-    plain = (views, components) if enabled else (1, views * components)
+    shape = (views, components) if enabled else (1, views * components)
     for layout in (values, np.asfortranarray(values)):
         cube = HsiCube(values=layout)
-        want, fitted = mpca_float64_reference(mmnorm(cube).values, *plain)
-        stacked, models = preprocess(cube, views, components, enabled=enabled)
+        want, fitted = mpca_float64_reference(mmnorm(cube).values, *shape)
+        stacked, models = preprocess(cube, *shape)
         assert stacked.dtype == np.float32
         assert np.array_equal(stacked, want)
         for model, (mean, projection, eigenvalues) in zip(models, fitted, strict=True):
@@ -335,7 +335,7 @@ def test_preprocess_peak_memory(shape, views, components, enabled, bound):
     cube = HsiCube(values=rng.random(shape, dtype=np.float32))
     tracemalloc.start()
     try:
-        preprocess(cube, views, components, enabled=enabled)
+        preprocess(cube, *((views, components) if enabled else (1, views * components)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

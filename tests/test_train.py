@@ -13,7 +13,7 @@ from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
                     cross_entropy, derive_seeds, evaluate, forward, mmnorm,
                     mpca, report_from_confusion, rotation_audit,
                     stratified_split, synth_scene, train)
-from hsimvt.data import TEST, PatchSource, SplitAssignment
+from hsimvt.data import TEST, LabelMap, PatchSource
 from hsimvt.metrics import predict_coords
 
 from oracles import (adam_per_array, adam_trace_scalar, assert_flat_views, confusion_loop,
@@ -246,9 +246,13 @@ def test_train_rejects_bad_inputs():
         train(representation[:, :, :4], labels, SMALL_MODEL, config)
     with pytest.raises(DimensionError):
         train(representation[0], labels, SMALL_MODEL, config)
-    empty = SplitAssignment(assignment=np.zeros(labels.shape, dtype=np.int8), seed=0)
+    for other in (representation[:20], representation[:, 1:],
+                  np.tile(representation, (2, 1, 1))):
+        with pytest.raises(DimensionError, match="24x24 label raster"):
+            train(other, labels, SMALL_MODEL, config)
+    no_classes = LabelMap(ids=np.zeros(labels.shape, dtype=np.int64), num_classes=0)
     with pytest.raises(ConfigError, match="train split is empty"):
-        train(representation, labels, SMALL_MODEL, config, split=empty)
+        train(representation, no_classes, SMALL_MODEL, config)
 
 
 def test_train_solves_noiseless_scene():
