@@ -7,7 +7,7 @@ import csv
 
 from .data import TEST, HsiCube, LabelMap, PatchSource
 from .data import mmnorm  # noqa: F401 -- bench/spans.py traces experiments.mmnorm
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .metrics import evaluate
 from .mpca import _mpca
 from .runconfig import RunConfig
@@ -67,7 +67,8 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
 
     Each value overrides one key of ``config``. Axis names: patch_size,
     views, components, heads, train_fraction. Every value passes the
-    run config's checks before the first run starts.
+    run config's checks, and the cube must cover the label raster, before
+    the first run starts.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
@@ -75,6 +76,9 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = [_override(config, axis, value) for value in values]
+    if (cube.height, cube.width) != labels.shape:
+        raise DimensionError(f"cube is {cube.height}x{cube.width}, labels are "
+                             f"{labels.shape[0]}x{labels.shape[1]}")
     rows = []
     for value, run_config in zip(values, configs):
         report, result = run_once(cube, labels, run_config)

@@ -19,6 +19,13 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, record_op
 
+# conv2d's forward runs tap by tap (:func:`_conv2d_by_tap`) once its corner
+# tap's product takes at least this many multiply-adds; smaller products stay
+# one batched product folded by :func:`_fold`: tap by tap, their per-tap
+# calls cost more than the skipped products save, and small blocks would
+# reach BLAS kernels that round differently.
+TAP_PRODUCT_MIN = 2 ** 21
+
 
 def _taps(a: np.ndarray, kshape) -> np.ndarray:
     """Zero-padded sliding-window view of a batched (N, H, W, C) array.
@@ -125,8 +132,8 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     ktaps = (k1, k2, k3)
     cols = np.ascontiguousarray(_taps(xd, ktaps)).reshape(n * h * w, k1 * k2 * k3, c)
     wmat = kd.reshape(nk, -1)
-    out = np.matmul(wmat, cols)  # (n*h*w, nk, c): kernel-major channels
-    out += bias.data[:, None]
+    out = np.matmul(wmat, cols).reshape(n * h * w, nk * c)  # kernel-major channels
+    out += np.repeat(bias.data, c)
 
     def adjoint(go, need):
         god = go.reshape(n * h * w, nk, c)
@@ -143,13 +150,47 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return record_op(out.reshape(n, h, w, nk * c), (x, kernels, bias), adjoint)
 
 
+def _conv2d_by_tap(xd: np.ndarray, wtaps: np.ndarray, ktaps: tuple,
+                   bias: np.ndarray) -> np.ndarray:
+    """conv2d's forward with each tap multiplied only by the pixels it reaches.
+
+    Gives :func:`_fold`'s sums over the stacked tap products ``wtaps``
+    (kh*kw, C, K) without the products that land outside a patch, in the
+    same order: the centre tap over the whole grid, then every other tap
+    in row-major order, then the bias. The input is copied once to
+    spatial-major (H, W*N, C) order, where the pixels that tap t moves by
+    t - k//2 and keeps inside are one block of whole rows per patch row,
+    so each tap is one batched product on that block, added into its
+    destination box. Returns a new (N, H, W, K) array.
+    """
+    n, h, w, cin = xd.shape
+    kh, kw = ktaps
+    xs = np.ascontiguousarray(xd.transpose(1, 2, 0, 3)).reshape(h, w * n, cin)
+    centre = (kh * kw - 1) // 2
+    acc = (xs.reshape(-1, cin) @ wtaps[centre]).reshape(h, w * n, -1)
+    for tap, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
+        di, dj = i - kh // 2, j - kw // 2
+        rows, cols = h - abs(di), w - abs(dj)
+        if tap == centre or rows <= 0 or cols <= 0:
+            continue
+        r, c = max(-di, 0), max(-dj, 0) * n
+        src = xs[r:r + rows, c:c + cols * n]
+        r, c = max(di, 0), max(dj, 0) * n
+        acc[r:r + rows, c:c + cols * n] += np.matmul(src, wtaps[tap])
+    out = np.empty((n, h, w, acc.shape[2]), dtype=acc.dtype)
+    np.add(acc.reshape(h, w, n, -1).transpose(2, 0, 1, 3), bias, out=out)
+    return out
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Spatial correlation over all input channels; output (N, H, W, K).
 
     Computed on the output side, so no window of the (C-wide) input is ever
     copied: every input pixel is multiplied by each of the kh*kw kernel taps
-    and the K-wide products are folded onto the pixels they reach. The
-    backward pass takes windows of the (K-wide) output gradient instead.
+    and the K-wide products are folded onto the pixels they reach. A product
+    of at least :data:`TAP_PRODUCT_MIN` multiply-adds at its corner tap
+    skips the products that would land outside a patch, with the same bits.
+    The backward pass takes windows of the (K-wide) output gradient instead.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -171,8 +212,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     # Kernel tap t reads the pixel t - k//2 away, so its product must move the
     # other way: _fold moves stacked tap t by t - k//2, hence the flip.
     wtaps = kd[:, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(kh * kw, cin, nk)
-    out = _fold(np.matmul(xm, wtaps).reshape(ktaps + (n, h, w, nk)), ktaps)
-    out += bias.data
+    if n * max(h - kh // 2, 0) * max(w - kw // 2, 0) * cin * nk >= TAP_PRODUCT_MIN:
+        out = _conv2d_by_tap(xd, wtaps, ktaps, bias.data)
+    else:
+        out = _fold(np.matmul(xm, wtaps).reshape(ktaps + (n, h, w, nk)), ktaps)
+        out += bias.data
 
     def adjoint(go, need):
         gcols = np.ascontiguousarray(_taps(go, ktaps)).reshape(-1, kh * kw * nk)

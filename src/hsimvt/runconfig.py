@@ -87,6 +87,7 @@ class RunConfig:
         if not all(math.isfinite(v) and v >= 0 for v in fr):
             raise ConfigError(f"train.fractions must be finite and non-negative, got {fr}")
         self.doc = merged
+        self.train_config()  # TrainConfig checks the other train values
 
     @classmethod
     def load(cls, path=None) -> "RunConfig":
@@ -98,6 +99,8 @@ class RunConfig:
                 doc = json.load(f)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+            except RecursionError:
+                raise ConfigError(f"{path}: JSON nested too deeply") from None
         return cls(doc)
 
     def __getitem__(self, section: str) -> dict:

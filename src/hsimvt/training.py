@@ -8,6 +8,7 @@ one can be reproduced in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative (0 freezes parameters)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and non-negative "
+                              f"(0 freezes parameters), got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

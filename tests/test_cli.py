@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (ConfigError, ModelConfig, RunConfig, TrainConfig, class_palette, hsz,
-                    render_class_map, stratified_split, train, write_ppm)
+from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainConfig,
+                    class_palette, experiments, hsz, render_class_map, stratified_split,
+                    synth_scene, train, write_ppm)
 from hsimvt.cli import main
 from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
@@ -238,6 +239,57 @@ def test_errors_are_json_on_stderr(workdir, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["type"] == "ConfigError"
+
+
+def _one_json_error(capsys, *argv):
+    """Run a command that must fail; return its one stderr line, parsed."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", argv
+    lines = err.splitlines()
+    assert len(lines) == 1, argv
+    return json.loads(lines[0])
+
+
+def test_negative_seed_exits_with_one_json_line(workdir, capsys):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", good)
+    assert run(capsys, "train", "--config", good)[0] == 0
+    negative = write_config(workdir, {"train": {"seed": -1}})
+    for command in ("train", "eval"):
+        doc = _one_json_error(capsys, command, "--config", negative)
+        assert doc["type"] == "ConfigError" and "seed" in doc["error"], command
+    assert (workdir / "checkpoint.hsz").exists()  # the refused train removed nothing
+
+
+@pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_learning_rate_is_a_config_error(workdir, capsys, lr):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", good)
+    # json.load accepts these three tokens as floats
+    config = write_config(workdir, {"train": {"lr": float(lr)}})
+    doc = _one_json_error(capsys, "train", "--config", config)
+    assert doc["type"] == "ConfigError" and "learning_rate" in doc["error"]
+
+
+def test_deeply_nested_config_exits_with_one_json_line(workdir, capsys):
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    doc = _one_json_error(capsys, "eval", "--config", str(deep))
+    assert doc["type"] == "ConfigError" and "nested" in doc["error"]
+
+
+def test_sweep_refuses_a_cube_of_another_size_before_preprocessing(workdir, monkeypatch):
+    small = synth_scene(seed=0, height=12, width=10, bands=8, num_classes=3, noise_sigma=0.1)
+    big = synth_scene(seed=0, height=14, width=10, bands=8, num_classes=3, noise_sigma=0.1)
+
+    def preprocess(*args):
+        raise AssertionError("sweep preprocessed a cube that does not fit the labels")
+
+    monkeypatch.setattr(experiments, "preprocess", preprocess)
+    with pytest.raises(DimensionError, match="cube is 14x10, labels are 12x10"):
+        experiments.sweep(big[0], small[1], RunConfig(CONFIG), "heads", [1])
 
 
 def test_each_command_reads_only_its_own_inputs(workdir, capsys):

@@ -1,12 +1,15 @@
 """Forward semantics of the tensor ops against loop-level oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import ConfigError, DimensionError, Tensor
+from hsimvt import ConfigError, DimensionError, ModelConfig, ModelParams, Tensor
 from hsimvt import ops
+from hsimvt.model import forward
 
 from oracles import attention_longdouble, conv2d_loop, conv3d_loop
 
@@ -85,6 +88,11 @@ def test_conv3d_rejects_bad_bias_and_rank():
                    Tensor(np.zeros(2)))
 
 
+# ops.TAP_PRODUCT_MIN values that send every conv2d forward tap by tap, then
+# every one through the fold.
+CONV2D_THRESHOLDS = (0, math.inf)
+
+
 @pytest.mark.parametrize("shape,kshape", [
     ((5, 5, 3), (4, 3, 3, 3)),
     ((4, 6, 2), (1, 1, 3, 2)),
@@ -92,30 +100,89 @@ def test_conv3d_rejects_bad_bias_and_rank():
     ((5, 5, 240), (40, 3, 3, 240)),  # the SED's conv2a
     ((2, 2, 3), (2, 7, 7, 3)),  # kernel reaches past the far edge
 ])
-def test_conv2d_matches_loop_oracle(shape, kshape):
+def test_conv2d_matches_loop_oracle(monkeypatch, shape, kshape):
     rng = np.random.default_rng(5)
     x = rng.normal(size=shape)
     kernels = rng.normal(size=kshape)
     bias = rng.normal(size=kshape[0])
-    out = ops.conv2d(Tensor(x[None]), Tensor(kernels), Tensor(bias))
     want = conv2d_loop(x, kernels, bias)
-    assert out.data.shape == (1, shape[0], shape[1], kshape[0])
-    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
+    for threshold in CONV2D_THRESHOLDS:
+        monkeypatch.setattr(ops, "TAP_PRODUCT_MIN", threshold)
+        out = ops.conv2d(Tensor(x[None]), Tensor(kernels), Tensor(bias))
+        assert out.data.shape == (1, shape[0], shape[1], kshape[0])
+        np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
-def test_conv2d_interleaved_shapes_match_loop_oracle():
-    """Two batch sizes and two kernel sizes, run alternately twice: each
-    call must fold with the plan for its own shape, not the last one's."""
+def test_conv2d_interleaved_shapes_match_loop_oracle(monkeypatch):
+    """Two batch sizes and two kernel sizes, run alternately twice on each
+    path: each call must fold with the plan for its own shape, not the
+    last one's."""
     rng = np.random.default_rng(12)
     cases = [(n, k) for n in (1, 3) for k in (3, 5)]
-    for n, k in cases + cases[::-1]:
-        x = rng.normal(size=(n, 5, 4, 3))
-        kernels = rng.normal(size=(2, k, k, 3))
-        bias = rng.normal(size=2)
-        out = ops.conv2d(Tensor(x), Tensor(kernels), Tensor(bias)).data
-        assert out.shape == (n, 5, 4, 2)
-        for i in range(n):
-            np.testing.assert_allclose(out[i], conv2d_loop(x[i], kernels, bias), atol=1e-12)
+    for threshold in CONV2D_THRESHOLDS:
+        monkeypatch.setattr(ops, "TAP_PRODUCT_MIN", threshold)
+        for n, k in cases + cases[::-1]:
+            x = rng.normal(size=(n, 5, 4, 3))
+            kernels = rng.normal(size=(2, k, k, 3))
+            bias = rng.normal(size=2)
+            out = ops.conv2d(Tensor(x), Tensor(kernels), Tensor(bias)).data
+            assert out.shape == (n, 5, 4, 2)
+            for i in range(n):
+                np.testing.assert_allclose(out[i], conv2d_loop(x[i], kernels, bias),
+                                           atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("layer", ["sed.conv2a", "sed.conv2b"])
+def test_conv2d_paths_agree_bit_for_bit_on_the_sed_shapes(monkeypatch, layer, n):
+    config = ModelConfig()
+    kshape = ModelParams.expected_shapes(config)[f"{layer}.kernels"]
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(n, config.patch_size, config.patch_size, kshape[3]))
+               .astype(np.float32))
+    kernels = Tensor(rng.normal(size=kshape).astype(np.float32))
+    bias = Tensor(rng.normal(size=kshape[0]).astype(np.float32))
+    outs = []
+    for threshold in CONV2D_THRESHOLDS:
+        monkeypatch.setattr(ops, "TAP_PRODUCT_MIN", threshold)
+        outs.append(ops.conv2d(x, kernels, bias).data)
+    assert outs[0].dtype == np.float32
+    np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def _conv2d_paths_taken(monkeypatch, config, n, dtype):
+    """Which path each conv2d forward of one model forward took, in order."""
+    taken = []
+    by_tap, conv2d = ops._conv2d_by_tap, ops.conv2d
+
+    def spy_by_tap(*args):
+        taken[-1] = "by_tap"
+        return by_tap(*args)
+
+    def spy_conv2d(*args):
+        taken.append("fold")
+        return conv2d(*args)
+
+    monkeypatch.setattr(ops, "_conv2d_by_tap", spy_by_tap)
+    monkeypatch.setattr(ops, "conv2d", spy_conv2d)
+    params = ModelParams.initialize(config, seed=0, dtype=dtype)
+    size = (n, config.patch_size, config.patch_size, config.input_channels)
+    forward(Tensor(np.zeros(size, dtype=dtype)), params)
+    return taken
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_default_sed_convs_run_tap_by_tap(monkeypatch, n):
+    assert _conv2d_paths_taken(monkeypatch, ModelConfig(), n, np.float32) == \
+        ["by_tap", "by_tap"]
+
+
+def test_gradcheck_toy_convs_fold(monkeypatch):
+    # Criterion 01's toy model at its gradient-check batch of 2, in float64.
+    toy = ModelConfig(patch_size=3, num_views=4, view_components=2, encoder_kernels=2,
+                      squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
+                      num_classes=3)
+    assert _conv2d_paths_taken(monkeypatch, toy, 2, np.float64) == ["fold", "fold"]
 
 
 def test_conv2d_rejects_channel_mismatch():

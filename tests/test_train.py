@@ -160,6 +160,18 @@ def test_train_config_validation():
     TrainConfig(learning_rate=0.0)  # explicitly allowed: freezes parameters
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_a_non_finite_learning_rate(lr):
+    with pytest.raises(ConfigError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
+    TrainConfig(seed=0)
+
+
 def test_derive_seeds_distinct_and_stable():
     a = derive_seeds(0)
     assert a == derive_seeds(0)
