@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HsimvtError, OSError) as exc:
+    except (HsimvtError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
               file=sys.stderr)
         return 1

@@ -247,38 +247,71 @@ class PatchSource:
         return batch
 
 
+# float64 bytes of one synth_scene row block. On the bench scene shapes,
+# blocks of 2**18 to 2**22 bytes time within noise of one another, all close
+# to the whole-cube normal draw alone; at 2**21 the traced peak stays within
+# 1.3x the float32 cube, and a 128x128x16 scene is one block.
+_SYNTH_BLOCK_BYTES = 2 ** 21
+
+
 def synth_scene(seed: int, height: int, width: int, bands: int, num_classes: int,
                 noise_sigma: float) -> tuple[HsiCube, LabelMap]:
     """Voronoi-region scene with one Gaussian-bump spectrum per class.
 
     Class k (1-based) peaks at band (k - 0.5) * B / K with spread B / (4K);
     pixel values are the class spectrum plus N(0, noise_sigma) noise.
+
+    The float32 cube is filled in blocks of whole rows. Each block draws its
+    noise from the one generator in turn, which consumes the stream exactly
+    as one whole-cube draw does, so every element is the same float64
+    ``spectrum + noise_sigma * z`` before the cast.
     """
     if num_classes < 2:
         raise ConfigError("synthetic scene needs at least 2 classes")
     if bands < num_classes:
         raise ConfigError(f"need bands >= classes, got {bands} < {num_classes}")
+    if height < 1 or width < 1:
+        raise ConfigError(f"scene must be at least 1x1 pixels, got {height}x{width}")
     if num_classes > height * width:
         raise ConfigError(f"{num_classes} classes cannot fit {height * width} pixels")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     sites = rng.choice(height * width, size=num_classes, replace=False)
     site_rows = sites // width
     site_cols = sites % width
-
-    rows = np.arange(height)[:, None]
-    cols = np.arange(width)[None, :]
-    dist2 = (rows[..., None] - site_rows) ** 2 + (cols[..., None] - site_cols) ** 2
-    ids = dist2.argmin(axis=2).astype(np.int64) + 1
+    col_dist2 = (np.arange(width)[:, None] - site_cols) ** 2  # (W, K)
 
     band_axis = np.arange(bands, dtype=np.float64)
     centers = (np.arange(1, num_classes + 1) - 0.5) * bands / num_classes
     spread = bands / (4.0 * num_classes)
     spectra = np.exp(-((band_axis[None, :] - centers[:, None]) ** 2) / (2.0 * spread ** 2))
 
-    values = spectra[ids - 1].astype(np.float64)
-    if noise_sigma > 0:
-        values = values + noise_sigma * rng.standard_normal(values.shape)
-    cube = HsiCube(values=values.astype(np.float32), name=f"synth-{seed}")
-    labels = LabelMap(ids=ids, num_classes=num_classes)
-    return cube, labels
+    values = np.empty((height, width, bands), dtype=np.float32)
+    ids = np.empty((height, width), dtype=np.int64)
+    block_rows = max(1, _SYNTH_BLOCK_BYTES // (width * bands * 8))
+    noise = np.empty((min(block_rows, height), width, bands)) if noise_sigma > 0 else None
+    lows, highs = [], []
+    for r0 in range(0, height, block_rows):
+        r1 = min(r0 + block_rows, height)
+        row_dist2 = (np.arange(r0, r1)[:, None] - site_rows) ** 2  # (rows, K)
+        block_ids = (row_dist2[:, None, :] + col_dist2).argmin(axis=2) + 1
+        ids[r0:r1] = block_ids
+        block = values[r0:r1]
+        if noise is None:
+            block[...] = spectra[block_ids - 1]
+        else:
+            z = rng.standard_normal(out=noise[:r1 - r0])
+            z *= noise_sigma
+            # the float64 sum, cast to float32 as it is stored
+            np.add(spectra[block_ids - 1], z, out=block, casting="same_kind")
+        lows.append(block.min())
+        highs.append(block.max())
+    name = f"synth-{seed}"
+    lo, hi = min(lows), max(highs)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DegenerateInputError(f"cube {name!r} contains non-finite values")
+    return HsiCube._checked(values, name, (lo, hi)), LabelMap(ids=ids, num_classes=num_classes)

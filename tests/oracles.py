@@ -286,3 +286,31 @@ def confusion_loop(true_ids, predicted_ids, num_classes):
     for t, p in zip(true_ids, predicted_ids):
         out[t - 1, p - 1] += 1
     return out
+
+
+def synth_scene_reference(seed, height, width, bands, num_classes, noise_sigma):
+    """Whole-array synthetic scene: (float32 values, int64 ids) in one draw.
+
+    Every intermediate is a full-scene array: an (H, W, K) distance array,
+    the gathered float64 spectra and one standard_normal draw of the whole
+    cube.
+    """
+    rng = np.random.default_rng(seed)
+    sites = rng.choice(height * width, size=num_classes, replace=False)
+    site_rows = sites // width
+    site_cols = sites % width
+
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    dist2 = (rows[..., None] - site_rows) ** 2 + (cols[..., None] - site_cols) ** 2
+    ids = dist2.argmin(axis=2).astype(np.int64) + 1
+
+    band_axis = np.arange(bands, dtype=np.float64)
+    centers = (np.arange(1, num_classes + 1) - 0.5) * bands / num_classes
+    spread = bands / (4.0 * num_classes)
+    spectra = np.exp(-((band_axis[None, :] - centers[:, None]) ** 2) / (2.0 * spread ** 2))
+
+    values = spectra[ids - 1].astype(np.float64)
+    if noise_sigma > 0:
+        values = values + noise_sigma * rng.standard_normal(values.shape)
+    return values.astype(np.float32), ids

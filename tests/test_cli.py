@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainConfig,
                     class_palette, experiments, hsz, render_class_map, stratified_split,
                     synth_scene, train, write_ppm)
+from hsimvt import cli
 from hsimvt.cli import main
 from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
@@ -271,6 +272,23 @@ def test_non_finite_learning_rate_is_a_config_error(workdir, capsys, lr):
     config = write_config(workdir, {"train": {"lr": float(lr)}})
     doc = _one_json_error(capsys, "train", "--config", config)
     assert doc["type"] == "ConfigError" and "learning_rate" in doc["error"]
+
+
+@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--noise", "nan"),
+                                        ("--noise", "inf"), ("--seed", "-1")])
+def test_bad_synth_inputs_exit_with_one_json_line(workdir, capsys, flag, value):
+    doc = _one_json_error(capsys, "synth", *SCENE, flag, value, "--out", "scene")
+    assert doc["type"] == "ConfigError" and flag.strip("-") in doc["error"]
+    assert not (workdir / "scene").exists()  # refused before anything was written
+
+
+def test_memory_error_exits_with_one_json_line(workdir, capsys, monkeypatch):
+    def out_of_memory(**kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for the cube")
+
+    monkeypatch.setattr(cli, "synth_scene", out_of_memory)
+    doc = _one_json_error(capsys, "synth", *SCENE)
+    assert doc == {"error": "Unable to allocate 1.00 TiB for the cube", "type": "MemoryError"}
 
 
 def test_deeply_nested_config_exits_with_one_json_line(workdir, capsys):

@@ -1,5 +1,8 @@
 """Cube/label containers, normalization, splits, patches, synthetic scenes."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,10 @@ from hypothesis import strategies as st
 from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
                     LabelMap, load_cube, load_labels, mmnorm, rotate180,
                     save_cube, save_labels, stratified_split, synth_scene)
+from hsimvt import data
 from hsimvt.data import TEST, TRAIN, VAL, PatchSource
 
-from oracles import extract_patch, stratified_split_loop
+from oracles import extract_patch, stratified_split_loop, synth_scene_reference
 
 
 def test_cube_validation():
@@ -285,13 +289,74 @@ def test_synth_scene_deterministic_and_noise_seeded():
     assert (a[0].values != c[0].values).any()
 
 
-def test_synth_scene_rejects_bad_requests():
-    with pytest.raises(ConfigError):
-        synth_scene(seed=0, height=8, width=8, bands=6, num_classes=1, noise_sigma=0.0)
-    with pytest.raises(ConfigError):
-        synth_scene(seed=0, height=8, width=8, bands=3, num_classes=4, noise_sigma=0.0)
-    with pytest.raises(ConfigError):
-        synth_scene(seed=0, height=2, width=2, bands=8, num_classes=5, noise_sigma=0.0)
+def test_synth_scene_rejects_bad_requests(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a refused request must draw nothing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    good = dict(seed=0, height=8, width=8, bands=6, num_classes=2, noise_sigma=0.1)
+    for bad, match in (({"num_classes": 1}, "2 classes"),
+                       ({"bands": 3, "num_classes": 4}, "bands"),
+                       ({"height": 2, "width": 2, "num_classes": 5}, "cannot fit"),
+                       ({"height": -3, "width": -3}, "1x1"),
+                       ({"width": 0}, "1x1"),
+                       ({"noise_sigma": -1.0}, "noise sigma"),
+                       ({"noise_sigma": float("nan")}, "noise sigma"),
+                       ({"noise_sigma": float("inf")}, "noise sigma"),
+                       ({"seed": -1}, "seed")):
+        with pytest.raises(ConfigError, match=match):
+            synth_scene(**{**good, **bad})
+
+
+def _block_rows(width, bands):
+    return data._SYNTH_BLOCK_BYTES // (width * bands * 8)
+
+
+@pytest.mark.parametrize("height,width,bands,classes,sigma", [
+    (610, 340, 103, 9, 0.5),      # map-pavia's scene
+    (145, 145, 200, 16, 0.5),     # train-ip's scene
+    (128, 128, 16, 3, 0.1),       # gradcheck-toy's scene, one block
+    (2 * _block_rows(145, 200) + 5, 145, 200, 4, 0.3),   # a short last block
+    (1, 50, 12, 3, 0.2),          # one row
+    (7, 5, 4, 2, 0.0),            # noise-free, one block
+    (2 * _block_rows(145, 200) + 5, 145, 200, 4, 0.0),   # noise-free, several blocks
+])
+def test_synth_scene_matches_the_whole_array_reference(height, width, bands, classes, sigma):
+    cube, labels = synth_scene(seed=5, height=height, width=width, bands=bands,
+                               num_classes=classes, noise_sigma=sigma)
+    values, ids = synth_scene_reference(5, height, width, bands, classes, sigma)
+    assert cube.values.dtype == values.dtype and cube.values.tobytes() == values.tobytes()
+    assert labels.ids.dtype == ids.dtype and labels.ids.tobytes() == ids.tobytes()
+    lo, hi = cube.value_range
+    assert (lo, hi) == (values.min(), values.max())
+    assert (lo.dtype, hi.dtype) == (values.dtype, values.dtype)
+    assert cube.name == "synth-5"
+
+
+def test_synth_scene_golden_path_digest():
+    # sha256 of the README golden-path scene, taken from the whole-array generator
+    cube, labels = synth_scene(seed=0, height=64, width=64, bands=40, num_classes=5,
+                               noise_sigma=0.01)
+    assert hashlib.sha256(cube.values.tobytes()).hexdigest() == (
+        "2e0c29c1fb213246d5bb5d997adc145d37bfa270912034f1467d38c1bd1257a8")
+    assert hashlib.sha256(labels.ids.tobytes()).hexdigest() == (
+        "ee3a607db4f9e73d57bd6439e7ea472e508eb8139f709f71b9b34ed73dd6a00c")
+
+
+@pytest.mark.parametrize("shape,classes", [
+    ((145, 145, 200), 16),   # whole-array generator: 4.17x; row blocks: 1.27x
+    ((610, 340, 103), 9),    # whole-array generator: 4.20x; row blocks: 1.07x
+])
+def test_synth_scene_peak_memory(shape, classes):
+    height, width, bands = shape
+    tracemalloc.start()
+    try:
+        cube, _ = synth_scene(seed=7, height=height, width=width, bands=bands,
+                              num_classes=classes, noise_sigma=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cube.values.nbytes
 
 
 def test_file_round_trips(tmp_path):
