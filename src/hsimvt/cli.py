@@ -17,14 +17,14 @@ import numpy as np
 
 from . import hsz
 from .data import (TEST, LabelMap, PatchSource, load_cube, load_labels,
-                   save_cube, save_labels, stratified_split, synth_scene)
+                   save_cube, save_labels, synth_scene)
 from .errors import CompatibilityError, ConfigError, HsimvtError
 from .experiments import preprocess, sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
 from .model import load_params, save_params
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
-from .training import derive_seeds, train
+from .training import derive_split, train
 
 REPRESENTATION_FILE = "representation.hsz"
 CHECKPOINT_FILE = "checkpoint.hsz"
@@ -84,9 +84,7 @@ def _scoring_inputs(config: RunConfig, checkpoint):
 
 def _test_set(config: RunConfig, labels: LabelMap):
     """Re-derive the (deterministic) split and return the test coordinates."""
-    split_seed = derive_seeds(config["train"]["seed"])[0]
-    split = stratified_split(labels, fractions=config.fractions, seed=split_seed)
-    coords = split.coords(TEST)
+    coords = derive_split(labels, config.fractions, config["train"]["seed"]).coords(TEST)
     true_ids = labels.ids[coords[:, 0], coords[:, 1]]
     return coords, true_ids
 

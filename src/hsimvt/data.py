@@ -76,13 +76,15 @@ class LabelMap:
     def __post_init__(self):
         if self.ids.ndim != 2:
             raise DimensionError(f"label map must be 2-D, got {self.ids.shape}")
+        if self.ids.min(initial=0) < 0:
+            raise ConfigError(f"label id {int(self.ids.min())} is negative; 0 marks unlabeled")
         if self.ids.max(initial=0) > self.num_classes:
             raise ConfigError(
                 f"label id {int(self.ids.max())} exceeds declared class count {self.num_classes}")
-        present = np.unique(self.ids)
-        for c in range(1, self.num_classes + 1):
-            if c not in present:
-                raise ConfigError(f"class {c} has no labeled pixels")
+        missing = np.flatnonzero(np.bincount(self.ids.reshape(-1),
+                                             minlength=self.num_classes + 1)[1:] == 0)
+        if missing.size:
+            raise ConfigError(f"class {missing[0] + 1} has no labeled pixels")
 
     @property
     def shape(self):
@@ -104,10 +106,10 @@ def save_cube(cube: HsiCube, path):
     hsz.write_cube_raster(path, cube.values)
 
 
-def load_cube(path, name: str = "") -> HsiCube:
-    """Read a cube file; its values are a read-only view of the file's bytes."""
+def load_cube(path) -> HsiCube:
+    """Read a cube file, named by its path; its values are a read-only view of its bytes."""
     values, _ = hsz.read_cube_raster(path)
-    return HsiCube(values=values, name=name or str(path))
+    return HsiCube(values=values, name=str(path))
 
 
 def save_labels(labels: LabelMap, path):
@@ -165,7 +167,6 @@ class SplitAssignment:
     assignment: np.ndarray
     seed: int
     fractions: tuple = (0.05, 0.05, 0.90)
-    warnings_issued: list = field(default_factory=list)
 
     def coords(self, which: int):
         """Row-major (h, w) coordinates assigned to one split."""
@@ -196,22 +197,19 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
     rng = np.random.default_rng(seed)
     assignment = np.zeros(labels.shape, dtype=np.int8)
     flat = assignment.reshape(-1)
-    issued = []
     for c in range(1, labels.num_classes + 1):
         pixels = np.flatnonzero(labels.ids == c)  # row-major
         n = len(pixels)
         if n < 3:
-            msg = f"class {c} has only {n} labeled pixels; assigning train first, then val"
-            warnings.warn(msg)
-            issued.append(msg)
+            warnings.warn(f"class {c} has only {n} labeled pixels; "
+                          "assigning train first, then val")
         pixels = pixels[rng.permutation(n)]
         n_train = min(n, max(1, _round_half_up(f_train * n)))
         n_val = min(n - n_train, max(1, _round_half_up(f_val * n))) if f_val > 0 else 0
         flat[pixels[n_train + n_val:]] = TEST
         flat[pixels[n_train:n_train + n_val]] = VAL
         flat[pixels[:n_train]] = TRAIN
-    return SplitAssignment(assignment=assignment, seed=seed, fractions=tuple(fractions),
-                           warnings_issued=issued)
+    return SplitAssignment(assignment=assignment, seed=seed, fractions=tuple(fractions))
 
 
 def rotate180(values: np.ndarray) -> np.ndarray:
@@ -231,8 +229,6 @@ class PatchSource:
             raise DimensionError(f"raster must be (H,W,C), got {raster.shape}")
         if patch_size < 1 or patch_size % 2 == 0:
             raise ConfigError(f"patch size must be odd and >= 1, got {patch_size}")
-        self.patch_size = patch_size
-        self.height, self.width, self.channels = raster.shape
         margin = patch_size // 2
         padded = np.pad(raster, ((margin, margin), (margin, margin), (0, 0)))
         # windows[h, w] covers source rows h-margin..h+margin after padding

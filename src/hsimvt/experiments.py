@@ -9,7 +9,7 @@ from .data import TEST, HsiCube, LabelMap, PatchSource
 from .data import mmnorm  # noqa: F401 -- bench/spans.py traces experiments.mmnorm
 from .errors import ConfigError, DimensionError
 from .metrics import evaluate
-from .mpca import _mpca
+from .mpca import _mpca, mpca_spec
 from .runconfig import RunConfig
 from .training import train
 
@@ -66,9 +66,9 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     """Train and test once per value of one axis; everything else held fixed.
 
     Each value overrides one key of ``config``. Axis names: patch_size,
-    views, components, heads, train_fraction. Every value passes the
-    run config's checks, and the cube must cover the label raster, before
-    the first run starts.
+    views, components, heads, train_fraction. Before the first run starts,
+    the cube must cover the label raster, and every value must pass the
+    run config's checks and give a valid model and MPCA shape.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
@@ -79,6 +79,9 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     if (cube.height, cube.width) != labels.shape:
         raise DimensionError(f"cube is {cube.height}x{cube.width}, labels are "
                              f"{labels.shape[0]}x{labels.shape[1]}")
+    for run_config in configs:
+        run_config.model_config(labels.num_classes)
+        mpca_spec(cube.bands, *run_config.mpca_shape)
     rows = []
     for value, run_config in zip(values, configs):
         report, result = run_once(cube, labels, run_config)

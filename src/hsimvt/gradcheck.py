@@ -34,7 +34,7 @@ class GradCheckReport:
 
 
 def check_gradients(model_fn, params, tolerance: float = 1e-4,
-                    epsilon: float = 1e-4, denom_floor: float = 1e-6) -> GradCheckReport:
+                    epsilon: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of ``model_fn()`` with central differences.
 
     ``model_fn`` must be deterministic, take no arguments, read the current
@@ -75,7 +75,8 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
             flat[i] = orig
             fd_flat[i] = (f_plus - f_minus) / (2.0 * epsilon)
         a = analytic[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), denom_floor)
+        # where both gradients are below 1e-6 the error is absolute, not relative to ~0
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
         rel = float((np.abs(a - fd) / denom).max()) if a.size else 0.0
         report.per_param[name] = rel
         if rel >= tolerance:

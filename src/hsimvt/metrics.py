@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +10,9 @@ from .data import PatchSource
 from .errors import DimensionError, UsageError
 from .model import ModelParams, forward, predict
 from .tensor import Tensor
+
+# Patches per scoring forward pass; predictions do not depend on it. 256 ran fastest of 64..1024.
+_SCORING_BATCH = 256
 
 
 @dataclass
@@ -35,9 +37,6 @@ class MetricsReport:
             "counts": self.counts,
             "confusion": self.confusion.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def confusion_matrix(true_ids, predicted_ids, num_classes: int) -> np.ndarray:
@@ -76,11 +75,11 @@ def report_from_confusion(confusion: np.ndarray) -> MetricsReport:
 
 
 def predict_coords(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                   batch_size: int = 256, rotate: bool = False) -> np.ndarray:
+                   rotate: bool = False) -> np.ndarray:
     """Predicted 1-based class ids for each (h, w) center, in coords order."""
     out = np.empty(len(coords), dtype=np.int64)
-    for lo in range(0, len(coords), batch_size):
-        chunk = coords[lo:lo + batch_size]
+    for lo in range(0, len(coords), _SCORING_BATCH):
+        chunk = coords[lo:lo + _SCORING_BATCH]
         patches = Tensor(source.gather(chunk, rotate=rotate))
         logits = forward(patches, params)
         out[lo:lo + len(chunk)] = predict(logits.data)
@@ -88,11 +87,9 @@ def predict_coords(params: ModelParams, source: PatchSource, coords: np.ndarray,
 
 
 def evaluate(params: ModelParams, source: PatchSource, coords: np.ndarray,
-             true_ids: np.ndarray, batch_size: int = 256,
-             rotate: bool = False) -> MetricsReport:
+             true_ids: np.ndarray, rotate: bool = False) -> MetricsReport:
     """Score one pixel set. Pure: same params and pixels give the same report."""
-    predicted = predict_coords(params, source, coords, batch_size=batch_size,
-                               rotate=rotate)
+    predicted = predict_coords(params, source, coords, rotate=rotate)
     confusion = confusion_matrix(true_ids, predicted, params.config.num_classes)
     return report_from_confusion(confusion)
 
@@ -120,16 +117,12 @@ class RotationAudit:
             "delta_aa": self.delta_aa,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def rotation_audit(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                   true_ids: np.ndarray, batch_size: int = 256) -> RotationAudit:
+                   true_ids: np.ndarray) -> RotationAudit:
     """Evaluate the identical pixels twice: raw, and rotated 180 degrees."""
-    raw = evaluate(params, source, coords, true_ids, batch_size=batch_size)
-    rotated = evaluate(params, source, coords, true_ids, batch_size=batch_size,
-                       rotate=True)
+    raw = evaluate(params, source, coords, true_ids)
+    rotated = evaluate(params, source, coords, true_ids, rotate=True)
     if raw.counts != rotated.counts:
         raise UsageError("rotation audit evaluated different pixel sets")
     return RotationAudit(raw=raw, rotated=rotated)

@@ -24,7 +24,6 @@ class ViewSpec:
 
     num_views: int          # g
     num_groups: int         # M = ceil(B / g)
-    original_bands: int     # B
 
     @property
     def padded_bands(self) -> int:
@@ -42,9 +41,15 @@ def view_spec(num_bands: int, num_views: int) -> ViewSpec:
         raise ConfigError(f"need at least 1 view, got {num_views}")
     if num_views > num_bands:
         raise ConfigError(f"cannot build {num_views} views from {num_bands} bands")
-    return ViewSpec(num_views=num_views,
-                    num_groups=math.ceil(num_bands / num_views),
-                    original_bands=num_bands)
+    return ViewSpec(num_views=num_views, num_groups=math.ceil(num_bands / num_views))
+
+
+def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
+    """:func:`view_spec`, also checking that 1 <= ``components`` <= bands per view."""
+    spec = view_spec(num_bands, num_views)
+    if not 1 <= components <= spec.num_groups:
+        raise ConfigError(f"components must be in 1..{spec.num_groups}, got {components}")
+    return spec
 
 
 def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
@@ -190,7 +195,7 @@ def _mpca(cube: HsiCube, num_views: int, components: int, normalize: bool):
     ``fit_pca``/``transform_view`` on :func:`build_views`' rasters, so the
     bits are theirs.
     """
-    groups = view_spec(cube.bands, num_views).num_groups
+    groups = mpca_spec(cube.bands, num_views, components).num_groups
     norm = mmnorm_scalars(cube) if normalize else None
     dtype = norm[1].dtype if normalize else cube.values.dtype
     view = np.empty((cube.height, cube.width, groups), dtype=dtype)

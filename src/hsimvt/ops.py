@@ -301,15 +301,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.data + b.data, (a, b), lambda go, need: (go, go))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
-    return record_op(a.data * b.data, (a, b), lambda go, need: (
-        go * b.data if need[0] else None,
-        go * a.data if need[1] else None))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     return record_op(x.data.reshape(tuple(shape)), (x,),
                      lambda go, need: (go.reshape(x.data.shape),))
@@ -379,7 +370,3 @@ def tile_vector(v: Tensor, n: int) -> Tensor:
     return record_op(np.ascontiguousarray(np.broadcast_to(vd, (n, 1, vd.shape[0]))), (v,),
                      lambda go, need: (go.sum(axis=(0, 1)),))
 
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    return record_op(x.data.sum(), (x,), lambda go, need: (np.full_like(x.data, go),))

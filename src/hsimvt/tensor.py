@@ -27,8 +27,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
@@ -45,11 +45,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -94,12 +89,15 @@ def record_op(value, inputs, adjoint) -> Tensor:
         for t, wanted, g in zip(inputs, need, adjoint(go, need)):
             if not wanted:
                 continue
-            if t.grad is None and isinstance(g, np.ndarray) and g.shape == t.data.shape \
+            if t.grad is not None:
+                t.grad += g
+            elif isinstance(g, np.ndarray) and g.shape == t.data.shape \
                     and g.dtype == t.data.dtype \
                     and not any(np.may_share_memory(g, h) for h in given):
                 t.grad = g
             else:
-                t.accumulate_grad(g)
+                t.grad = np.zeros_like(t.data)
+                t.grad += g
             given.append(g)
 
     graph.record(backward)

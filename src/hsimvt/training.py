@@ -9,7 +9,7 @@ one can be reproduced in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,15 @@ from .metrics import predict_coords
 from .model import ModelConfig, ModelParams, forward
 from .tensor import GradGraph, Tensor, record_op
 
+# Adam's moment decay rates and denominator guard (the usual defaults).
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
     batch_size: int = 64
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -38,10 +38,6 @@ class TrainConfig:
                               f"(0 freezes parameters), got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("Adam betas must lie in [0, 1)")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -97,14 +93,13 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
         raise UsageError(f"Adam step index must be >= 1, got {t}")
     if grads.shape != values.shape:
         raise DimensionError(f"gradient has shape {grads.shape}, parameters {values.shape}")
-    b1, b2 = config.beta1, config.beta2
     m, v = state.first, state.second
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * (grads * grads)
-    values -= config.learning_rate * ((m / (1.0 - b1 ** t))
-                                      / (np.sqrt(v / (1.0 - b2 ** t)) + config.epsilon))
+    m *= _BETA1
+    m += (1.0 - _BETA1) * grads
+    v *= _BETA2
+    v += (1.0 - _BETA2) * (grads * grads)
+    values -= config.learning_rate * ((m / (1.0 - _BETA1 ** t))
+                                      / (np.sqrt(v / (1.0 - _BETA2 ** t)) + _EPSILON))
 
 
 @dataclass
@@ -114,13 +109,17 @@ class TrainResult:
     best_epoch: int
     best_val_oa: float
     split: SplitAssignment
-    final_params: ModelParams = field(repr=False, default=None)
 
 
 def derive_seeds(master_seed: int):
     """(split_seed, init_seed, shuffle_seed) fanned out from one master seed."""
     state = np.random.SeedSequence(master_seed).generate_state(3)
     return int(state[0]), int(state[1]), int(state[2])
+
+
+def derive_split(labels: LabelMap, fractions, master_seed: int) -> SplitAssignment:
+    """The split that :func:`train` draws for ``master_seed``, seeded by its split stream."""
+    return stratified_split(labels, fractions=fractions, seed=derive_seeds(master_seed)[0])
 
 
 # A diverging run overflows; that is reported once, as DivergenceError,
@@ -144,8 +143,8 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
         raise DimensionError(
             f"representation has {representation.shape[2]} channels, model config "
             f"implies {model_config.input_channels}")
-    split_seed, init_seed, shuffle_seed = derive_seeds(train_config.seed)
-    split = stratified_split(labels, fractions=fractions, seed=split_seed)
+    _, init_seed, shuffle_seed = derive_seeds(train_config.seed)
+    split = derive_split(labels, fractions, train_config.seed)
 
     train_coords = split.coords(TRAIN)
     val_coords = split.coords(VAL)
@@ -199,4 +198,4 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
 
     best_val_oa, best_epoch, best_params = best
     return TrainResult(params=best_params, history=history, best_epoch=best_epoch,
-                       best_val_oa=best_val_oa, split=split, final_params=params)
+                       best_val_oa=best_val_oa, split=split)

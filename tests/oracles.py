@@ -1,10 +1,14 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, extended precision) and shares no code with hsimvt.
+loops, extended precision) and shares no code with hsimvt, except the two
+test-only ops at the end, which put their adjoints on hsimvt's tape.
 """
 
 import numpy as np
+
+from hsimvt.errors import DimensionError
+from hsimvt.tensor import record_op
 
 
 def conv3d_loop(x, kernels, bias):
@@ -314,3 +318,17 @@ def synth_scene_reference(seed, height, width, bands, num_classes, noise_sigma):
     if noise_sigma > 0:
         values = values + noise_sigma * rng.standard_normal(values.shape)
     return values.astype(np.float32), ids
+
+
+def mul(a, b):
+    """Elementwise product of two same-shape tensors, as a taped op."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
+    return record_op(a.data * b.data, (a, b), lambda go, need: (
+        go * b.data if need[0] else None,
+        go * a.data if need[1] else None))
+
+
+def sum_all(x):
+    """Sum of all elements, as a scalar tensor on the tape."""
+    return record_op(x.data.sum(), (x,), lambda go, need: (np.full_like(x.data, go),))

@@ -7,6 +7,8 @@ from hsimvt import (GradGraph, ModelConfig, ModelParams, Tensor, UsageError, che
                     cross_entropy, forward)
 from hsimvt import ops
 
+from oracles import mul, sum_all
+
 RNG = np.random.default_rng(20)
 TOL = 1e-6  # float64 central differences are far tighter than the 1e-4 gate
 
@@ -25,7 +27,7 @@ def _check_conv(op, xshape, kshape, out_channels):
     k = _param(kshape)
     b = _param((kshape[0],))
     probe = Tensor(RNG.normal(size=xshape[:-1] + (out_channels,)))
-    report = check_gradients(lambda: ops.sum_all(ops.mul(op(x, k, b), probe)),
+    report = check_gradients(lambda: sum_all(mul(op(x, k, b), probe)),
                              {"x": x, "kernels": k, "bias": b}, tolerance=TOL)
     assert report.ok, f"{op.__name__} {xshape} * {kshape}: {report.summary()}"
 
@@ -67,7 +69,7 @@ def test_conv_leaves_an_input_that_needs_no_gradient_alone(op, kshape, out_chann
         k = Tensor(np.ones(kshape), requires_grad=True)
         b = Tensor(np.ones(kshape[0]), requires_grad=True)
         with GradGraph() as graph:
-            loss = ops.sum_all(ops.mul(op(x, k, b), probe))
+            loss = sum_all(mul(op(x, k, b), probe))
         graph.backward(loss)
         grads.append((x.grad, k.grad, b.grad))
     (x_grad, k_grad, b_grad), (full_x_grad, full_k_grad, full_b_grad) = grads
@@ -81,7 +83,7 @@ def test_affine_gradients():
     w = _param((3, 4))
     b = _param((4,))
     probe = Tensor(RNG.normal(size=(5, 4)))
-    _check(lambda: ops.sum_all(ops.mul(ops.affine(x, w, b), probe)),
+    _check(lambda: sum_all(mul(ops.affine(x, w, b), probe)),
            {"x": x, "w": w, "b": b})
 
 
@@ -89,7 +91,7 @@ def test_relu_gradient_away_from_kink():
     x = Tensor(RNG.normal(size=(5, 5)) + np.sign(RNG.normal(size=(5, 5))) * 0.5,
                requires_grad=True)
     probe = Tensor(RNG.normal(size=(5, 5)))
-    _check(lambda: ops.sum_all(ops.mul(ops.relu(x), probe)), {"x": x})
+    _check(lambda: sum_all(mul(ops.relu(x), probe)), {"x": x})
 
 
 def test_box_mean_and_tile_and_concat_gradients():
@@ -102,7 +104,7 @@ def test_box_mean_and_tile_and_concat_gradients():
         pooled = ops.box_mean(x, [((0, 2), (1, 3)), ((1, 4), (0, 4)), ((3, 4), (4, 5))])
         tiled = ops.tile_vector(v, 2)                      # (2, 1, 3)
         both = ops.concat([pooled, tiled, ops.add(tiled, tiled)], axis=1)
-        return ops.sum_all(ops.mul(both, probe))
+        return sum_all(mul(both, probe))
 
     _check(model, {"x": x, "v": v})
 
@@ -111,7 +113,7 @@ def test_scale_add_mul_gradients():
     a = _param((3, 3))
     b = _param((3, 3))
     c = Tensor(np.full((3, 3), 0.7))
-    _check(lambda: ops.sum_all(ops.mul(ops.mul(ops.add(a, b), b), c)),
+    _check(lambda: sum_all(mul(mul(ops.add(a, b), b), c)),
            {"a": a, "b": b})
 
 
@@ -122,7 +124,7 @@ def test_numeric_gradient_matches_backward_for_input():
     # up to rounding: 1e-8 relative is tighter than the assert_allclose gate
     # (atol 1e-8, rtol 1e-7) this replaced
     b = Tensor(np.zeros(2))
-    report = check_gradients(lambda: ops.sum_all(ops.relu(ops.affine(x, w, b))), {"x": x},
+    report = check_gradients(lambda: sum_all(ops.relu(ops.affine(x, w, b))), {"x": x},
                              tolerance=1e-8)
     assert report.ok, report.summary()
 
@@ -132,7 +134,7 @@ def test_gradients_accumulate_across_graphs():
     three = Tensor(np.full((2, 2), 3.0))
     for _ in range(2):
         with GradGraph() as graph:
-            loss = ops.sum_all(ops.mul(x, three))
+            loss = sum_all(mul(x, three))
         graph.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 6.0))
 
@@ -163,7 +165,7 @@ def test_backward_requires_scalar_and_single_use():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradGraph() as graph:
         y = ops.add(x, x)
-        loss = ops.sum_all(y)
+        loss = sum_all(y)
     with pytest.raises(UsageError):
         graph.backward(y)  # non-scalar
     graph.backward(loss)
@@ -173,7 +175,7 @@ def test_backward_requires_scalar_and_single_use():
 
 def test_check_gradients_reports_per_parameter():
     x = _param((2, 2))
-    report = check_gradients(lambda: ops.sum_all(ops.mul(x, x)), [x])
+    report = check_gradients(lambda: sum_all(mul(x, x)), [x])
     assert list(report.per_param) == ["param0"]
     assert report.max_rel_err < 1e-6
     assert "ok" in report.summary()
@@ -206,7 +208,7 @@ def test_diamond_reuse_accumulates_correctly():
 
     def model():
         doubled = ops.add(x, x)
-        return ops.sum_all(ops.add(ops.mul(doubled, x), doubled))
+        return sum_all(ops.add(mul(doubled, x), doubled))
 
     # d/dx (2x^2 + 2x) = 4x + 2
     with GradGraph() as graph:
@@ -222,7 +224,7 @@ def test_attention_gradients():
     # that the central differences' own O(eps^2) error reaches 1e-6
     wqkv = Tensor(0.5 * rng.normal(size=(2, 3, 6, 3)), requires_grad=True)
     probe = Tensor(rng.normal(size=(3, 5, 6)))
-    _check(lambda: ops.sum_all(ops.mul(ops.attention(tokens, wqkv), probe)),
+    _check(lambda: sum_all(mul(ops.attention(tokens, wqkv), probe)),
            {"tokens": tokens, "wqkv": wqkv})
 
 
@@ -249,7 +251,7 @@ def test_add_of_one_tensor_to_itself_owns_its_gradient():
 
     def loss_fn():
         y = ops.add(x, x)
-        return ops.sum_all(ops.mul(y, Tensor(probe))), {"y": y}
+        return sum_all(mul(y, Tensor(probe))), {"y": y}
 
     grads = _backward_grads(loss_fn, {"x": x})
     np.testing.assert_array_equal(grads["x"], 2 * probe)
@@ -268,7 +270,7 @@ def test_residual_add_owns_its_gradients():
     def loss_fn():
         attended = ops.attention(tokens, wqkv)
         out = ops.add(attended, tokens)
-        return ops.sum_all(ops.mul(out, probe)), {"attended": attended, "out": out}
+        return sum_all(mul(out, probe)), {"attended": attended, "out": out}
 
     grads = _backward_grads(loss_fn, {"tokens": tokens, "wqkv": wqkv})
     np.testing.assert_array_equal(grads["attended"], probe.data)
@@ -294,7 +296,7 @@ def test_reshape_chain_owns_its_gradients():
     def loss_fn():
         square = ops.reshape(x, (3, 4))
         flat = ops.reshape(square, (12,))
-        return ops.sum_all(ops.mul(flat, Tensor(probe))), {"square": square, "flat": flat}
+        return sum_all(mul(flat, Tensor(probe))), {"square": square, "flat": flat}
 
     grads = _backward_grads(loss_fn, {"x": x})
     np.testing.assert_array_equal(grads["x"], probe.reshape(2, 6))

@@ -16,6 +16,7 @@ from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainCo
                     synth_scene, train, write_ppm)
 from hsimvt import cli
 from hsimvt.cli import main
+from hsimvt.data import TEST
 from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
 
@@ -308,6 +309,37 @@ def test_sweep_refuses_a_cube_of_another_size_before_preprocessing(workdir, monk
     monkeypatch.setattr(experiments, "preprocess", preprocess)
     with pytest.raises(DimensionError, match="cube is 14x10, labels are 12x10"):
         experiments.sweep(big[0], small[1], RunConfig(CONFIG), "heads", [1])
+
+
+@pytest.mark.parametrize("axis, values, error", [
+    ("heads", [2, 3], "not divisible"),
+    ("views", [4, 40], "cannot build 40 views from 8 bands"),
+    ("components", [2, 3], "components must be in 1..2"),
+    ("patch_size", [3, 4], "patch_size must be odd"),
+])
+def test_sweep_checks_every_value_before_preprocessing(monkeypatch, axis, values, error):
+    cube, labels = synth_scene(seed=0, height=12, width=10, bands=8, num_classes=3,
+                               noise_sigma=0.1)
+
+    def preprocess(*args):
+        raise AssertionError("sweep started a run before checking every value")
+
+    monkeypatch.setattr(experiments, "preprocess", preprocess)
+    config = RunConfig({**CONFIG, "mpca": {"views": 4, "components": 1}})
+    with pytest.raises(ConfigError, match=error):
+        experiments.sweep(cube, labels, config, axis, values)
+
+
+def test_eval_scores_the_test_pixels_of_the_split_train_drew():
+    cube, labels = synth_scene(seed=1, height=16, width=12, bands=8, num_classes=3,
+                               noise_sigma=0.1)
+    config = RunConfig({**CONFIG, "train": {"epochs": 1, "batch": 32, "seed": 11,
+                                            "fractions": [0.2, 0.1, 0.7]}})
+    representation, _ = experiments.preprocess(cube, *config.mpca_shape)
+    result = train(representation, labels, config.model_config(labels.num_classes),
+                   config.train_config(), fractions=config.fractions)
+    coords, _ = cli._test_set(config, labels)
+    np.testing.assert_array_equal(coords, result.split.coords(TEST))
 
 
 def test_each_command_reads_only_its_own_inputs(workdir, capsys):

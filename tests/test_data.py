@@ -55,10 +55,15 @@ def test_label_map_validation():
     ids = np.array([[1, 2], [0, 2]])
     labels = LabelMap(ids=ids, num_classes=2)
     np.testing.assert_array_equal(labels.labeled_coords(), [[0, 0], [0, 1], [1, 1]])
-    with pytest.raises(ConfigError, match="exceeds"):
+    with pytest.raises(ConfigError, match="label id 2 exceeds declared class count 1"):
         LabelMap(ids=ids, num_classes=1)
-    with pytest.raises(ConfigError, match="no labeled pixels"):
+    with pytest.raises(ConfigError, match="class 3 has no labeled pixels"):
         LabelMap(ids=ids, num_classes=3)
+    with pytest.raises(ConfigError, match="class 2 has no labeled pixels"):
+        LabelMap(ids=np.array([[1, 4], [0, 1]]), num_classes=4)  # the first one is named
+    # a negative id would otherwise be painted in the last class's colour
+    with pytest.raises(ConfigError, match="label id -1 is negative"):
+        LabelMap(ids=np.array([[1, 2], [-1, 0]]), num_classes=2)
     with pytest.raises(DimensionError):
         LabelMap(ids=np.zeros(4, dtype=int), num_classes=1)
 
@@ -144,13 +149,13 @@ def test_split_round_half_up_counts():
 
 def test_split_always_keeps_one_train_sample():
     labels = _labels_with_counts([400, 2, 1])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="labeled pixels") as issued:
         split = stratified_split(labels, fractions=(0.05, 0.05, 0.90), seed=0)
     assert (split.assignment[labels.ids == 2] == TRAIN).sum() == 1
     assert (split.assignment[labels.ids == 2] == VAL).sum() == 1
     assert (split.assignment[labels.ids == 3] == TRAIN).sum() == 1
     assert (split.assignment[labels.ids == 3] == VAL).sum() == 0
-    assert len(split.warnings_issued) == 2
+    assert len(issued) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,11 +172,11 @@ def test_split_matches_loop_oracle(seed, num_classes, fractions):
             ids.flat[int(np.flatnonzero(ids == 0)[0])] = c
     labels = LabelMap(ids=ids, num_classes=num_classes)
     want, small = stratified_split_loop(ids, num_classes, fractions, seed)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="labeled pixels") as issued:
         split = stratified_split(labels, fractions=fractions, seed=seed)
     assert split.assignment.dtype == np.int8
     np.testing.assert_array_equal(split.assignment, want)
-    assert len(split.warnings_issued) == small >= 2
+    assert len(issued) == small >= 2
 
 
 def test_split_rejects_bad_fractions():

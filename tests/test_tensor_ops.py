@@ -1,17 +1,33 @@
 """Forward semantics of the tensor ops against loop-level oracles."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import ConfigError, DimensionError, ModelConfig, ModelParams, Tensor
+from hsimvt import ConfigError, DimensionError, GradGraph, ModelConfig, ModelParams, Tensor
 from hsimvt import ops
 from hsimvt.model import forward
+from hsimvt.tensor import record_op
 
-from oracles import attention_longdouble, conv2d_loop, conv3d_loop
+from oracles import attention_longdouble, conv2d_loop, conv3d_loop, mul, sum_all
+
+
+def test_every_public_op_is_used_by_the_package():
+    """Each public function of hsimvt.ops is called as ``ops.<name>`` from another
+    module of the package; an op that only tests need belongs with the tests."""
+    package = pathlib.Path(ops.__file__).parent
+    public = {node.name for node in ast.parse(pathlib.Path(ops.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = {node.attr for path in package.glob("*.py") if path.name != "ops.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ops"}
+    assert public and public <= used, sorted(public - used)
 
 
 def test_tensor_coerces_ints_to_float32():
@@ -24,8 +40,12 @@ def test_tensor_coerces_ints_to_float32():
 def test_tensor_item_and_grad_bookkeeping():
     t = Tensor(np.array(2.5), requires_grad=True)
     assert t.item() == 2.5
-    t.accumulate_grad(np.array(1.0))
-    t.accumulate_grad(np.array(0.5))
+    with GradGraph() as graph:
+        # two uses of t, whose adjoints hand back 1.0 and 0.5: the second adds
+        once = record_op(t.data, (t,), lambda go, need: (np.array(1.0),))
+        twice = record_op(t.data, (t,), lambda go, need: (np.array(0.5),))
+        loss = ops.add(once, twice)
+    graph.backward(loss)
     assert t.grad == pytest.approx(1.5)
 
 
@@ -219,14 +239,14 @@ def test_elementwise_ops():
     b = np.array([[4.0, 5.0], [6.0, -7.0]])
     np.testing.assert_array_equal(ops.relu(Tensor(a)).data, np.maximum(a, 0))
     np.testing.assert_array_equal(ops.add(Tensor(a), Tensor(b)).data, a + b)
-    np.testing.assert_array_equal(ops.mul(Tensor(a), Tensor(b)).data, a * b)
-    np.testing.assert_array_equal(ops.mul(Tensor(a), Tensor(np.full_like(a, -1.5))).data,
+    np.testing.assert_array_equal(mul(Tensor(a), Tensor(b)).data, a * b)
+    np.testing.assert_array_equal(mul(Tensor(a), Tensor(np.full_like(a, -1.5))).data,
                                   a * -1.5)
-    assert ops.sum_all(Tensor(a)).item() == pytest.approx(a.sum())
+    assert sum_all(Tensor(a)).item() == pytest.approx(a.sum())
     with pytest.raises(DimensionError):
         ops.add(Tensor(a), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
-        ops.mul(Tensor(a), Tensor(np.zeros(3)))
+        mul(Tensor(a), Tensor(np.zeros(3)))
 
 
 def test_reshape_and_concat():
@@ -305,6 +325,6 @@ def test_ops_preserve_dtype(dtype):
     assert ops.conv2d(x, k2, Tensor(np.zeros(2, dtype=dtype))).dtype == dtype
     assert ops.relu(x).dtype == dtype
     assert ops.add(x, x).dtype == dtype
-    assert ops.mul(x, x).dtype == dtype
+    assert mul(x, x).dtype == dtype
     tokens = Tensor(rng.normal(size=(2, 5, 6)).astype(dtype))
     assert ops.attention(tokens, Tensor(rng.normal(size=(2, 3, 6, 3)).astype(dtype))).dtype == dtype
