@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -181,6 +182,19 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def check_fractions(fractions):
+    """Raise ConfigError unless the (train, val, test) split ``fractions`` are
+    three finite, non-negative numbers that sum to 1 within 1e-9, with a
+    positive train share."""
+    fr = list(fractions)
+    if len(fr) != 3 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                               and math.isfinite(v) and v >= 0 for v in fr):
+        raise ConfigError(f"split fractions must be three numbers, finite and "
+                          f"non-negative, got {fr}")
+    if abs(sum(fr) - 1.0) > 1e-9 or fr[0] <= 0:
+        raise ConfigError(f"split fractions must sum to 1 with a positive train share, got {fr}")
+
+
 def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int = 0) -> SplitAssignment:
     """Per-class seeded shuffle into train/val/test.
 
@@ -188,11 +202,8 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
     val = max(1, round(f_val*n)) when f_val > 0, both capped so the class is
     never oversubscribed; the remainder is test.
     """
-    f_train, f_val, f_test = fractions
-    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-    if f_train <= 0:
-        raise ConfigError("train fraction must be positive")
+    check_fractions(fractions)
+    f_train, f_val, _ = fractions
 
     rng = np.random.default_rng(seed)
     assignment = np.zeros(labels.shape, dtype=np.int8)

@@ -33,6 +33,11 @@ def preprocess(cube: HsiCube, views: int, components: int):
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):
     """One preprocess -> train -> test-evaluate pass; returns (report, result)."""
     rep, _ = preprocess(cube, *config.mpca_shape)
+    return _train_and_score(rep, labels, config)
+
+
+def _train_and_score(rep, labels: LabelMap, config: RunConfig):
+    """:func:`run_once` on the representation ``rep`` preprocessing gave."""
     model_config = config.model_config(labels.num_classes)
     result = train(rep, labels, model_config, config.train_config(),
                    fractions=config.fractions)
@@ -68,7 +73,8 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     Each value overrides one key of ``config``. Axis names: patch_size,
     views, components, heads, train_fraction. Before the first run starts,
     the cube must cover the label raster, and every value must pass the
-    run config's checks and give a valid model and MPCA shape.
+    run config's checks and give a valid model and MPCA shape. Consecutive
+    values of one :attr:`RunConfig.mpca_shape` share one representation.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
@@ -83,8 +89,12 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
         run_config.model_config(labels.num_classes)
         mpca_spec(cube.bands, *run_config.mpca_shape)
     rows = []
+    shape = rep = None
     for value, run_config in zip(values, configs):
-        report, result = run_once(cube, labels, run_config)
+        if run_config.mpca_shape != shape:
+            shape, rep = run_config.mpca_shape, None  # free the old one first
+            rep, _ = preprocess(cube, *shape)
+        report, result = _train_and_score(rep, labels, run_config)
         row = {"axis": axis, "value": value, "oa": report.oa, "aa": report.aa,
                "best_epoch": result.best_epoch, "best_val_oa": result.best_val_oa}
         rows.append(row)

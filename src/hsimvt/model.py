@@ -188,12 +188,8 @@ class ModelParams:
 
     def trainable_parameters(self):
         """Canonical order, minus the global token when its ablation is off."""
-        out = []
-        for name, t in self.named_parameters():
-            if name == "global_token" and not self.config.use_global_token:
-                continue
-            out.append((name, t))
-        return out
+        return [(name, t) for name, t in self.named_parameters()
+                if name != "global_token" or self.config.use_global_token]
 
     def zero_grads(self):
         self.grads.fill(0)
@@ -345,37 +341,33 @@ def assemble_tokens(tokens: Tensor, params: ModelParams, use_global_token: bool)
 
     No positional encoding is added anywhere. Quadrant tokens (N, 4, C) ->
     rows (N, 5, C): row 0 the global token, rows 1-4 the quadrant tokens,
-    joined by one :func:`ops.concat`.
+    joined by one :func:`ops.prepend_row`.
     """
     if tokens.data.ndim != 3 or tokens.data.shape[1] != 4:
         raise DimensionError(f"expected quadrant tokens (N,4,C), got {tokens.data.shape}")
-    n, _, c = tokens.data.shape
-    if use_global_token:
-        head_row = ops.tile_vector(params["global_token"], n)
-    else:
-        head_row = Tensor(np.zeros((n, 1, c), dtype=tokens.data.dtype))
-    return ops.concat([head_row, tokens], axis=1)
+    row = params["global_token"] if use_global_token else \
+        Tensor(np.zeros(tokens.data.shape[2], dtype=tokens.data.dtype))
+    return ops.prepend_row(row, tokens)
 
 
 def multi_head(tokens: Tensor, params: ModelParams) -> Tensor:
     """Concatenated attention heads plus the residual, (N, 5, C) -> (N, 5, C).
 
-    TA = concat_h(head_h(Tokens)) + Tokens; every head runs in one
-    :func:`ops.attention` over the (heads, 3, C, d) array ``attn.wqkv``.
+    TA = concat_h(head_h(Tokens)) + Tokens; every head and the residual
+    run in one :func:`ops.attention` over the (heads, 3, C, d) array
+    ``attn.wqkv``.
     """
-    return ops.add(ops.attention(tokens, params["attn.wqkv"]), tokens)
+    return ops.attention(tokens, params["attn.wqkv"])
 
 
 def feature_and_classify(ta: Tensor, params: ModelParams):
-    """Flatten the 5 attended tokens, fuse to the feature vector, classify.
+    """Fuse the 5 attended tokens to the feature vector, classify.
 
-    (N, 5, C) -> logits (N, K) and features (N, feature_dim). Class
-    probabilities are softmax(logits); the predicted class is the
-    lowest-index argmax.
+    (N, 5, C) -> logits (N, K) and features (N, feature_dim); the feature
+    affine flattens the tokens itself. Class probabilities are
+    softmax(logits); the predicted class is the lowest-index argmax.
     """
-    n = ta.data.shape[0]
-    flat = ops.reshape(ta, (n, ta.data.shape[1] * ta.data.shape[2]))
-    fea = ops.affine(flat, params["feature.weight"], params["feature.bias"])
+    fea = ops.affine(ta, params["feature.weight"], params["feature.bias"])
     logits = ops.affine(fea, params["classifier.weight"], params["classifier.bias"])
     return logits, fea
 

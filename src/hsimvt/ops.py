@@ -233,34 +233,39 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """out[i, j] = sum_k x[i, k] * weight[k, j] + bias[j]."""
-    xd, wd, bd = x.data, weight.data, bias.data
-    if xd.ndim != 2 or wd.ndim != 2:
-        raise DimensionError(f"affine expects 2-D input and weight, got {xd.shape} and {wd.shape}")
+    """out[i, j] = sum_k x[i, k] * weight[k, j] + bias[j]: (N, ...) -> (N, J),
+    where k runs over every axis of ``x`` after the first, flattened row-major."""
+    shape, wd, bd = x.data.shape, weight.data, bias.data
+    if len(shape) < 2 or wd.ndim != 2:
+        raise DimensionError(f"affine expects (N, ...) input and 2-D weight, "
+                             f"got {shape} and {wd.shape}")
+    xd = x.data.reshape(shape[0], math.prod(shape[1:]))
     if xd.shape[1] != wd.shape[0] or bd.shape != (wd.shape[1],):
-        raise DimensionError(f"affine shapes disagree: {xd.shape} @ {wd.shape} + {bd.shape}")
+        raise DimensionError(f"affine shapes disagree: {shape} @ {wd.shape} + {bd.shape}")
     return record_op(xd @ wd + bd, (x, weight, bias), lambda go, need: (
-        go @ wd.T if need[0] else None,
+        (go @ wd.T).reshape(shape) if need[0] else None,
         xd.T @ go if need[1] else None,
         go.sum(axis=0) if need[2] else None))
 
 
 def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
-    """Multi-head scaled dot-product self-attention, all heads in one op.
+    """Multi-head scaled dot-product self-attention with its residual, one op.
 
-    ``tokens`` is (N, T, C) and ``wqkv`` is (heads, 3, C, d): head h has
-    Q = tokens @ wqkv[h, 0], K = tokens @ wqkv[h, 1], V = tokens @ wqkv[h, 2]
-    and computes softmax(Q K^T / sqrt(d)) V. The heads are concatenated
-    along the channel axis, so the output is (N, T, heads * d). Every
-    projection of every head comes from one (N*T, C) @ (C, heads*3*d)
-    product, and the backward pass reuses it the same way.
+    ``tokens`` is (N, T, C) and ``wqkv`` is (heads, 3, C, d) with
+    heads * d = C: head h has Q = tokens @ wqkv[h, 0],
+    K = tokens @ wqkv[h, 1], V = tokens @ wqkv[h, 2] and computes
+    softmax(Q K^T / sqrt(d)) V. The output is the heads concatenated along
+    the channel axis plus the tokens, (N, T, C). Every projection of every
+    head comes from one (N*T, C) @ (C, heads*3*d) product, and the backward
+    pass reuses it the same way.
     """
     td, wd = tokens.data, wqkv.data
     if td.ndim != 3:
         raise DimensionError(f"attention tokens must be (N,T,C), got {td.shape}")
     n, t, c = td.shape
-    if wd.ndim != 4 or wd.shape[1:3] != (3, c):
-        raise DimensionError(f"attention weights must be (heads,3,{c},d), got {wd.shape}")
+    if wd.ndim != 4 or wd.shape[1:3] != (3, c) or wd.shape[0] * wd.shape[3] != c:
+        raise DimensionError(f"attention weights must be (heads,3,{c},d) with heads*d = {c}, "
+                             f"got {wd.shape}")
     heads, d = wd.shape[0], wd.shape[3]
     s = 1.0 / math.sqrt(d)
     x = td.reshape(n * t, c)
@@ -270,7 +275,8 @@ def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
     logits = np.matmul(q, k.swapaxes(-1, -2)) * s
     a = np.exp(logits - logits.max(axis=-1, keepdims=True))
     a /= a.sum(axis=-1, keepdims=True)
-    out = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, heads * d)
+    out = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, c)
+    out += td
 
     def adjoint(go, need):
         gheads = go.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
@@ -282,7 +288,7 @@ def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
         gk[...] = np.matmul(gl.swapaxes(-1, -2), q)
         gv[...] = np.matmul(a.swapaxes(-1, -2), gheads)
         gp = gp.reshape(n * t, heads * 3 * d)
-        return ((gp @ w.T).reshape(n, t, c) if need[0] else None,
+        return ((gp @ w.T).reshape(n, t, c) + go if need[0] else None,
                 (x.T @ gp).reshape(c, heads, 3, d).transpose(1, 2, 0, 3) if need[1] else None)
 
     return record_op(out, (tokens, wqkv), adjoint)
@@ -294,29 +300,22 @@ def relu(x: Tensor) -> Tensor:
     return record_op(np.maximum(xd, 0), (x,), lambda go, need: (go * (xd > 0),))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
-    return record_op(a.data + b.data, (a, b), lambda go, need: (go, go))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     return record_op(x.data.reshape(tuple(shape)), (x,),
                      lambda go, need: (go.reshape(x.data.shape),))
 
 
-def concat(tensors, axis: int) -> Tensor:
-    """Concatenate along an existing axis."""
-    tensors = list(tensors)
-
-    def adjoint(go, need):
-        moved = np.moveaxis(go, axis, 0)
-        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-        return [np.moveaxis(moved[lo:hi], 0, axis) if wanted else None
-                for wanted, lo, hi in zip(need, offsets[:-1], offsets[1:])]
-
-    return record_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, adjoint)
+def prepend_row(row: Tensor, tokens: Tensor) -> Tensor:
+    """Put the (C,) ``row`` in front of every (N, T, C) token block: (N, T+1, C)."""
+    rd, td = row.data, tokens.data
+    if td.ndim != 3 or rd.shape != td.shape[2:]:
+        raise DimensionError(f"prepend_row needs a (C,) row and (N,T,C) tokens, "
+                             f"got {rd.shape} and {td.shape}")
+    n, _, c = td.shape
+    out = np.concatenate([np.broadcast_to(rd, (n, 1, c)), td], axis=1)
+    return record_op(out, (row, tokens), lambda go, need: (
+        np.ascontiguousarray(go[:, :1]).sum(axis=(0, 1)) if need[0] else None,
+        go[:, 1:]))
 
 
 def box_mean(x: Tensor, boxes) -> Tensor:
@@ -360,13 +359,3 @@ def box_mean(x: Tensor, boxes) -> Tensor:
         return (gx,)
 
     return record_op(out, (x,), adjoint)
-
-
-def tile_vector(v: Tensor, n: int) -> Tensor:
-    """Repeat a length-C vector into an (n, 1, C) block."""
-    vd = v.data
-    if vd.ndim != 1:
-        raise DimensionError(f"tile_vector expects a vector, got shape {vd.shape}")
-    return record_op(np.ascontiguousarray(np.broadcast_to(vd, (n, 1, vd.shape[0]))), (v,),
-                     lambda go, need: (go.sum(axis=(0, 1)),))
-

@@ -32,8 +32,9 @@ def render_class_map(ids: np.ndarray, num_classes: int) -> np.ndarray:
     """(H, W) class ids -> (H, W, 3) uint8 RGB; id 0 (unlabeled) is black."""
     if ids.ndim != 2:
         raise DimensionError(f"class-id raster must be 2-D, got {ids.shape}")
-    if ids.max(initial=0) > num_classes:
-        raise ConfigError(f"id {int(ids.max())} exceeds class count {num_classes}")
+    if ids.size and not (ids.min() >= 0 and ids.max() <= num_classes):
+        raise ConfigError(f"class ids must be in 0..{num_classes}, "
+                          f"got {int(ids.min())}..{int(ids.max())}")
     table = np.vstack([np.zeros((1, 3), dtype=np.uint8), class_palette(num_classes)])
     return table[ids]
 

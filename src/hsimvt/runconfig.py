@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 
+from .data import check_fractions
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -80,12 +80,7 @@ class RunConfig:
                         f"{section}.{key} must be {want.__name__}, "
                         f"got {type(value).__name__}")
                 merged[section][key] = value
-        fr = merged["train"]["fractions"]
-        if len(fr) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                   for v in fr):
-            raise ConfigError("train.fractions must be three numbers")
-        if not all(math.isfinite(v) and v >= 0 for v in fr):
-            raise ConfigError(f"train.fractions must be finite and non-negative, got {fr}")
+        check_fractions(merged["train"]["fractions"])
         self.doc = merged
         self.train_config()  # TrainConfig checks the other train values
 

@@ -68,9 +68,8 @@ def record_op(value, inputs, adjoint) -> Tensor:
     An adjoint returns new arrays, or ``go`` or views of it. An input's
     first gradient is the returned array itself, with no zero fill, when it
     has the input's shape and dtype and cannot share memory with ``go`` or
-    with an array returned for an earlier input (``add`` returns ``go`` for
-    both). Otherwise it is added into a zeroed copy, so no two tensors'
-    gradients share memory.
+    with an array returned for an earlier input. Otherwise it is added into
+    a zeroed copy, so no two tensors' gradients share memory.
     """
     result = Tensor(value)
     graph = active_graph()

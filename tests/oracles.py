@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, extended precision) and shares no code with hsimvt, except the two
+loops, extended precision) and shares no code with hsimvt, except the three
 test-only ops at the end, which put their adjoints on hsimvt's tape.
 """
 
@@ -318,6 +318,14 @@ def synth_scene_reference(seed, height, width, bands, num_classes, noise_sigma):
     if noise_sigma > 0:
         values = values + noise_sigma * rng.standard_normal(values.shape)
     return values.astype(np.float32), ids
+
+
+def add(a, b):
+    """Elementwise sum of two same-shape tensors, as a taped op whose adjoint
+    returns ``go`` itself for both inputs."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
+    return record_op(a.data + b.data, (a, b), lambda go, need: (go, go))
 
 
 def mul(a, b):

@@ -7,7 +7,7 @@ from hsimvt import (GradGraph, ModelConfig, ModelParams, Tensor, UsageError, che
                     cross_entropy, forward)
 from hsimvt import ops
 
-from oracles import mul, sum_all
+from oracles import add, mul, sum_all
 
 RNG = np.random.default_rng(20)
 TOL = 1e-6  # float64 central differences are far tighter than the 1e-4 gate
@@ -79,12 +79,13 @@ def test_conv_leaves_an_input_that_needs_no_gradient_alone(op, kshape, out_chann
 
 
 def test_affine_gradients():
-    x = _param((5, 3))
-    w = _param((3, 4))
-    b = _param((4,))
-    probe = Tensor(RNG.normal(size=(5, 4)))
-    _check(lambda: sum_all(mul(ops.affine(x, w, b), probe)),
-           {"x": x, "w": w, "b": b})
+    for xshape in [(5, 3), (5, 2, 3)]:  # a 3-D input is flattened to (5, 6)
+        x = _param(xshape)
+        w = _param((int(np.prod(xshape[1:])), 4))
+        b = _param((4,))
+        probe = Tensor(RNG.normal(size=(5, 4)))
+        _check(lambda: sum_all(mul(ops.affine(x, w, b), probe)),
+               {"x": x, "w": w, "b": b})
 
 
 def test_relu_gradient_away_from_kink():
@@ -94,26 +95,25 @@ def test_relu_gradient_away_from_kink():
     _check(lambda: sum_all(mul(ops.relu(x), probe)), {"x": x})
 
 
-def test_box_mean_and_tile_and_concat_gradients():
+def test_box_mean_and_prepend_row_gradients():
     # boxes of 4, 12 and 1 pixels; the first two overlap on row 1, cols 1-2
     x = _param((2, 4, 5, 3))
-    v = _param((3,))
-    probe = Tensor(RNG.normal(size=(2, 5, 3)))
+    probe = Tensor(RNG.normal(size=(2, 4, 3)))
+    grad_row, constant_row = _param((3,)), Tensor(RNG.normal(size=3))
+    # the constant row stands in for the global-token ablation's zero row
+    for v, checked in [(grad_row, {"x": x, "v": grad_row}), (constant_row, {"x": x})]:
+        def model():
+            pooled = ops.box_mean(x, [((0, 2), (1, 3)), ((1, 4), (0, 4)), ((3, 4), (4, 5))])
+            return sum_all(mul(ops.prepend_row(v, pooled), probe))   # (2, 4, 3)
 
-    def model():
-        pooled = ops.box_mean(x, [((0, 2), (1, 3)), ((1, 4), (0, 4)), ((3, 4), (4, 5))])
-        tiled = ops.tile_vector(v, 2)                      # (2, 1, 3)
-        both = ops.concat([pooled, tiled, ops.add(tiled, tiled)], axis=1)
-        return sum_all(mul(both, probe))
-
-    _check(model, {"x": x, "v": v})
+        _check(model, checked)
 
 
 def test_scale_add_mul_gradients():
     a = _param((3, 3))
     b = _param((3, 3))
     c = Tensor(np.full((3, 3), 0.7))
-    _check(lambda: sum_all(mul(mul(ops.add(a, b), b), c)),
+    _check(lambda: sum_all(mul(mul(add(a, b), b), c)),
            {"a": a, "b": b})
 
 
@@ -164,7 +164,7 @@ def test_graph_active_only_inside_context():
 def test_backward_requires_scalar_and_single_use():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradGraph() as graph:
-        y = ops.add(x, x)
+        y = add(x, x)
         loss = sum_all(y)
     with pytest.raises(UsageError):
         graph.backward(y)  # non-scalar
@@ -207,8 +207,8 @@ def test_diamond_reuse_accumulates_correctly():
     x = Tensor(np.array([1.5, -0.5, 2.0]), requires_grad=True)
 
     def model():
-        doubled = ops.add(x, x)
-        return sum_all(ops.add(mul(doubled, x), doubled))
+        doubled = add(x, x)
+        return sum_all(add(mul(doubled, x), doubled))
 
     # d/dx (2x^2 + 2x) = 4x + 2
     with GradGraph() as graph:
@@ -250,7 +250,7 @@ def test_add_of_one_tensor_to_itself_owns_its_gradient():
     probe = RNG.normal(size=(3, 4))
 
     def loss_fn():
-        y = ops.add(x, x)
+        y = add(x, x)
         return sum_all(mul(y, Tensor(probe))), {"y": y}
 
     grads = _backward_grads(loss_fn, {"x": x})
@@ -259,21 +259,19 @@ def test_add_of_one_tensor_to_itself_owns_its_gradient():
 
 
 def test_residual_add_owns_its_gradients():
-    """``model.multi_head``'s residual: the attention output and the tokens
-    both get ``go`` from ``add``, and the tokens then also get attention's
-    input gradient."""
+    """``ops.attention``'s residual: the tokens get the output's gradient
+    ``go`` added to the heads' input gradient, in an array of their own."""
     rng = np.random.default_rng(22)
     tokens = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
     wqkv = Tensor(0.5 * rng.normal(size=(2, 3, 6, 3)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 5, 6)))
 
     def loss_fn():
-        attended = ops.attention(tokens, wqkv)
-        out = ops.add(attended, tokens)
-        return sum_all(mul(out, probe)), {"attended": attended, "out": out}
+        out = ops.attention(tokens, wqkv)
+        return sum_all(mul(out, probe)), {"out": out}
 
     grads = _backward_grads(loss_fn, {"tokens": tokens, "wqkv": wqkv})
-    np.testing.assert_array_equal(grads["attended"], probe.data)
+    np.testing.assert_array_equal(grads["out"], probe.data)
     # float64 reference: central differences of the same loss
     for name, t in (("tokens", tokens), ("wqkv", wqkv)):
         want = np.empty_like(t.data)

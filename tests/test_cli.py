@@ -330,6 +330,45 @@ def test_sweep_checks_every_value_before_preprocessing(monkeypatch, axis, values
         experiments.sweep(cube, labels, config, axis, values)
 
 
+@pytest.mark.parametrize("fractions", [[0.5, 0.5, 0.5], [0, 0.5, 0.5]])
+def test_bad_fraction_sweep_exits_before_preprocessing(workdir, capsys, monkeypatch,
+                                                       fractions):
+    run(capsys, "synth", *SCENE)
+    calls = []
+    monkeypatch.setattr(experiments, "preprocess", lambda *args: calls.append(args))
+    config = write_config(workdir, {"train": {"fractions": fractions}})
+    code, out, err = run(capsys, "sweep", "--config", config, "--axis", "heads",
+                         "--values", "1,2")
+    assert code == 1 and out == "" and calls == []
+    doc = json.loads(err)
+    assert doc["type"] == "ConfigError" and "fractions" in doc["error"]
+
+
+@pytest.mark.parametrize("axis, values, preprocessed", [
+    ("heads", [1, 2, 4], [(4, 1)]),
+    ("views", [4, 8], [(4, 1), (8, 1)]),
+])
+def test_sweep_preprocesses_once_per_mpca_shape(monkeypatch, axis, values, preprocessed):
+    cube, labels = synth_scene(seed=0, height=16, width=12, bands=8, num_classes=3,
+                               noise_sigma=0.1)
+    config = RunConfig({**CONFIG, "mpca": {"views": 4, "components": 1},
+                        "train": {**CONFIG["train"], "epochs": 1}})
+    shapes = []
+    preprocess = experiments.preprocess
+    monkeypatch.setattr(experiments, "preprocess",
+                        lambda cube, *shape: shapes.append(shape) or preprocess(cube, *shape))
+    rows = experiments.sweep(cube, labels, config, axis, values)
+    assert shapes == preprocessed
+    if axis == "heads":  # the same rows as one run_once per value
+        for value, row in zip(values, rows):
+            report, result = experiments.run_once(
+                cube, labels, RunConfig({**config.doc, "model": {**config["model"],
+                                                                  "heads": value}}))
+            assert row == {"axis": axis, "value": value, "oa": report.oa, "aa": report.aa,
+                           "best_epoch": result.best_epoch,
+                           "best_val_oa": result.best_val_oa}
+
+
 def test_eval_scores_the_test_pixels_of_the_split_train_drew():
     cube, labels = synth_scene(seed=1, height=16, width=12, bands=8, num_classes=3,
                                noise_sigma=0.1)
@@ -558,6 +597,8 @@ def test_render_map_black_background():
     np.testing.assert_array_equal(image[0, 1], class_palette(2)[0])
     with pytest.raises(ConfigError):
         render_class_map(ids, 1)
+    with pytest.raises(ConfigError):  # not painted in the last class's colour
+        render_class_map(np.array([[-1, 2]]), 2)
 
 
 def test_ppm_round_trip(tmp_path):

@@ -185,6 +185,8 @@ def test_split_rejects_bad_fractions():
         stratified_split(labels, fractions=(0.5, 0.4, 0.2))
     with pytest.raises(ConfigError):
         stratified_split(labels, fractions=(0.0, 0.1, 0.9))
+    with pytest.raises(ConfigError, match="fractions"):  # not a raw ValueError
+        stratified_split(labels, fractions=(float("nan"), 0.5, 0.5))
 
 
 def test_split_deterministic_and_seed_sensitive():

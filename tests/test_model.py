@@ -275,7 +275,7 @@ def test_attention_identical_tokens_identical_rows():
     rng = np.random.default_rng(10)
     row = rng.normal(size=8).astype(np.float32)
     tokens = Tensor(np.tile(row, (1, 5, 1)))
-    wqkv = Tensor(rng.normal(size=(1, 3, 8, 4)).astype(np.float32))
+    wqkv = Tensor(rng.normal(size=(2, 3, 8, 4)).astype(np.float32))
     out = ops.attention(tokens, wqkv).data[0]
     np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-7)
 
@@ -283,24 +283,26 @@ def test_attention_identical_tokens_identical_rows():
 def test_attention_zero_query_averages_values():
     rng = np.random.default_rng(11)
     tokens = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
-    wk = rng.normal(size=(8, 4)).astype(np.float32)
-    wv = rng.normal(size=(8, 4)).astype(np.float32)
+    wk = rng.normal(size=(8, 8)).astype(np.float32)
+    wv = rng.normal(size=(8, 8)).astype(np.float32)
     wqkv = Tensor(np.stack([np.zeros_like(wk), wk, wv])[None])
     out = ops.attention(tokens, wqkv).data[0]
     v = tokens.data[0] @ wv
-    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-6)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)) + tokens.data[0],
+                               atol=1e-6)
 
 
 def test_attention_matches_longdouble_oracle():
     rng = np.random.default_rng(12)
-    tokens64 = rng.normal(size=(3, 5, 8))
-    wqkv64 = rng.normal(size=(2, 3, 8, 8))  # 2 heads of width 8
+    tokens64 = rng.normal(size=(3, 5, 16))
+    wqkv64 = rng.normal(size=(2, 3, 16, 8))  # 2 heads of width 8
     got = ops.attention(Tensor(tokens64), Tensor(wqkv64)).data
     assert got.shape == (3, 5, 16)
     for n in range(3):
         for h in range(2):
-            want = attention_longdouble(tokens64[n], *wqkv64[h])
-            np.testing.assert_allclose(got[n, :, 8 * h:8 * h + 8], want, atol=1e-10)
+            cols = slice(8 * h, 8 * h + 8)
+            want = attention_longdouble(tokens64[n], *wqkv64[h]) + tokens64[n, :, cols]
+            np.testing.assert_allclose(got[n, :, cols], want, atol=1e-10)
 
 
 def test_attention_rejects_mismatched_weights():
@@ -311,6 +313,8 @@ def test_attention_rejects_mismatched_weights():
         ops.attention(tokens, Tensor(np.zeros((2, 2, 8, 4))))
     with pytest.raises(DimensionError):
         ops.attention(Tensor(np.zeros((5, 8))), Tensor(np.zeros((2, 3, 8, 4))))
+    with pytest.raises(DimensionError, match="heads\\*d = 8"):  # no residual fits 2 x 3
+        ops.attention(tokens, Tensor(np.zeros((2, 3, 8, 3))))
 
 
 def test_multi_head_concat_shape_and_residual():

@@ -14,7 +14,7 @@ from hsimvt import ops
 from hsimvt.model import forward
 from hsimvt.tensor import record_op
 
-from oracles import attention_longdouble, conv2d_loop, conv3d_loop, mul, sum_all
+from oracles import add, attention_longdouble, conv2d_loop, conv3d_loop, mul, sum_all
 
 
 def test_every_public_op_is_used_by_the_package():
@@ -44,7 +44,7 @@ def test_tensor_item_and_grad_bookkeeping():
         # two uses of t, whose adjoints hand back 1.0 and 0.5: the second adds
         once = record_op(t.data, (t,), lambda go, need: (np.array(1.0),))
         twice = record_op(t.data, (t,), lambda go, need: (np.array(0.5),))
-        loss = ops.add(once, twice)
+        loss = add(once, twice)
     graph.backward(loss)
     assert t.grad == pytest.approx(1.5)
 
@@ -216,6 +216,8 @@ def test_affine_matches_manual():
     x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
     out = ops.affine(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_allclose(out.data, x @ w + b, atol=1e-15)
+    stacked = ops.affine(Tensor(x.reshape(4, 1, 3)), Tensor(w), Tensor(b))
+    np.testing.assert_array_equal(stacked.data, out.data)
     with pytest.raises(DimensionError):
         ops.affine(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
@@ -230,33 +232,41 @@ def test_attention_survives_huge_logits():
     got = ops.attention(Tensor(tokens), Tensor(wqkv)).data
     assert np.isfinite(got).all()
     for n in range(2):
-        np.testing.assert_allclose(got[n], attention_longdouble(tokens[n], *wqkv[0]),
-                                   atol=1e-9)
+        np.testing.assert_allclose(
+            got[n], attention_longdouble(tokens[n], *wqkv[0]) + tokens[n], atol=1e-9)
 
 
 def test_elementwise_ops():
     a = np.array([[1.0, -2.0], [0.0, 3.0]])
     b = np.array([[4.0, 5.0], [6.0, -7.0]])
     np.testing.assert_array_equal(ops.relu(Tensor(a)).data, np.maximum(a, 0))
-    np.testing.assert_array_equal(ops.add(Tensor(a), Tensor(b)).data, a + b)
+    np.testing.assert_array_equal(add(Tensor(a), Tensor(b)).data, a + b)
     np.testing.assert_array_equal(mul(Tensor(a), Tensor(b)).data, a * b)
     np.testing.assert_array_equal(mul(Tensor(a), Tensor(np.full_like(a, -1.5))).data,
                                   a * -1.5)
     assert sum_all(Tensor(a)).item() == pytest.approx(a.sum())
     with pytest.raises(DimensionError):
-        ops.add(Tensor(a), Tensor(np.zeros(3)))
+        add(Tensor(a), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
         mul(Tensor(a), Tensor(np.zeros(3)))
 
 
-def test_reshape_and_concat():
+def test_reshape_and_prepend_row():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 6))
     assert ops.reshape(Tensor(x), (3, 4)).data.shape == (3, 4)
-    parts = [Tensor(rng.normal(size=(2, k))) for k in (1, 3, 2)]
-    out = ops.concat(parts, axis=1)
-    np.testing.assert_array_equal(out.data,
-                                  np.concatenate([p.data for p in parts], axis=1))
+    v = np.array([1.0, 2.0, 3.0])
+    tokens = rng.normal(size=(4, 2, 3))
+    out = ops.prepend_row(Tensor(v), Tensor(tokens)).data
+    assert out.shape == (4, 3, 3)
+    np.testing.assert_array_equal(out[:, :1], np.broadcast_to(v, (4, 1, 3)))
+    np.testing.assert_array_equal(out[:, 1:], tokens)
+    with pytest.raises(DimensionError):
+        ops.prepend_row(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 1, 2))))
+    with pytest.raises(DimensionError):
+        ops.prepend_row(Tensor(v), Tensor(np.zeros((3, 1, 2))))
+    with pytest.raises(DimensionError):
+        ops.prepend_row(Tensor(v), Tensor(np.zeros((3, 3))))
 
 
 def test_box_mean_matches_plain_mean():
@@ -305,15 +315,6 @@ def test_box_mean_is_exactly_reversal_invariant(rows, cols, seed):
     np.testing.assert_array_equal(a, b)
 
 
-def test_tile_vector():
-    v = np.array([1.0, 2.0, 3.0])
-    out = ops.tile_vector(Tensor(v), 4).data
-    assert out.shape == (4, 1, 3)
-    np.testing.assert_array_equal(out, np.broadcast_to(v, (4, 1, 3)))
-    with pytest.raises(DimensionError):
-        ops.tile_vector(Tensor(np.zeros((2, 2))), 3)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ops_preserve_dtype(dtype):
     rng = np.random.default_rng(11)
@@ -324,7 +325,11 @@ def test_ops_preserve_dtype(dtype):
     k2 = Tensor(rng.normal(size=(2, 3, 3, 6)).astype(dtype))
     assert ops.conv2d(x, k2, Tensor(np.zeros(2, dtype=dtype))).dtype == dtype
     assert ops.relu(x).dtype == dtype
-    assert ops.add(x, x).dtype == dtype
+    assert add(x, x).dtype == dtype
     assert mul(x, x).dtype == dtype
     tokens = Tensor(rng.normal(size=(2, 5, 6)).astype(dtype))
     assert ops.attention(tokens, Tensor(rng.normal(size=(2, 3, 6, 3)).astype(dtype))).dtype == dtype
+    row = ops.prepend_row(Tensor(np.zeros(6, dtype=dtype)), tokens)
+    assert row.dtype == dtype
+    assert ops.affine(row, Tensor(np.zeros((36, 2), dtype=dtype)),
+                      Tensor(np.zeros(2, dtype=dtype))).dtype == dtype

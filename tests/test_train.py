@@ -179,17 +179,20 @@ def test_derive_seeds_distinct_and_stable():
 # ------------------------------------------------------------- training loop
 
 def test_default_train_step_tape_length():
-    """SED 6 closures (3 convs, 3 relus), quadrant pooling 1 (one box_mean
-    for all four quadrants), token assembly 2 (global-token tile, concat),
-    attention and its residual 2, feature and classifier 3 (flattening
-    reshape, 2 affines), loss 1."""
-    params = ModelParams.initialize(ModelConfig(), seed=0)
+    """One closure per layer: SED 6 (3 convs, 3 relus; 2 under its
+    ablation), quadrant pooling 1 (one box_mean for all four quadrants),
+    the global-token row 1 (a constant zero row under its ablation),
+    attention with its residual 1, feature and classifier 2 (the affines),
+    loss 1. The default model and the two model ablations in turn."""
     batch = Tensor(np.random.default_rng(24).normal(size=(4, 5, 5, 30)).astype(np.float32))
-    with GradGraph() as graph:
-        loss = cross_entropy(forward(batch, params), np.arange(1, 5))
-    assert len(graph) == 15
-    graph.backward(loss)
-    assert all(np.any(t.grad != 0) for _, t in params.trainable_parameters())
+    for overrides, closures in [({}, 12), ({"use_global_token": False}, 12),
+                                ({"use_sed": False}, 8)]:
+        params = ModelParams.initialize(ModelConfig(**overrides), seed=0)
+        with GradGraph() as graph:
+            loss = cross_entropy(forward(batch, params), np.arange(1, 5))
+        assert len(graph) == closures, overrides
+        graph.backward(loss)
+        assert all(np.any(t.grad != 0) for _, t in params.trainable_parameters()), overrides
 
 
 def _train_keeping_final_params(monkeypatch, *args):
