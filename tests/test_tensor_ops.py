@@ -255,8 +255,16 @@ def test_reshape_and_prepend_row():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 6))
     assert ops.reshape(Tensor(x), (3, 4)).data.shape == (3, 4)
-    v = np.array([1.0, 2.0, 3.0])
+    row = rng.normal(size=3)
     tokens = rng.normal(size=(4, 2, 3))
+    out = ops.prepend_row(Tensor(row), Tensor(tokens)).data
+    np.testing.assert_array_equal(
+        out, np.concatenate([np.tile(row, (4, 1, 1)), tokens], axis=1))
+
+
+def test_prepend_row_broadcasts_a_vector_and_rejects_bad_shapes():
+    v = np.array([1.0, 2.0, 3.0])
+    tokens = np.random.default_rng(12).normal(size=(4, 2, 3))
     out = ops.prepend_row(Tensor(v), Tensor(tokens)).data
     assert out.shape == (4, 3, 3)
     np.testing.assert_array_equal(out[:, :1], np.broadcast_to(v, (4, 1, 3)))
