@@ -8,10 +8,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hsz
 from .errors import ConfigError, DegenerateInputError, DimensionError
+from .ops import _taps
 
 TRAIN, VAL, TEST = 1, 2, 3
 
@@ -166,8 +166,6 @@ class SplitAssignment:
     """Per-pixel split map: 0 unlabeled, 1 train, 2 val, 3 test."""
 
     assignment: np.ndarray
-    seed: int
-    fractions: tuple = (0.05, 0.05, 0.90)
 
     def coords(self, which: int):
         """Row-major (h, w) coordinates assigned to one split."""
@@ -220,7 +218,7 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
         flat[pixels[n_train + n_val:]] = TEST
         flat[pixels[n_train:n_train + n_val]] = VAL
         flat[pixels[:n_train]] = TRAIN
-    return SplitAssignment(assignment=assignment, seed=seed, fractions=tuple(fractions))
+    return SplitAssignment(assignment=assignment)
 
 
 def rotate180(values: np.ndarray) -> np.ndarray:
@@ -240,18 +238,14 @@ class PatchSource:
             raise DimensionError(f"raster must be (H,W,C), got {raster.shape}")
         if patch_size < 1 or patch_size % 2 == 0:
             raise ConfigError(f"patch size must be odd and >= 1, got {patch_size}")
-        margin = patch_size // 2
-        padded = np.pad(raster, ((margin, margin), (margin, margin), (0, 0)))
-        # windows[h, w] covers source rows h-margin..h+margin after padding
-        self._windows = sliding_window_view(padded, (patch_size, patch_size), axis=(0, 1))
+        # (H, W, P, P, C): windows[h, w] is the patch centred on pixel (h, w)
+        self._windows = _taps(raster[None], (patch_size, patch_size))[0]
 
     def gather(self, coords: np.ndarray, rotate: bool = False) -> np.ndarray:
-        """Stack patches for (n, 2) center coordinates into (n, P, P, C)."""
-        batch = self._windows[coords[:, 0], coords[:, 1]]  # (n, C, P, P)
-        batch = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
+        """Stack patches for (n, 2) center coordinates into a new (n, P, P, C) array."""
         if rotate:
-            batch = rotate180(batch)
-        return batch
+            return self._windows[coords[:, 0], coords[:, 1], ::-1, ::-1]
+        return self._windows[coords[:, 0], coords[:, 1]]
 
 
 # float64 bytes of one synth_scene row block. On the bench scene shapes,

@@ -79,12 +79,15 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        """Config from a JSON object; each value must have its field's type
-        (an int that is not a bool, or a bool)."""
+        """Config from a JSON object that names every field, each value of its
+        field's type (an int that is not a bool, or a bool)."""
         types = {f.name: type(f.default) for f in fields(cls)}
         unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        missing = [name for name in types if name not in doc]
+        if missing:
+            raise ConfigError(f"model config lacks keys: {missing}")
         for name, value in doc.items():
             if type(value) is not types[name]:
                 raise ConfigError(f"model config {name} must be {types[name].__name__}, "

@@ -34,7 +34,10 @@ def _taps(a: np.ndarray, kshape) -> np.ndarray:
     entry, 3 (the channel axis). Each of those axes is padded by half its
     extent, so the view keeps the input's size: it has layout
     (N, H, W, *kshape, C), and ``view[..., *t, :]`` reads the input shifted
-    by ``t - kshape // 2``. Nothing is copied beyond the padding.
+    by ``t - kshape // 2``. Nothing is copied beyond the padding. This is
+    the package's one window builder: it serves the conv3d forward, the
+    conv2d backward and, with N = 1, the patch cuboids of
+    :class:`~hsimvt.data.PatchSource`.
     """
     m = len(kshape)
     pads = [k // 2 for k in kshape] + [0] * (3 - m)

@@ -48,16 +48,3 @@ def write_ppm(path, rgb: np.ndarray):
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(rgb).tobytes())
 
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM written by :func:`write_ppm` (for round-trip tests)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P6" or parts[2] != b"255":
-        raise ConfigError(f"{path}: not a P6/255 PPM written by this package")
-    w, h = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3][:h * w * 3], dtype=np.uint8)
-    if pixels.size != h * w * 3:
-        raise ConfigError(f"{path}: truncated pixel payload")
-    return pixels.reshape(h, w, 3).copy()

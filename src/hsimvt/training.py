@@ -132,11 +132,11 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
 
     Every epoch reshuffles the train pixels with its own stream, runs
     batches of ``batch_size``, then scores validation overall accuracy; the
-    returned parameters are a snapshot from the epoch that scored best
-    (earliest epoch wins ties). A representation that is not (H, W, C) over
-    the label raster, or whose channel count is not the model's, raises
-    :class:`DimensionError`. A non-finite loss or gradient raises
-    :class:`DivergenceError` before its epoch is logged.
+    trained parameters are returned holding the values copied at the epoch
+    that scored best (earliest epoch wins ties). A representation that is
+    not (H, W, C) over the label raster, or whose channel count is not the
+    model's, raises :class:`DimensionError`. A non-finite loss or gradient
+    raises :class:`DivergenceError` before its epoch is logged.
     """
     labels.check_raster(representation)
     if representation.shape[2] != model_config.input_channels:
@@ -160,7 +160,7 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     history = []
-    best = None  # (val_oa, epoch, snapshot)
+    best = None  # (val_oa, epoch, values)
     step = 0
     n_train = len(train_coords)
     for epoch in range(1, train_config.epochs + 1):
@@ -194,8 +194,9 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
         if log is not None:
             log(history[-1])
         if best is None or val_oa > best[0]:
-            best = (val_oa, epoch, params.copy())
+            best = (val_oa, epoch, params.values.copy())
 
-    best_val_oa, best_epoch, best_params = best
-    return TrainResult(params=best_params, history=history, best_epoch=best_epoch,
+    best_val_oa, best_epoch, best_values = best
+    params.values[...] = best_values
+    return TrainResult(params=params, history=history, best_epoch=best_epoch,
                        best_val_oa=best_val_oa, split=split)

@@ -320,6 +320,18 @@ def synth_scene_reference(seed, height, width, bands, num_classes, noise_sigma):
     return values.astype(np.float32), ids
 
 
+def read_ppm(path):
+    """(H, W, 3) uint8 pixels of a binary PPM (P6, maxval 255) whose header
+    fields are separated by single newlines, as the package writes them."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    magic, size, maxval, pixels = raw.split(b"\n", 3)
+    assert magic == b"P6" and maxval == b"255", raw[:32]
+    w, h = (int(v) for v in size.split())
+    assert len(pixels) == h * w * 3, (len(pixels), h, w)
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
+
+
 def add(a, b):
     """Elementwise sum of two same-shape tensors, as a taped op whose adjoint
     returns ``go`` itself for both inputs."""

@@ -17,8 +17,9 @@ from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainCo
 from hsimvt import cli
 from hsimvt.cli import main
 from hsimvt.data import TEST
-from hsimvt.render import read_ppm
 from hsimvt.runconfig import DEFAULTS
+
+from oracles import read_ppm
 
 SCENE = ["--height", "24", "--width", "24", "--bands", "12",
          "--classes", "3", "--noise", "0.05", "--seed", "2"]
@@ -504,15 +505,19 @@ def _header_paths(header):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_any_changed_checkpoint_header_value_exits_with_one_json_line(trained_run, data):
+    """Replacing the value at any header path, or deleting it, is refused."""
     config, header, payload = trained_run
     *parents, last = data.draw(st.sampled_from(_header_paths(header)), label="path")
-    value = data.draw(JSON_VALUES, label="value")
     doc = copy.deepcopy(header)
     target = doc
     for key in parents:
         target = target[key]
-    assume(json.dumps(value, sort_keys=True) != json.dumps(target[last], sort_keys=True))
-    target[last] = value
+    if data.draw(st.booleans(), label="delete"):
+        del target[last]
+    else:
+        value = data.draw(JSON_VALUES, label="value")
+        assume(json.dumps(value, sort_keys=True) != json.dumps(target[last], sort_keys=True))
+        target[last] = value
     checkpoint = config.parent / "changed.hsz"
     hsz.write_framed(checkpoint, hsz.MODEL_MAGIC, doc, payload)
     out, err = io.StringIO(), io.StringIO()

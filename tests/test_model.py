@@ -451,3 +451,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
                      payload)
     with pytest.raises(CompatibilityError, match="format_version"):
         load_params(tmp_path / "bad4.hsz")
+
+
+def test_checkpoint_rejects_a_config_key_left_out(tmp_path):
+    """A missing key is refused, not filled in with its default: an ablated
+    model would otherwise load as the default one."""
+    ablated = ModelConfig(**{**TOY.to_json_dict(), "use_global_token": False})
+    save_params(tmp_path / "m.hsz", ModelParams.initialize(ablated, seed=21))
+    header, payload = hsz.read_framed(tmp_path / "m.hsz", hsz.MODEL_MAGIC)
+    del header["config"]["use_global_token"], header["config"]["num_heads"]
+    hsz.write_framed(tmp_path / "short.hsz", hsz.MODEL_MAGIC, header, payload)
+    with pytest.raises(ConfigError, match="lacks keys: \\['num_heads', 'use_global_token'\\]"):
+        load_params(tmp_path / "short.hsz")

@@ -14,7 +14,7 @@ from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
                     mpca, report_from_confusion, rotation_audit,
                     stratified_split, synth_scene, train)
 from hsimvt import metrics
-from hsimvt.data import TEST, LabelMap, PatchSource
+from hsimvt.data import TEST, VAL, LabelMap, PatchSource
 from hsimvt.metrics import predict_coords
 
 from oracles import (adam_per_array, adam_trace_scalar, assert_flat_views, confusion_loop,
@@ -195,50 +195,34 @@ def test_default_train_step_tape_length():
         assert all(np.any(t.grad != 0) for _, t in params.trainable_parameters()), overrides
 
 
-def _train_keeping_final_params(monkeypatch, *args):
-    """``train(*args)`` and the parameters it trained, as they were after the last step.
-
-    ``train`` returns a snapshot of its best epoch; the live parameters are
-    caught as the first snapshot is taken from them.
-    """
-    live = []
-    copy = ModelParams.copy
-    monkeypatch.setattr(ModelParams, "copy", lambda self: live.append(self) or copy(self))
-    return train(*args), live[0]
-
-
-def test_train_lr_zero_freezes_parameters(monkeypatch):
+def test_train_lr_zero_freezes_parameters():
     representation, labels = small_scene()
     config = TrainConfig(epochs=3, batch_size=32, learning_rate=0.0, seed=4)
-    result, final = _train_keeping_final_params(monkeypatch, representation, labels,
-                                                SMALL_MODEL, config)
+    result = train(representation, labels, SMALL_MODEL, config)
     _, init_seed, _ = derive_seeds(config.seed)
     untouched = ModelParams.initialize(SMALL_MODEL, seed=init_seed)
-    for (_, got), (_, want) in zip(final.named_parameters(),
+    for (_, got), (_, want) in zip(result.params.named_parameters(),
                                    untouched.named_parameters()):
         np.testing.assert_array_equal(got.data, want.data)
     oas = [h["val_oa"] for h in result.history]
     assert len(set(oas)) == 1  # flat validation accuracy
 
 
-def test_train_without_global_token_leaves_it_bit_equal(monkeypatch):
+def test_train_without_global_token_leaves_it_bit_equal():
     """Under the ablation the token's gradient stays 0, so its Adam step is 0."""
     representation, labels = small_scene(noise=0.05)
     model_config = ModelConfig(**{**SMALL_MODEL.to_json_dict(), "use_global_token": False})
     config = TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=7)
-    _, final = _train_keeping_final_params(monkeypatch, representation, labels,
-                                           model_config, config)
+    final = train(representation, labels, model_config, config).params
     untouched = ModelParams.initialize(model_config, seed=derive_seeds(config.seed)[1])
     assert final["global_token"].data.tobytes() == untouched["global_token"].data.tobytes()
     assert not np.array_equal(final["feature.weight"].data, untouched["feature.weight"].data)
 
 
-def test_parameters_stay_views_of_the_flat_vectors_through_training(monkeypatch):
+def test_parameters_stay_views_of_the_flat_vectors_through_training():
     representation, labels = small_scene()
-    result, final = _train_keeping_final_params(monkeypatch, representation, labels,
-                                                SMALL_MODEL,
-                                                TrainConfig(epochs=1, batch_size=32, seed=8))
-    assert_flat_views(final)
+    result = train(representation, labels, SMALL_MODEL,
+                   TrainConfig(epochs=1, batch_size=32, seed=8))
     assert_flat_views(result.params)
     params = ModelParams.initialize(ModelConfig(), seed=0)
     batch = Tensor(np.random.default_rng(25).normal(size=(2, 5, 5, 30)).astype(np.float32))
@@ -310,6 +294,21 @@ def test_train_best_checkpoint_is_earliest_tie():
     result = train(representation, labels, SMALL_MODEL, config)
     # frozen parameters score identically every epoch; the first must win
     assert result.best_epoch == 1
+
+
+def test_train_returns_the_best_epochs_parameters_not_the_last():
+    cube, labels = synth_scene(seed=3, height=40, width=36, bands=40, num_classes=4,
+                               noise_sigma=0.3)
+    representation, _ = mpca(mmnorm(cube), num_views=10, components=3)
+    config = TrainConfig(epochs=12, batch_size=32, learning_rate=3e-2, seed=2)
+    result = train(representation, labels, ModelConfig(num_classes=4), config)
+    assert result.best_epoch < config.epochs
+    assert result.history[-1]["val_oa"] < result.best_val_oa
+    source = PatchSource(representation.astype(np.float32), result.params.config.patch_size)
+    val_coords = result.split.coords(VAL)
+    predicted = predict_coords(result.params, source, val_coords)
+    assert np.mean(predicted == labels.ids[val_coords[:, 0], val_coords[:, 1]]) \
+        == result.best_val_oa
 
 
 # -------------------------------------------------------------------- metrics
