@@ -13,7 +13,7 @@ from .data import (HsiCube, LabelMap, PatchSource, SplitAssignment, load_cube,
 from .errors import (CompatibilityError, ConfigError, DegenerateInputError,
                      DimensionError, DivergenceError, FormatError, HsimvtError,
                      PayloadLengthError, UsageError)
-from .experiments import preprocess, run_once, sweep, write_sweep_csv
+from .experiments import run_once, sweep, write_sweep_csv
 from .gradcheck import GradCheckReport, check_gradients
 from .metrics import (MetricsReport, RotationAudit, confusion_matrix, evaluate,
                       predict_coords, report_from_confusion, rotation_audit)

@@ -19,9 +19,10 @@ from . import hsz
 from .data import (TEST, LabelMap, PatchSource, load_cube, load_labels,
                    save_cube, save_labels, synth_scene)
 from .errors import CompatibilityError, ConfigError, HsimvtError
-from .experiments import preprocess, sweep, write_sweep_csv
+from .experiments import sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
 from .model import load_params, save_params
+from .mpca import mpca
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
 from .training import derive_split, train
@@ -106,7 +107,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     config = RunConfig.load(args.config)
     cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
-    rep, _ = preprocess(cube, *config.mpca_shape)
+    rep, _ = mpca(cube, *config.mpca_shape)
     rep_path = _new_out_path(config, REPRESENTATION_FILE)
     hsz.write_cube_raster(rep_path, rep)
     _emit({"representation": rep_path, "channels": int(rep.shape[2])})

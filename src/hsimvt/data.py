@@ -222,12 +222,10 @@ def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int =
 
 
 def rotate180(values: np.ndarray) -> np.ndarray:
-    """Reverse both spatial axes of a (P,P,C) or (N,P,P,C) patch array."""
-    if values.ndim == 3:
-        return np.ascontiguousarray(values[::-1, ::-1, :])
-    if values.ndim == 4:
-        return np.ascontiguousarray(values[:, ::-1, ::-1, :])
-    raise DimensionError(f"expected (P,P,C) or (N,P,P,C), got {values.shape}")
+    """Reverse both spatial axes of an (N,P,P,C) patch array."""
+    if values.ndim != 4:
+        raise DimensionError(f"expected (N,P,P,C), got {values.shape}")
+    return np.ascontiguousarray(values[:, ::-1, ::-1, :])
 
 
 class PatchSource:
@@ -273,6 +271,8 @@ def synth_scene(seed: int, height: int, width: int, bands: int, num_classes: int
         raise ConfigError(f"need bands >= classes, got {bands} < {num_classes}")
     if height < 1 or width < 1:
         raise ConfigError(f"scene must be at least 1x1 pixels, got {height}x{width}")
+    if height * width * bands * 4 > np.iinfo(np.intp).max:
+        raise ConfigError(f"a {height}x{width}x{bands} float32 cube is too big to allocate")
     if num_classes > height * width:
         raise ConfigError(f"{num_classes} classes cannot fit {height * width} pixels")
     if not 0 <= noise_sigma < math.inf:

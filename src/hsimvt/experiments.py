@@ -1,4 +1,4 @@
-"""Preprocessing composition and single-axis parameter sweeps."""
+"""Single runs and single-axis parameter sweeps."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from .data import TEST, HsiCube, LabelMap, PatchSource
 from .data import mmnorm  # noqa: F401 -- bench/spans.py traces experiments.mmnorm
 from .errors import ConfigError, DimensionError
 from .metrics import evaluate
-from .mpca import _mpca, mpca_spec
+from .mpca import mpca, mpca_spec
 from .runconfig import RunConfig
 from .training import train
 
@@ -19,25 +19,14 @@ SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
               "train_fraction": ("train", "fractions")}
 
 
-def preprocess(cube: HsiCube, views: int, components: int):
-    """MMNorm then multiview PCA; returns (raster, PcaModel list).
-
-    The result is ``mpca(mmnorm(cube), views, components)`` bit for bit,
-    but each view is normalized as it is gathered from ``cube``, so no
-    normalized copy of the whole cube is made. A run config's
-    :attr:`RunConfig.mpca_shape` gives the (views, components) to pass.
-    """
-    return _mpca(cube, views, components, normalize=True)
-
-
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):
-    """One preprocess -> train -> test-evaluate pass; returns (report, result)."""
-    rep, _ = preprocess(cube, *config.mpca_shape)
+    """One MPCA -> train -> test-evaluate pass; returns (report, result)."""
+    rep, _ = mpca(cube, *config.mpca_shape)
     return _train_and_score(rep, labels, config)
 
 
 def _train_and_score(rep, labels: LabelMap, config: RunConfig):
-    """:func:`run_once` on the representation ``rep`` preprocessing gave."""
+    """:func:`run_once` on the representation ``rep`` that :func:`mpca` gave."""
     model_config = config.model_config(labels.num_classes)
     result = train(rep, labels, model_config, config.train_config(),
                    fractions=config.fractions)
@@ -93,7 +82,7 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     for value, run_config in zip(values, configs):
         if run_config.mpca_shape != shape:
             shape, rep = run_config.mpca_shape, None  # free the old one first
-            rep, _ = preprocess(cube, *shape)
+            rep, _ = mpca(cube, *shape)
         report, result = _train_and_score(rep, labels, run_config)
         row = {"axis": axis, "value": value, "oa": report.oa, "aa": report.aa,
                "best_epoch": result.best_epoch, "best_val_oa": result.best_val_oa}

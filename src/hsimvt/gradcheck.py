@@ -38,14 +38,11 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
     """Compare reverse-mode gradients of ``model_fn()`` with central differences.
 
     ``model_fn`` must be deterministic, take no arguments, read the current
-    values of ``params`` (a mapping name -> Tensor, or a sequence of
-    Tensors) and return a scalar loss Tensor. Use float64 parameters; the
-    relative error of a float32 forward pass swamps the check.
+    values of ``params`` (a mapping name -> Tensor) and return a scalar
+    loss Tensor. Use float64 parameters; the relative error of a float32
+    forward pass swamps the check.
     """
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = [(f"param{i}", p) for i, p in enumerate(params)]
+    items = list(params.items())
 
     # Zeroed in place, not dropped: a ModelParams tensor's grad is a view
     # of its flat gradient vector, and backward would add to what is there.

@@ -57,6 +57,8 @@ def read_framed(path, magic: bytes):
         header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: JSON header nested too deeply") from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     return header, payload

@@ -4,9 +4,8 @@ head and classifier — plus the ablation switches that disable the
 encoder-decoder or the learnable global token. (The MPCA ablation changes
 only the input's views and components.)
 
-Every model piece takes batched (N, ...) tensors. Only :func:`forward`
-also takes one (P, P, C) patch: it lifts it to a batch of one and squeezes
-the batch axis back off its outputs.
+Every model piece, :func:`forward` included, takes batched (N, ...)
+tensors; one patch is a batch of one.
 """
 
 from __future__ import annotations
@@ -380,26 +379,19 @@ def predict(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=-1) + 1
 
 
-def forward(patch, params: ModelParams, trace: dict = None) -> Tensor:
+def forward(patches: Tensor, params: ModelParams, trace: dict = None) -> Tensor:
     """Full composition: encoder-decoder -> tokenize -> attention -> classify.
 
-    A batch (N, P, P, C_in) gives logits (N, K). One (P, P, C_in) patch is
-    run as a batch of one and gives (K,); ``trace`` then reports every
-    shape without the batch axis.
+    A batch (N, P, P, C_in) gives logits (N, K); ``trace`` collects every
+    stage's batched shape.
     """
-    x = patch if isinstance(patch, Tensor) else Tensor(patch)
-    single = x.data.ndim == 3
-    if single:
-        x = ops.reshape(x, (1,) + x.data.shape)
-    shapes = {}
-    feature = sed_forward(x, params, trace=shapes)
+    if patches.data.ndim != 4:
+        raise DimensionError(f"patches must be (N,P,P,C), got {patches.data.shape}")
+    feature = sed_forward(patches, params, trace=trace)
     tokens = assemble_tokens(tokenize(feature), params, params.config.use_global_token)
     ta = multi_head(tokens, params)
     logits, fea = feature_and_classify(ta, params)
     if trace is not None:
-        shapes.update(tokens=tokens.data.shape, attended=ta.data.shape,
-                      features=fea.data.shape, logits=logits.data.shape)
-        trace.update({k: v[1:] if single else v for k, v in shapes.items()})
-    if single:
-        logits = ops.reshape(logits, logits.data.shape[1:])
+        trace.update(tokens=tokens.data.shape, attended=ta.data.shape,
+                     features=fea.data.shape, logits=logits.data.shape)
     return logits

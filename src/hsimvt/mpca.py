@@ -176,35 +176,29 @@ def transform_view(view: np.ndarray, model: PcaModel) -> np.ndarray:
 
 
 def mpca(cube: HsiCube, num_views: int, components: int):
-    """Full pipeline: views -> per-view PCA -> view-major channel concat.
+    """MMNorm then multiview PCA: views -> per-view PCA -> view-major concat.
 
-    Returns (H x W x (num_views*components) float32 raster, list of PcaModel).
-    The cube should already be min-max normalized.
-    """
-    return _mpca(cube, num_views, components, normalize=False)
+    Returns (H x W x (num_views*components) float32 raster, list of
+    PcaModel) of ``mmnorm(cube)``; MMNorm is idempotent, so a normalized
+    cube gives the same bits. A run config's :attr:`RunConfig.mpca_shape`
+    gives the (views, components) to pass.
 
-
-def _mpca(cube: HsiCube, num_views: int, components: int, normalize: bool):
-    """:func:`mpca`, of ``mmnorm(cube)`` when ``normalize`` is set.
-
-    One view at a time is gathered (and normalized) from the cube into a
-    buffer of the cube's dtype (MMNorm's arithmetic dtype when
-    normalizing), cast into a reused float64 (H*W, M) buffer,
-    centered there in place, fitted and projected into the float32 output.
-    Every float64 expression runs on the same contiguous arrays as
-    ``fit_pca``/``transform_view`` on :func:`build_views`' rasters, so the
-    bits are theirs.
+    One view at a time is normalized as it is gathered from the cube into a
+    buffer of MMNorm's arithmetic dtype, cast into a reused float64
+    (H*W, M) buffer, centered there in place, fitted and projected into the
+    float32 output. Every float64 expression runs on the same contiguous
+    arrays as ``fit_pca``/``transform_view`` on :func:`build_views`'
+    rasters of ``mmnorm(cube)``, so the bits are theirs.
     """
     groups = mpca_spec(cube.bands, num_views, components).num_groups
-    norm = mmnorm_scalars(cube) if normalize else None
-    dtype = norm[1].dtype if normalize else cube.values.dtype
-    view = np.empty((cube.height, cube.width, groups), dtype=dtype)
-    cast = dtype != np.float64
+    lo, span = mmnorm_scalars(cube)
+    view = np.empty((cube.height, cube.width, groups), dtype=span.dtype)
+    cast = span.dtype != np.float64
     samples = np.empty((cube.height * cube.width, groups)) if cast else view.reshape(-1, groups)
     stacked = np.empty((cube.height, cube.width, num_views * components), dtype=np.float32)
     models = []
     for n in range(num_views):
-        _gather_view(cube.values, num_views, n, view, norm)
+        _gather_view(cube.values, num_views, n, view, (lo, span))
         _check_view(view, components)  # on the view dtype: the float64 cast is exact
         if cast:
             samples[...] = view.reshape(-1, groups)

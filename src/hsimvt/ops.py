@@ -303,11 +303,6 @@ def relu(x: Tensor) -> Tensor:
     return record_op(np.maximum(xd, 0), (x,), lambda go, need: (go * (xd > 0),))
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    return record_op(x.data.reshape(tuple(shape)), (x,),
-                     lambda go, need: (go.reshape(x.data.shape),))
-
-
 def prepend_row(row: Tensor, tokens: Tensor) -> Tensor:
     """Put the (C,) ``row`` in front of every (N, T, C) token block: (N, T+1, C)."""
     rd, td = row.data, tokens.data

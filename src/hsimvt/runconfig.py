@@ -58,7 +58,7 @@ class RunConfig:
     """
 
     def __init__(self, doc: dict = None):
-        doc = doc or {}
+        doc = {} if doc is None else doc
         if not isinstance(doc, dict):
             raise ConfigError(f"run config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - set(DEFAULTS)
@@ -96,6 +96,8 @@ class RunConfig:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
             except RecursionError:
                 raise ConfigError(f"{path}: JSON nested too deeply") from None
+        if doc is None:  # a file holding `null` does not mean the defaults
+            raise ConfigError(f"{path}: run config must be a JSON object, got null")
         return cls(doc)
 
     def __getitem__(self, section: str) -> dict:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, extended precision) and shares no code with hsimvt, except the three
+loops, extended precision) and shares no code with hsimvt, except the four
 test-only ops at the end, which put their adjoints on hsimvt's tape.
 """
 
@@ -338,6 +338,13 @@ def add(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
     return record_op(a.data + b.data, (a, b), lambda go, need: (go, go))
+
+
+def reshape(x, shape):
+    """``x`` with a new shape, as a taped op whose adjoint returns a view of
+    ``go``."""
+    return record_op(x.data.reshape(tuple(shape)), (x,),
+                     lambda go, need: (go.reshape(x.data.shape),))
 
 
 def mul(a, b):

@@ -128,14 +128,14 @@ def _build_artifacts():
         params = ModelParams.initialize(config, seed=5)
         patch = np.random.default_rng(50 + p).normal(size=(p, p, 30)).astype(np.float32)
         trace = {}
-        forward(patch, params, trace=trace)
+        forward(Tensor(patch[None]), params, trace=trace)
         shapes[str(p)] = {
             "input": [p, p, 30],
-            "expanded": list(trace["sed.expanded"]),
-            "squeezed": list(trace["sed.squeezed"]),
-            "decoded": list(trace["sed.decoded"]),
-            "tokens": list(trace["tokens"]),
-            "logits": list(trace["logits"]),
+            "expanded": list(trace["sed.expanded"][1:]),
+            "squeezed": list(trace["sed.squeezed"][1:]),
+            "decoded": list(trace["sed.decoded"][1:]),
+            "tokens": list(trace["tokens"][1:]),
+            "logits": list(trace["logits"][1:]),
         }
 
     started = time.perf_counter()

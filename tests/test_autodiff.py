@@ -7,7 +7,7 @@ from hsimvt import (GradGraph, ModelConfig, ModelParams, Tensor, UsageError, che
                     cross_entropy, forward)
 from hsimvt import ops
 
-from oracles import add, mul, sum_all
+from oracles import add, mul, reshape, sum_all
 
 RNG = np.random.default_rng(20)
 TOL = 1e-6  # float64 central differences are far tighter than the 1e-4 gate
@@ -175,8 +175,8 @@ def test_backward_requires_scalar_and_single_use():
 
 def test_check_gradients_reports_per_parameter():
     x = _param((2, 2))
-    report = check_gradients(lambda: sum_all(mul(x, x)), [x])
-    assert list(report.per_param) == ["param0"]
+    report = check_gradients(lambda: sum_all(mul(x, x)), {"x": x})
+    assert list(report.per_param) == ["x"]
     assert report.max_rel_err < 1e-6
     assert "ok" in report.summary()
 
@@ -292,8 +292,8 @@ def test_reshape_chain_owns_its_gradients():
     probe = RNG.normal(size=12)
 
     def loss_fn():
-        square = ops.reshape(x, (3, 4))
-        flat = ops.reshape(square, (12,))
+        square = reshape(x, (3, 4))
+        flat = reshape(square, (12,))
         return sum_all(mul(flat, Tensor(probe))), {"square": square, "flat": flat}
 
     grads = _backward_grads(loss_fn, {"x": x})

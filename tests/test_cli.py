@@ -4,16 +4,17 @@ import copy
 import inspect
 import io
 import json
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainConfig,
-                    class_palette, experiments, hsz, render_class_map, stratified_split,
-                    synth_scene, train, write_ppm)
+                    class_palette, experiments, hsz, mpca, render_class_map,
+                    stratified_split, synth_scene, train, write_ppm)
 from hsimvt import cli
 from hsimvt.cli import main
 from hsimvt.data import TEST
@@ -300,14 +301,46 @@ def test_deeply_nested_config_exits_with_one_json_line(workdir, capsys):
     assert doc["type"] == "ConfigError" and "nested" in doc["error"]
 
 
+@pytest.mark.parametrize("text", ["[]", "0", '""', "false", "null"])
+def test_a_config_that_is_not_an_object_exits_with_one_json_line(workdir, capsys, text):
+    config = workdir / "config.json"
+    config.write_text(text)
+    doc = _one_json_error(capsys, "train", "--config", str(config))
+    assert doc["type"] == "ConfigError" and "must be a JSON object" in doc["error"]
+
+
+@pytest.mark.parametrize("command, magic, name", [
+    ("preprocess", hsz.CUBE_MAGIC, "synth_cube.hsz"),
+    ("train", hsz.LABEL_MAGIC, "synth_labels.hsz"),
+    ("eval", hsz.MODEL_MAGIC, "checkpoint.hsz"),
+])
+def test_deeply_nested_hsz_header_exits_with_one_json_line(workdir, capsys, command, magic,
+                                                           name):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    assert run(capsys, "preprocess", "--config", config)[0] == 0
+    head = b"[" * 100_000 + b"]" * 100_000
+    (workdir / name).write_bytes(magic + struct.pack("<I", len(head)) + head)
+    doc = _one_json_error(capsys, command, "--config", config)
+    assert doc["type"] == "FormatError" and "nested" in doc["error"]
+
+
+def test_synth_refuses_a_cube_too_big_for_numpy(workdir, capsys):
+    # refused by its size alone, before any draw or allocation
+    doc = _one_json_error(capsys, "synth", "--height", "10000000000000", "--width", "1",
+                          "--bands", "1000000", "--out", "scene")
+    assert doc["type"] == "ConfigError" and "too big" in doc["error"]
+    assert not (workdir / "scene").exists()
+
+
 def test_sweep_refuses_a_cube_of_another_size_before_preprocessing(workdir, monkeypatch):
     small = synth_scene(seed=0, height=12, width=10, bands=8, num_classes=3, noise_sigma=0.1)
     big = synth_scene(seed=0, height=14, width=10, bands=8, num_classes=3, noise_sigma=0.1)
 
-    def preprocess(*args):
+    def mpca(*args):
         raise AssertionError("sweep preprocessed a cube that does not fit the labels")
 
-    monkeypatch.setattr(experiments, "preprocess", preprocess)
+    monkeypatch.setattr(experiments, "mpca", mpca)
     with pytest.raises(DimensionError, match="cube is 14x10, labels are 12x10"):
         experiments.sweep(big[0], small[1], RunConfig(CONFIG), "heads", [1])
 
@@ -322,10 +355,10 @@ def test_sweep_checks_every_value_before_preprocessing(monkeypatch, axis, values
     cube, labels = synth_scene(seed=0, height=12, width=10, bands=8, num_classes=3,
                                noise_sigma=0.1)
 
-    def preprocess(*args):
+    def mpca(*args):
         raise AssertionError("sweep started a run before checking every value")
 
-    monkeypatch.setattr(experiments, "preprocess", preprocess)
+    monkeypatch.setattr(experiments, "mpca", mpca)
     config = RunConfig({**CONFIG, "mpca": {"views": 4, "components": 1}})
     with pytest.raises(ConfigError, match=error):
         experiments.sweep(cube, labels, config, axis, values)
@@ -336,7 +369,7 @@ def test_bad_fraction_sweep_exits_before_preprocessing(workdir, capsys, monkeypa
                                                        fractions):
     run(capsys, "synth", *SCENE)
     calls = []
-    monkeypatch.setattr(experiments, "preprocess", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "mpca", lambda *args: calls.append(args))
     config = write_config(workdir, {"train": {"fractions": fractions}})
     code, out, err = run(capsys, "sweep", "--config", config, "--axis", "heads",
                          "--values", "1,2")
@@ -355,9 +388,9 @@ def test_sweep_preprocesses_once_per_mpca_shape(monkeypatch, axis, values, prepr
     config = RunConfig({**CONFIG, "mpca": {"views": 4, "components": 1},
                         "train": {**CONFIG["train"], "epochs": 1}})
     shapes = []
-    preprocess = experiments.preprocess
-    monkeypatch.setattr(experiments, "preprocess",
-                        lambda cube, *shape: shapes.append(shape) or preprocess(cube, *shape))
+    mpca = experiments.mpca
+    monkeypatch.setattr(experiments, "mpca",
+                        lambda cube, *shape: shapes.append(shape) or mpca(cube, *shape))
     rows = experiments.sweep(cube, labels, config, axis, values)
     assert shapes == preprocessed
     if axis == "heads":  # the same rows as one run_once per value
@@ -375,7 +408,7 @@ def test_eval_scores_the_test_pixels_of_the_split_train_drew():
                                noise_sigma=0.1)
     config = RunConfig({**CONFIG, "train": {"epochs": 1, "batch": 32, "seed": 11,
                                             "fractions": [0.2, 0.1, 0.7]}})
-    representation, _ = experiments.preprocess(cube, *config.mpca_shape)
+    representation, _ = mpca(cube, *config.mpca_shape)
     result = train(representation, labels, config.model_config(labels.num_classes),
                    config.train_config(), fractions=config.fractions)
     coords, _ = cli._test_set(config, labels)
@@ -494,39 +527,51 @@ def trained_run(tmp_path_factory):
 
 
 def _header_paths(header):
-    """Key paths to every value in a checkpoint header, nested ones included."""
-    paths = [(key,) for key in header] + [("config", key) for key in header["config"]]
+    """Key paths to every value in a checkpoint header, nested ones included,
+    by level: the top-level keys, the config keys and the array entries.
+
+    The arrays hold most of the paths, so a path drawn from all of them at
+    once would seldom be a config key."""
+    arrays = []
     for i, entry in enumerate(header["arrays"]):
-        paths += [("arrays", i), ("arrays", i, "name"), ("arrays", i, "shape")]
-        paths += [("arrays", i, "shape", j) for j in range(len(entry["shape"]))]
-    return paths
+        arrays += [("arrays", i), ("arrays", i, "name"), ("arrays", i, "shape")]
+        arrays += [("arrays", i, "shape", j) for j in range(len(entry["shape"]))]
+    return {"top": [(key,) for key in header],
+            "config": [("config", key) for key in header["config"]], "arrays": arrays}
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_any_changed_checkpoint_header_value_exits_with_one_json_line(trained_run, data):
-    """Replacing the value at any header path, or deleting it, is refused."""
+    """Deleting the value at any header path, or replacing it, is refused.
+
+    Each drawn path is checked both ways, so that a left-out key is tried
+    on every path the test draws."""
     config, header, payload = trained_run
-    *parents, last = data.draw(st.sampled_from(_header_paths(header)), label="path")
-    doc = copy.deepcopy(header)
-    target = doc
-    for key in parents:
-        target = target[key]
-    if data.draw(st.booleans(), label="delete"):
-        del target[last]
-    else:
-        value = data.draw(JSON_VALUES, label="value")
-        assume(json.dumps(value, sort_keys=True) != json.dumps(target[last], sort_keys=True))
-        target[last] = value
-    checkpoint = config.parent / "changed.hsz"
-    hsz.write_framed(checkpoint, hsz.MODEL_MAGIC, doc, payload)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
-    assert code == 1 and out.getvalue() == ""
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "type"}
+    levels = _header_paths(header)
+    level = data.draw(st.sampled_from(sorted(levels)), label="level")
+    *parents, last = data.draw(st.sampled_from(levels[level]), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    for delete in (True, False):
+        doc = copy.deepcopy(header)
+        target = doc
+        for key in parents:
+            target = target[key]
+        if delete:
+            del target[last]
+        elif json.dumps(value, sort_keys=True) == json.dumps(target[last], sort_keys=True):
+            continue  # the same value is no change
+        else:
+            target[last] = value
+        checkpoint = config.parent / "changed.hsz"
+        hsz.write_framed(checkpoint, hsz.MODEL_MAGIC, doc, payload)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+        assert code == 1 and out.getvalue() == "", delete
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, delete
+        assert set(json.loads(lines[0])) == {"error", "type"}
 
 
 # ------------------------------------------------------------------ RunConfig

@@ -255,14 +255,16 @@ def test_patch_source_rotated_gather():
 
 
 def test_rotate180_semantics():
-    x = np.arange(9, dtype=np.float32).reshape(3, 3, 1)
-    np.testing.assert_array_equal(rotate180(x)[..., 0],
+    x = np.arange(9, dtype=np.float32).reshape(1, 3, 3, 1)
+    np.testing.assert_array_equal(rotate180(x)[0, ..., 0],
                                   [[8, 7, 6], [5, 4, 3], [2, 1, 0]])
     np.testing.assert_array_equal(rotate180(rotate180(x)), x)
-    batch = np.stack([x, x + 1])
-    np.testing.assert_array_equal(rotate180(batch)[0], rotate180(x))
+    batch = np.concatenate([x, x + 1])
+    np.testing.assert_array_equal(rotate180(batch)[:1], rotate180(x))
     with pytest.raises(DimensionError):
         rotate180(np.zeros((3, 3)))
+    with pytest.raises(DimensionError):  # a single patch is a batch of one
+        rotate180(np.zeros((3, 3, 1)))
 
 
 def test_synth_scene_structure():

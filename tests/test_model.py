@@ -225,7 +225,7 @@ def test_tokenize_rotation_equivariance_exact():
     for p in (3, 5, 7, 9):
         feature = rng.normal(size=(p, p, 8)).astype(np.float32)
         straight = tokenize(Tensor(feature[None])).data
-        flipped = tokenize(Tensor(rotate180(feature)[None])).data
+        flipped = tokenize(Tensor(rotate180(feature[None]))).data
         np.testing.assert_array_equal(flipped, straight[:, ::-1])  # bit-exact, not approx
 
 
@@ -362,7 +362,7 @@ def test_predict_breaks_ties_low():
 def test_argmax_invariant_to_classifier_bias_shift():
     params = ModelParams.initialize(TOY, seed=16)
     rng = np.random.default_rng(16)
-    patch = rng.normal(size=(3, 3, 4)).astype(np.float32)
+    patch = Tensor(rng.normal(size=(1, 3, 3, 4)).astype(np.float32))
     before = predict(forward(patch, params).data)
     params["classifier.bias"].data += np.float32(3.7)
     after = predict(forward(patch, params).data)
@@ -376,24 +376,30 @@ def test_forward_deterministic_and_traced():
     rng = np.random.default_rng(17)
     patch = rng.normal(size=(3, 3, 4)).astype(np.float32)
     trace = {}
-    first = forward(patch, params, trace=trace)
-    second = forward(patch, params)
+    first = forward(Tensor(patch[None]), params, trace=trace)
+    second = forward(Tensor(patch[None]), params)
     np.testing.assert_array_equal(first.data, second.data)
-    assert first.data.shape == (3,)
-    assert trace["tokens"] == (5, 8)
-    assert trace["attended"] == (5, 8)
-    assert trace["features"] == (8,)
-    assert trace["logits"] == (3,)
+    assert first.data[0].shape == (3,)
+    assert trace["tokens"][1:] == (5, 8)
+    assert trace["attended"][1:] == (5, 8)
+    assert trace["features"][1:] == (8,)
+    assert trace["logits"][1:] == (3,)
+
+
+def test_forward_rejects_a_single_patch():
+    params = ModelParams.initialize(TOY, seed=17)
+    with pytest.raises(DimensionError, match=r"\(N,P,P,C\)"):
+        forward(Tensor(np.zeros((3, 3, 4), dtype=np.float32)), params)
 
 
 def test_forward_batch_consistent_with_singles():
     params = ModelParams.initialize(TOY, seed=18)
     rng = np.random.default_rng(18)
     batch = rng.normal(size=(4, 3, 3, 4)).astype(np.float32)
-    batched = forward(batch, params).data
+    batched = forward(Tensor(batch), params).data
     assert batched.shape == (4, 3)
     for i in range(4):
-        np.testing.assert_allclose(batched[i], forward(batch[i], params).data,
+        np.testing.assert_allclose(batched[i], forward(Tensor(batch[i][None]), params).data[0],
                                     atol=1e-6)
 
 

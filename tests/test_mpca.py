@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
                     build_views, fit_pca, mmnorm, mpca, synth_scene, transform_view,
                     view_spec)
-from hsimvt.experiments import preprocess
 from hsimvt.mpca import PcaModel, fix_signs
 
 from oracles import (fix_signs_oracle, jacobi_eigh, mpca_float64_reference,
@@ -162,7 +161,7 @@ def test_zero_variance_check_reads_past_the_first_rows():
     cube = np.ones((12, 10, 6), dtype=np.float32)
     cube[11, 9, 1::2] = 2.0  # in every band of view 2
     cube[0, 0, 0::2] = 0.0   # and view 1 varies at the first pixel
-    stacked, _ = preprocess(HsiCube(values=cube), 2, 1)
+    stacked, _ = mpca(HsiCube(values=cube), 2, 1)
     assert np.isfinite(stacked).all()
 
 
@@ -218,7 +217,7 @@ def test_mpca_channel_layout_is_view_major():
     assert stacked.shape == (7, 8, 12)
     assert stacked.dtype == np.float32
     assert len(models) == 4
-    _, rasters = build_views(cube, 4)
+    _, rasters = build_views(mmnorm(cube), 4)
     for n in range(4):
         part = transform_view(rasters[n], models[n]).astype(np.float32)
         np.testing.assert_array_equal(stacked[:, :, 3 * n:3 * (n + 1)], part)
@@ -229,7 +228,7 @@ def test_mpca_single_view_is_plain_pca():
     cube = HsiCube(values=rng.normal(size=(6, 6, 8)))
     stacked, models = mpca(cube, num_views=1, components=3)
     assert stacked.shape == (6, 6, 3)
-    want, _, _ = pca_project_oracle(cube.values.reshape(-1, 8), components=3)
+    want, _, _ = pca_project_oracle(mmnorm(cube).values.reshape(-1, 8), components=3)
     np.testing.assert_allclose(stacked.reshape(-1, 3), want, atol=1e-6)
 
 
@@ -253,27 +252,37 @@ def test_mpca_bit_identical_across_runs():
     assert first.tobytes() == second.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int16])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
 def test_mpca_matches_float64_reference_bit_for_bit(bands, views, dtype):
+    """On a raw cube, mpca gives the float64 reference of ``mmnorm(cube)``;
+    MMNorm being idempotent, mpca of the normalized cube gives the same bytes."""
     # 45 x 30 x 103 spans three row blocks of build_views' gather
     rng = np.random.default_rng(bands * 100 + views)
-    values = rng.normal(size=(45, 30, bands)).astype(dtype)
+    scale = 1000 if dtype == np.int16 else 1  # integers need a range to round into
+    values = (rng.normal(size=(45, 30, bands)) * scale).astype(dtype)
     components = min(3, -(-bands // views))
-    want, fitted = mpca_float64_reference(values, views, components)
     for layout in (values, np.asfortranarray(values)):
-        stacked, models = mpca(HsiCube(values=layout), views, components)
+        cube = HsiCube(values=layout)
+        normalized = mmnorm(cube)
+        want, fitted = mpca_float64_reference(normalized.values, views, components)
+        stacked, models = mpca(cube, views, components)
         assert stacked.dtype == np.float32
         assert np.array_equal(stacked, want)
         for model, (mean, projection, eigenvalues) in zip(models, fitted, strict=True):
             assert np.array_equal(model.mean, mean)
             assert np.array_equal(model.projection, projection)
             assert np.array_equal(model.eigenvalues, eigenvalues)
+        again, again_models = mpca(normalized, views, components)
+        assert again.tobytes() == stacked.tobytes()
+        for a, b in zip(models, again_models, strict=True):
+            for name in ("mean", "projection", "eigenvalues"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (0, 3, 4)])
 def test_mpca_of_an_empty_cube_is_degenerate(shape):
-    with pytest.raises(DegenerateInputError, match="at least 2 pixels"):
+    with pytest.raises(DegenerateInputError, match="empty cube"):
         mpca(HsiCube(values=np.zeros(shape, dtype=np.float32)), num_views=2, components=1)
 
 
@@ -290,7 +299,7 @@ def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(bands, views
     for layout in (values, np.asfortranarray(values)):
         cube = HsiCube(values=layout)
         want, fitted = mpca_float64_reference(mmnorm(cube).values, *shape)
-        stacked, models = preprocess(cube, *shape)
+        stacked, models = mpca(cube, *shape)
         assert stacked.dtype == np.float32
         assert np.array_equal(stacked, want)
         for model, (mean, projection, eigenvalues) in zip(models, fitted, strict=True):
@@ -305,7 +314,7 @@ def test_preprocess_rejects_a_cube_whose_normalized_values_overflow(dtype, extre
     values[0, 1, 2], values[3, 4, 5] = extreme, -extreme
     cube = HsiCube(values=values)
     with np.errstate(over="ignore"):
-        for run in (lambda: preprocess(cube, 2, 1), lambda: mmnorm(cube)):
+        for run in (lambda: mpca(cube, 2, 1), lambda: mmnorm(cube)):
             with pytest.raises(DegenerateInputError, match="non-finite"):
                 run()
 
@@ -313,17 +322,17 @@ def test_preprocess_rejects_a_cube_whose_normalized_values_overflow(dtype, extre
 def test_preprocess_keeps_the_degenerate_input_checks():
     rng = np.random.default_rng(13)
     with pytest.raises(DegenerateInputError, match="constant cube"):
-        preprocess(HsiCube(values=np.full((4, 4, 6), 0.5, dtype=np.float32)), 2, 1)
+        mpca(HsiCube(values=np.full((4, 4, 6), 0.5, dtype=np.float32)), 2, 1)
     with pytest.raises(DegenerateInputError, match="at least 2 pixels"):
-        preprocess(HsiCube(values=rng.random((1, 1, 6), dtype=np.float32)), 2, 1)
+        mpca(HsiCube(values=rng.random((1, 1, 6), dtype=np.float32)), 2, 1)
     values = rng.random((4, 4, 6), dtype=np.float32)
     values[:, :, 1::2] = 0.25  # view 2 is the same at every pixel
     with pytest.raises(DegenerateInputError, match="zero-variance"):
-        preprocess(HsiCube(values=values), 2, 1)
+        mpca(HsiCube(values=values), 2, 1)
     with pytest.raises(DegenerateInputError, match="empty cube"):
-        preprocess(HsiCube(values=np.zeros((0, 4, 6), dtype=np.float32)), 2, 1)
+        mpca(HsiCube(values=np.zeros((0, 4, 6), dtype=np.float32)), 2, 1)
     with pytest.raises(ConfigError):
-        preprocess(HsiCube(values=values), 2, 4)
+        mpca(HsiCube(values=values), 2, 4)
 
 
 @pytest.mark.parametrize("shape,views,components,enabled,bound", [
@@ -335,7 +344,7 @@ def test_preprocess_peak_memory(shape, views, components, enabled, bound):
     cube = HsiCube(values=rng.random(shape, dtype=np.float32))
     tracemalloc.start()
     try:
-        preprocess(cube, *((views, components) if enabled else (1, views * components)))
+        mpca(cube, *((views, components) if enabled else (1, views * components)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
