@@ -12,7 +12,7 @@ from .data import (HsiCube, LabelMap, PatchSource, SplitAssignment, load_cube,
                    stratified_split, synth_scene)
 from .errors import (CompatibilityError, ConfigError, DegenerateInputError,
                      DimensionError, DivergenceError, FormatError, HsimvtError,
-                     PayloadLengthError, UsageError)
+                     PayloadLengthError, UsageError, WorkerError)
 from .experiments import run_once, sweep, write_sweep_csv
 from .gradcheck import GradCheckReport, check_gradients
 from .metrics import (MetricsReport, RotationAudit, confusion_matrix, evaluate,

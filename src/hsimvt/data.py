@@ -236,6 +236,7 @@ class PatchSource:
             raise DimensionError(f"raster must be (H,W,C), got {raster.shape}")
         if patch_size < 1 or patch_size % 2 == 0:
             raise ConfigError(f"patch size must be odd and >= 1, got {patch_size}")
+        self.raster, self.patch_size = raster, patch_size
         # (H, W, P, P, C): windows[h, w] is the patch centred on pixel (h, w)
         self._windows = _taps(raster[None], (patch_size, patch_size))[0]
 

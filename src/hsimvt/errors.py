@@ -35,3 +35,7 @@ class UsageError(HsimvtError):
 
 class CompatibilityError(ConfigError):
     """A checkpoint and a run configuration disagree."""
+
+
+class WorkerError(HsimvtError):
+    """A scoring worker process exited or failed before it returned its predictions."""

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scoring
 from .data import PatchSource
 from .errors import DimensionError, UsageError
 from .model import ModelParams, forward, predict
@@ -74,16 +75,30 @@ def report_from_confusion(confusion: np.ndarray) -> MetricsReport:
                          counts=[int(s) for s in row_sums])
 
 
-def predict_coords(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                   rotate: bool = False) -> np.ndarray:
-    """Predicted 1-based class ids for each (h, w) center, in coords order."""
+def _predict_batches(params: ModelParams, source: PatchSource, coords: np.ndarray,
+                     rotate: bool, batch: int) -> np.ndarray:
+    """The serial scoring loop: one forward pass per ``batch`` coordinates."""
     out = np.empty(len(coords), dtype=np.int64)
-    for lo in range(0, len(coords), _SCORING_BATCH):
-        chunk = coords[lo:lo + _SCORING_BATCH]
+    for lo in range(0, len(coords), batch):
+        chunk = coords[lo:lo + batch]
         patches = Tensor(source.gather(chunk, rotate=rotate))
         logits = forward(patches, params)
         out[lo:lo + len(chunk)] = predict(logits.data)
     return out
+
+
+def predict_coords(params: ModelParams, source: PatchSource, coords: np.ndarray,
+                   rotate: bool = False) -> np.ndarray:
+    """Predicted 1-based class ids for each (h, w) center, in coords order.
+
+    A large job (see :func:`hsimvt.scoring.pool_workers`) runs its batches
+    on worker processes, with the same bits as the serial loop.
+    """
+    workers = scoring.pool_workers(params.values.size, len(coords), _SCORING_BATCH)
+    if workers > 1:
+        return scoring.predict_pooled(params, source, coords, rotate, workers,
+                                      _SCORING_BATCH)
+    return _predict_batches(params, source, coords, rotate, _SCORING_BATCH)
 
 
 def evaluate(params: ModelParams, source: PatchSource, coords: np.ndarray,

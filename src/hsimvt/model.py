@@ -132,6 +132,21 @@ class ModelParams:
             t.grad = self.grads[start:end].reshape(shape)
             self._tensors[name] = t
 
+    @classmethod
+    def from_vector(cls, config: ModelConfig, flat: np.ndarray) -> "ModelParams":
+        """Parameters copied from one vector of every array in canonical order."""
+        shapes = cls.expected_shapes(config)
+        total = sum(math.prod(shape) for shape in shapes.values())
+        if flat.shape != (total,):
+            raise CompatibilityError(
+                f"parameter vector has shape {flat.shape}, config implies ({total},)")
+        tensors = {}
+        end = 0
+        for name, shape in shapes.items():
+            start, end = end, end + math.prod(shape)
+            tensors[name] = Tensor(flat[start:end].reshape(shape))
+        return cls(config, tensors)
+
     @staticmethod
     def expected_shapes(config: ModelConfig) -> dict:
         """name -> array shape, in canonical order."""
@@ -261,19 +276,13 @@ def load_params(path) -> ModelParams:
     if version == 1:
         manifest = _merge_v1_heads(manifest, config)
     expected = ModelParams.expected_shapes(config)
-    if [e["name"] for e in manifest] != list(expected):
+    if [(e["name"], tuple(e["shape"])) for e in manifest] != list(expected.items()):
         raise CompatibilityError(f"{path}: checkpoint arrays do not match its config")
     total = sum(math.prod(e["shape"]) for e in manifest) * 4
     if len(payload) != total:
         raise CompatibilityError(
             f"{path}: payload is {len(payload)} bytes, manifest implies {total}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    tensors = {}
-    end = 0
-    for entry in manifest:
-        start, end = end, end + math.prod(entry["shape"])
-        tensors[entry["name"]] = Tensor(flat[start:end].reshape(entry["shape"]))
-    return ModelParams(config, tensors)
+    return ModelParams.from_vector(config, np.frombuffer(payload, dtype="<f4"))
 
 
 def sed_forward(patch: Tensor, params: ModelParams, trace: dict = None) -> Tensor:
