@@ -157,6 +157,8 @@ def cmd_sweep(args) -> int:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("--values nested too deeply") from None
     rows = sweep(cube, labels, config, args.axis, values,
                  log=lambda row: print(json.dumps(row, sort_keys=True), file=sys.stderr))
     csv_path = args.out or _new_out_path(config, "sweep.csv")

@@ -240,10 +240,8 @@ class PatchSource:
         # (H, W, P, P, C): windows[h, w] is the patch centred on pixel (h, w)
         self._windows = _taps(raster[None], (patch_size, patch_size))[0]
 
-    def gather(self, coords: np.ndarray, rotate: bool = False) -> np.ndarray:
+    def gather(self, coords: np.ndarray) -> np.ndarray:
         """Stack patches for (n, 2) center coordinates into a new (n, P, P, C) array."""
-        if rotate:
-            return self._windows[coords[:, 0], coords[:, 1], ::-1, ::-1]
         return self._windows[coords[:, 0], coords[:, 1]]
 
 

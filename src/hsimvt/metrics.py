@@ -76,35 +76,45 @@ def report_from_confusion(confusion: np.ndarray) -> MetricsReport:
 
 
 def _predict_batches(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                     rotate: bool, batch: int) -> np.ndarray:
+                     batch: int) -> np.ndarray:
     """The serial scoring loop: one forward pass per ``batch`` coordinates."""
     out = np.empty(len(coords), dtype=np.int64)
     for lo in range(0, len(coords), batch):
         chunk = coords[lo:lo + batch]
-        patches = Tensor(source.gather(chunk, rotate=rotate))
+        patches = Tensor(source.gather(chunk))
         logits = forward(patches, params)
         out[lo:lo + len(chunk)] = predict(logits.data)
     return out
 
 
-def predict_coords(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                   rotate: bool = False) -> np.ndarray:
+def predict_coords(params: ModelParams, source: PatchSource,
+                   coords: np.ndarray) -> np.ndarray:
     """Predicted 1-based class ids for each (h, w) center, in coords order.
 
-    A large job (see :func:`hsimvt.scoring.pool_workers`) runs its batches
-    on worker processes, with the same bits as the serial loop.
+    ``coords`` must be an (n, 2) integer array of pixels inside the raster,
+    else :class:`DimensionError`. A large job (see
+    :func:`hsimvt.scoring.pool_workers`) runs its batches on worker
+    processes, with the same bits as the serial loop.
     """
+    coords = np.asarray(coords)
+    height, width = source.raster.shape[:2]
+    if coords.ndim != 2 or coords.shape[1] != 2 or coords.dtype.kind not in "iu":
+        raise DimensionError(
+            f"coords must be an (n, 2) integer array, got {coords.dtype} {coords.shape}")
+    # reductions, so that a valid list allocates nothing of its length
+    if len(coords) and (coords.min() < 0 or (coords.max(axis=0) >= (height, width)).any()):
+        h, w = coords[((coords < 0) | (coords >= (height, width))).any(axis=1)][0]
+        raise DimensionError(f"pixel ({h}, {w}) lies outside the {height}x{width} raster")
     workers = scoring.pool_workers(params.values.size, len(coords), _SCORING_BATCH)
     if workers > 1:
-        return scoring.predict_pooled(params, source, coords, rotate, workers,
-                                      _SCORING_BATCH)
-    return _predict_batches(params, source, coords, rotate, _SCORING_BATCH)
+        return scoring.predict_pooled(params, source, coords, workers, _SCORING_BATCH)
+    return _predict_batches(params, source, coords, _SCORING_BATCH)
 
 
 def evaluate(params: ModelParams, source: PatchSource, coords: np.ndarray,
-             true_ids: np.ndarray, rotate: bool = False) -> MetricsReport:
+             true_ids: np.ndarray) -> MetricsReport:
     """Score one pixel set. Pure: same params and pixels give the same report."""
-    predicted = predict_coords(params, source, coords, rotate=rotate)
+    predicted = predict_coords(params, source, coords)
     confusion = confusion_matrix(true_ids, predicted, params.config.num_classes)
     return report_from_confusion(confusion)
 
@@ -135,9 +145,16 @@ class RotationAudit:
 
 def rotation_audit(params: ModelParams, source: PatchSource, coords: np.ndarray,
                    true_ids: np.ndarray) -> RotationAudit:
-    """Evaluate the identical pixels twice: raw, and rotated 180 degrees."""
+    """Evaluate the identical pixels twice: raw, and rotated 180 degrees.
+
+    The rotated pass scores the raster turned 180°. :class:`PatchSource`
+    pads P//2 zeros on every side, so the patch at (h, w) turned 180° is,
+    value for value, the patch at (H-1-h, W-1-w) of ``raster[::-1, ::-1]``.
+    """
     raw = evaluate(params, source, coords, true_ids)
-    rotated = evaluate(params, source, coords, true_ids, rotate=True)
+    turned = PatchSource(source.raster[::-1, ::-1], source.patch_size)
+    last = np.array(source.raster.shape[:2]) - 1
+    rotated = evaluate(params, turned, last - coords, true_ids)
     if raw.counts != rotated.counts:
         raise UsageError("rotation audit evaluated different pixel sets")
     return RotationAudit(raw=raw, rotated=rotated)

@@ -347,8 +347,9 @@ def tokenize(feature: Tensor) -> Tensor:
     return ops.box_mean(feature, quadrant_bounds(p))
 
 
-def assemble_tokens(tokens: Tensor, params: ModelParams, use_global_token: bool) -> Tensor:
-    """Prepend the global token (or a zero row under its ablation).
+def assemble_tokens(tokens: Tensor, params: ModelParams) -> Tensor:
+    """Prepend the global token (or a zero row under its ablation, which
+    ``params.config.use_global_token`` selects).
 
     No positional encoding is added anywhere. Quadrant tokens (N, 4, C) ->
     rows (N, 5, C): row 0 the global token, rows 1-4 the quadrant tokens,
@@ -356,7 +357,7 @@ def assemble_tokens(tokens: Tensor, params: ModelParams, use_global_token: bool)
     """
     if tokens.data.ndim != 3 or tokens.data.shape[1] != 4:
         raise DimensionError(f"expected quadrant tokens (N,4,C), got {tokens.data.shape}")
-    row = params["global_token"] if use_global_token else \
+    row = params["global_token"] if params.config.use_global_token else \
         Tensor(np.zeros(tokens.data.shape[2], dtype=tokens.data.dtype))
     return ops.prepend_row(row, tokens)
 
@@ -397,7 +398,7 @@ def forward(patches: Tensor, params: ModelParams, trace: dict = None) -> Tensor:
     if patches.data.ndim != 4:
         raise DimensionError(f"patches must be (N,P,P,C), got {patches.data.shape}")
     feature = sed_forward(patches, params, trace=trace)
-    tokens = assemble_tokens(tokenize(feature), params, params.config.use_global_token)
+    tokens = assemble_tokens(tokenize(feature), params)
     ta = multi_head(tokens, params)
     logits, fea = feature_and_classify(ta, params)
     if trace is not None:

@@ -63,7 +63,7 @@ def pool_workers(n_values: int, n_coords: int, batch: int) -> int:
 
 
 def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
-                   rotate: bool, workers: int, batch: int) -> np.ndarray:
+                   workers: int, batch: int) -> np.ndarray:
     """Predicted class ids for ``coords``, scored on ``workers`` processes.
 
     Worker i scores ``coords[bounds[i]:bounds[i + 1]]`` of
@@ -75,8 +75,7 @@ def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
     raster = np.ascontiguousarray(source.raster)
     bounds = _batch_bounds(len(coords), workers, batch)
     head = {"config": params.config.to_json_dict(), "patch_size": source.patch_size,
-            "rotate": bool(rotate), "batch": batch, "values": _spec(params.values),
-            "raster": _spec(raster)}
+            "batch": batch, "values": _spec(params.values), "raster": _spec(raster)}
     env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
     procs = []
     try:
@@ -210,7 +209,7 @@ def worker_main():
         coords = _receive(stdin, head["coords"])
         params = ModelParams.from_vector(ModelConfig.from_json_dict(head["config"]), values)
         source = PatchSource(raster, head["patch_size"])
-        predicted = _predict_batches(params, source, coords, head["rotate"], head["batch"])
+        predicted = _predict_batches(params, source, coords, head["batch"])
         _send(sys.stdout.fileno(), predicted.astype("<i8"))
     except Exception as exc:  # reported to the caller, which raises it
         print(json.dumps({"type": type(exc).__name__, "error": str(exc)}), file=sys.stderr)

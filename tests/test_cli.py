@@ -155,6 +155,17 @@ def test_sweep_rejects_malformed_values(workdir, capsys):
     assert json.loads(err)["type"] == "ConfigError"
 
 
+def test_sweep_deeply_nested_values_exit_with_one_json_line(workdir, capsys):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    code, out, err = run(capsys, "sweep", "--config", config,
+                         "--axis", "heads", "--values", "[" * 20000)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "ConfigError"
+
+
 @pytest.mark.parametrize("axis", ["patch_size", "heads", "views", "components",
                                   "train_fraction"])
 def test_sweep_mistyped_value_exits_with_one_json_line(workdir, capsys, axis):

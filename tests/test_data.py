@@ -245,13 +245,22 @@ def test_patch_source_matches_extract_patch(margin, seed):
         np.testing.assert_array_equal(row, extract_patch(raster, h, w, patch_size))
 
 
-def test_patch_source_rotated_gather():
-    rng = np.random.default_rng(5)
-    raster = rng.normal(size=(5, 5, 2)).astype(np.float32)
-    source = PatchSource(raster, 3)
-    coords = np.array([[0, 0], [2, 3], [4, 4]])
-    np.testing.assert_array_equal(source.gather(coords, rotate=True),
-                                  rotate180(source.gather(coords)))
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 11), st.integers(1, 11), st.sampled_from([1, 3, 5, 7, 9]),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 31 - 1))
+def test_patch_source_rotated_gather(height, width, patch_size, dtype, seed):
+    # The rotation audit's identity: with P//2 zeros padded on every side, the
+    # patch at (h, w) turned 180 degrees is the patch at (H-1-h, W-1-w) of the
+    # turned raster, to the bit. -0.0 entries tell a raster zero from padding.
+    rng = np.random.default_rng(seed)
+    raster = rng.normal(size=(height, width, 2)).astype(dtype)
+    raster[rng.random(raster.shape) < 0.2] = -0.0
+    coords = np.stack([rng.integers(0, height, 8), rng.integers(0, width, 8)], axis=1)
+    want = rotate180(PatchSource(raster, patch_size).gather(coords))
+    got = PatchSource(raster[::-1, ::-1], patch_size).gather(
+        np.array([height - 1, width - 1]) - coords)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rotate180_semantics():

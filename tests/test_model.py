@@ -1,5 +1,6 @@
 """Network components: encoder-decoder, tokenizer, attention, heads, ckpt IO."""
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -244,7 +245,7 @@ def test_assemble_prepends_stored_global_token():
     params = ModelParams.initialize(TOY, seed=7)
     tokens = Tensor(np.stack([np.full((1, 8), float(i), dtype=np.float32)
                               for i in range(1, 5)], axis=1))
-    rows = assemble_tokens(tokens, params, use_global_token=True).data
+    rows = assemble_tokens(tokens, params).data
     assert rows.shape == (1, 5, 8)
     np.testing.assert_array_equal(rows[0, 0], params["global_token"].data)
     for i in range(1, 5):
@@ -252,19 +253,19 @@ def test_assemble_prepends_stored_global_token():
 
 
 def test_assemble_zero_row_under_gt_ablation():
-    params = ModelParams.initialize(TOY, seed=8)
+    params = ModelParams.initialize(dataclasses.replace(TOY, use_global_token=False), seed=8)
     tokens = Tensor(np.ones((1, 4, 8), dtype=np.float32))
-    rows = assemble_tokens(tokens, params, use_global_token=False).data
+    rows = assemble_tokens(tokens, params).data
     np.testing.assert_array_equal(rows[0, 0], 0.0)
     with pytest.raises(DimensionError):
-        assemble_tokens(Tensor(tokens.data[:, :3]), params, use_global_token=True)
+        assemble_tokens(Tensor(tokens.data[:, :3]), params)
 
 
 def test_assemble_permutation_moves_rows():
     params = ModelParams.initialize(TOY, seed=9)
     tokens = np.stack([np.full((1, 8), float(i), dtype=np.float32) for i in range(1, 5)],
                       axis=1)
-    swapped = assemble_tokens(Tensor(tokens[:, ::-1]), params, use_global_token=True).data
+    swapped = assemble_tokens(Tensor(tokens[:, ::-1]), params).data
     np.testing.assert_array_equal(swapped[:, 1], tokens[:, 3])
     np.testing.assert_array_equal(swapped[:, 4], tokens[:, 0])
 

@@ -48,19 +48,21 @@ def toy_job(n, dtype=np.float32, seed=0):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
-@pytest.mark.parametrize("rotate", [False, True])
-def test_two_workers_give_the_serial_bits(rotate, n, dtype):
+@pytest.mark.parametrize("turned", [False, True])
+def test_two_workers_give_the_serial_bits(turned, n, dtype):
     params, source, coords = toy_job(n, dtype)
+    if turned:  # the rotation audit's second pass sends a negative-stride view
+        source = PatchSource(source.raster[::-1, ::-1], TOY.patch_size)
     if dtype == np.float64:
         # Classes 1 and 2 tie up to 1e-12: only float64 parameters pick class 2,
         # so a worker that rounded the parameters to float32 would pick class 1.
         weight = params["classifier.weight"].data
         weight[:, 1] = weight[:, 0]
         params["classifier.bias"].data[:] = [0.0, 1e-12, -1e3]
-    serial = metrics._predict_batches(params, source, coords, rotate, BATCH)
+    serial = metrics._predict_batches(params, source, coords, BATCH)
     if dtype == np.float64:
         assert (serial == 2).all()
-    pooled = scoring.predict_pooled(params, source, coords, rotate, 2, BATCH)
+    pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
     assert pooled.dtype == serial.dtype == np.int64
     assert pooled.tobytes() == serial.tobytes()
     assert children() == set()
@@ -128,7 +130,7 @@ def test_workers_run_one_blas_thread_whatever_the_caller_sets(monkeypatch):
 
     monkeypatch.setattr(scoring.subprocess, "Popen", recording)
     params, source, coords = toy_job(300)
-    scoring.predict_pooled(params, source, coords, False, 2, BATCH)
+    scoring.predict_pooled(params, source, coords, 2, BATCH)
     assert len(envs) == 2
     for env in envs:
         assert {v: env[v] for v in scoring._BLAS_THREAD_VARS} == dict.fromkeys(
@@ -140,10 +142,32 @@ def test_a_worker_error_keeps_its_type():
     wrong = PatchSource(np.zeros((40, 30, TOY.input_channels + 1), np.float32),
                         TOY.patch_size)
     with pytest.raises(DimensionError, match="channels"):
-        metrics._predict_batches(params, wrong, coords, False, BATCH)
+        metrics._predict_batches(params, wrong, coords, BATCH)
     with pytest.raises(DimensionError, match="channels"):
-        scoring.predict_pooled(params, wrong, coords, False, 2, BATCH)
+        scoring.predict_pooled(params, wrong, coords, 2, BATCH)
     assert children() == set()
+
+
+@pytest.mark.parametrize("coords", [
+    [[-1, 0]],                   # numpy indexing would score row H-1
+    [[40, 0]],                   # one row past the raster
+    [[0, 30]],
+    [[0, 0]] * 300 + [[0, -1]],  # in the second batch
+    [[0.0, 1.0]],
+    [[0, 1, 2]],
+    [0, 1],
+])
+def test_predict_coords_checks_its_coordinates_before_scoring(monkeypatch, coords):
+    params, source, _ = toy_job(1)
+
+    def never(*args):
+        raise AssertionError("scored before the coordinates were checked")
+
+    monkeypatch.setattr(scoring, "_POOL_WORK_MIN", 0)
+    monkeypatch.setattr(metrics, "_predict_batches", never)
+    monkeypatch.setattr(scoring, "predict_pooled", never)
+    with pytest.raises(DimensionError):
+        metrics.predict_coords(params, source, coords)
 
 
 def kill_a_worker_during(fn, ready=None):
@@ -192,7 +216,7 @@ def test_a_worker_killed_while_scoring_raises_worker_error_at_once(monkeypatch):
 
     monkeypatch.setattr(scoring, "_collect", signalling_collect)
     outcome, seconds = kill_a_worker_during(
-        lambda: scoring.predict_pooled(params, source, coords, False, 2, BATCH), jobs_sent)
+        lambda: scoring.predict_pooled(params, source, coords, 2, BATCH), jobs_sent)
     assert isinstance(outcome.get("error"), WorkerError), outcome
     assert "killed by signal 9" in str(outcome["error"])
     assert seconds < 1.0  # the other worker is stopped, not waited out
@@ -250,7 +274,7 @@ def test_cli_outputs_are_byte_identical_on_both_paths(pooled_scene, capsys, monk
     pooled = scoring.predict_pooled
     monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(scoring, "predict_pooled",
-                        lambda *args: pooled_calls.append(args[4]) or pooled(*args))
+                        lambda *args: pooled_calls.append(args[3]) or pooled(*args))
     on_workers = cli_outputs(capsys, root, config)
     assert pooled_calls == [2] * 4  # eval, audit raw and rotated, map
     monkeypatch.setattr(scoring, "_POOL_WORK_MIN", math.inf)
@@ -289,7 +313,7 @@ raster = np.random.default_rng(0).standard_normal((20, 30, 4)).astype(np.float32
 source = PatchSource(raster, 3)
 coords = np.argwhere(np.ones((20, 30), dtype=bool))
 pooled = metrics.predict_coords(params, source, coords)
-serial = metrics._predict_batches(params, source, coords, False, 256)
+serial = metrics._predict_batches(params, source, coords, 256)
 print("same" if pooled.tobytes() == serial.tobytes() else "differ")
 """
 

@@ -11,7 +11,7 @@ from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
                     MetricsReport, ModelConfig, ModelParams, Tensor,
                     TrainConfig, UsageError, adam_step, confusion_matrix,
                     cross_entropy, derive_seeds, evaluate, forward, mmnorm,
-                    mpca, report_from_confusion, rotation_audit,
+                    mpca, predict, report_from_confusion, rotate180, rotation_audit,
                     stratified_split, synth_scene, train)
 from hsimvt import metrics
 from hsimvt.data import TEST, VAL, LabelMap, PatchSource
@@ -412,7 +412,12 @@ def test_rotation_audit_pairs_identical_pixels(trained):
     assert audit.delta_oa == pytest.approx(audit.rotated.oa - audit.raw.oa)
     doc = json.loads(_json(audit))
     assert set(doc) == {"raw", "rotated", "delta_oa", "delta_aa"}
-    # rotated evaluation really rotates: predictions come from rotated patches
-    rotated_pred = predict_coords(result.params, source, coords, rotate=True)
+    # rotated evaluation really rotates: predictions come from rotated patches,
+    # scored in the audit's batches
+    patches = rotate180(source.gather(coords))
+    batch = metrics._SCORING_BATCH
+    rotated_pred = np.concatenate([
+        predict(forward(Tensor(patches[lo:lo + batch]), result.params).data)
+        for lo in range(0, len(coords), batch)])
     want = confusion_matrix(true_ids, rotated_pred, SMALL_MODEL.num_classes)
     np.testing.assert_array_equal(audit.rotated.confusion, want)
