@@ -19,7 +19,7 @@ from . import hsz
 from .data import (TEST, LabelMap, PatchSource, load_cube, load_labels,
                    save_cube, save_labels, synth_scene)
 from .errors import CompatibilityError, ConfigError, HsimvtError
-from .experiments import sweep, write_sweep_csv
+from .experiments import check_sweep_axis, sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
 from .model import load_params, save_params
 from .mpca import mpca
@@ -151,14 +151,15 @@ def cmd_audit(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = RunConfig.load(args.config)
-    cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
-    labels = _load_labels(config)
     try:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     except RecursionError:
         raise ConfigError("--values nested too deeply") from None
+    check_sweep_axis(args.axis)
+    cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
+    labels = _load_labels(config)
     rows = sweep(cube, labels, config, args.axis, values,
                  log=lambda row: print(json.dumps(row, sort_keys=True), file=sys.stderr))
     csv_path = args.out or _new_out_path(config, "sweep.csv")

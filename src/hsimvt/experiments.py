@@ -55,6 +55,12 @@ def _override(config: RunConfig, axis: str, value) -> RunConfig:
     return RunConfig(doc)
 
 
+def check_sweep_axis(axis: str):
+    """Raise :class:`~hsimvt.errors.ConfigError` unless ``axis`` is a sweep axis."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
+
+
 def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
           log=None):
     """Train and test once per value of one axis; everything else held fixed.
@@ -65,8 +71,7 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     run config's checks and give a valid model and MPCA shape. Consecutive
     values of one :attr:`RunConfig.mpca_shape` share one representation.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
+    check_sweep_axis(axis)
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")

@@ -60,10 +60,12 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
 
     report = GradCheckReport(tolerance=tolerance)
     for name, p in items:
-        fd = np.empty_like(p.data)
-        flat = p.data.reshape(-1)
+        # Both walk the entries in C order; ``flat`` writes through to any
+        # layout of the parameter, where ``reshape(-1)`` could copy it.
+        flat = p.data.flat
+        fd = np.empty(p.data.shape, dtype=p.data.dtype)
         fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
+        for i in range(fd.size):
             orig = flat[i]
             flat[i] = orig + epsilon
             f_plus = float(model_fn().data)

@@ -104,7 +104,8 @@ def _fold(cols: np.ndarray, kshape: tuple) -> np.ndarray:
     taps = cols.reshape(math.prod(kshape), -1)
     flat = taps[centre].copy()
     for tap, dst, src in adds:
-        flat[dst] += taps[tap, src]
+        block = flat[dst]
+        block += taps[tap, src]
     return flat.reshape(grid)
 
 
@@ -136,7 +137,7 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     cols = np.ascontiguousarray(_taps(xd, ktaps)).reshape(n * h * w, k1 * k2 * k3, c)
     wmat = kd.reshape(nk, -1)
     out = np.matmul(wmat, cols).reshape(n * h * w, nk * c)  # kernel-major channels
-    out += np.repeat(bias.data, c)
+    out += bias.data.repeat(c)
 
     def adjoint(go, need):
         god = go.reshape(n * h * w, nk, c)
@@ -275,8 +276,10 @@ def attention(tokens: Tensor, wqkv: Tensor) -> Tensor:
     w = wd.transpose(2, 0, 1, 3).reshape(c, heads * 3 * d)
     # Views of layout (N, heads, T, d) into the one projection product.
     q, k, v = (x @ w).reshape(n, t, heads, 3, d).transpose(3, 0, 2, 1, 4)
-    logits = np.matmul(q, k.swapaxes(-1, -2)) * s
-    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a = np.matmul(q, k.swapaxes(-1, -2))
+    a *= s
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     out = np.matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, c)
     out += td
@@ -309,51 +312,71 @@ def prepend_row(row: Tensor, tokens: Tensor) -> Tensor:
     if td.ndim != 3 or rd.shape != td.shape[2:]:
         raise DimensionError(f"prepend_row needs a (C,) row and (N,T,C) tokens, "
                              f"got {rd.shape} and {td.shape}")
-    n, _, c = td.shape
-    out = np.concatenate([np.broadcast_to(rd, (n, 1, c)), td], axis=1)
+    n, t, c = td.shape
+    out = np.empty((n, t + 1, c), dtype=td.dtype)
+    out[:, 0] = rd
+    out[:, 1:] = td
     return record_op(out, (row, tokens), lambda go, need: (
         np.ascontiguousarray(go[:, :1]).sum(axis=(0, 1)) if need[0] else None,
         go[:, 1:]))
 
 
-def box_mean(x: Tensor, boxes) -> Tensor:
-    """Per-channel means over spatial windows, one per box.
-
-    ``boxes`` lists ((r0, r1), (c0, c1)) windows rows r0:r1 x cols c0:c1.
-    Input (N, H, W, C) -> output (N, len(boxes), C). Each window is summed
-    with a fold (element i paired with element n-1-i of the row-major
-    flattening) so its mean is bit-identical when the window content is
-    reversed on both spatial axes; plain sequential summation would not be.
-    The backward pass adds the boxes into one gradient, last box first.
-    """
-    xd = x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"box_mean input must be (N,H,W,C), got {xd.shape}")
-    n_batch, h, w, c = xd.shape
-    boxes = list(boxes)
+@functools.lru_cache(maxsize=64)
+def _box_plan(h: int, w: int, boxes: tuple) -> tuple:
+    """(index, count) for :func:`box_mean`: the read-only (len(boxes), count)
+    flat pixel index of every box, each row-major, on an (h, w) extent.
+    Raises DimensionError for no box, a box outside, or mixed sizes."""
     if not boxes:
         raise DimensionError("box_mean needs at least one box")
     for (r0, r1), (c0, c1) in boxes:
         if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
             raise DimensionError(f"box ({(r0, r1)}, {(c0, c1)}) outside spatial extent {(h, w)}")
-    out = np.empty((n_batch, len(boxes), c), dtype=xd.dtype)
-    for i, ((r0, r1), (c0, c1)) in enumerate(boxes):
-        count = (r1 - r0) * (c1 - c0)
-        flat = xd[:, r0:r1, c0:c1, :].reshape(n_batch, count, c)
-        half = count // 2
-        if half:
-            total = (flat[:, :half] + flat[:, count - 1:count - 1 - half:-1]).sum(axis=1)
-            if count % 2:
-                total = total + flat[:, half]
-        else:
-            total = flat[:, 0]
-        np.divide(total, count, out=out[:, i])
+    sizes = {(r1 - r0, c1 - c0) for (r0, r1), (c0, c1) in boxes}
+    if len(sizes) > 1:
+        raise DimensionError(f"box_mean boxes must share one size, got {sorted(sizes)}")
+    pixels = np.arange(h * w).reshape(h, w)
+    index = np.stack([pixels[r0:r1, c0:c1].reshape(-1) for (r0, r1), (c0, c1) in boxes])
+    index.flags.writeable = False
+    return index, index.shape[1]
+
+
+def box_mean(x: Tensor, boxes) -> Tensor:
+    """Per-channel means over spatial windows of one size, one per box.
+
+    ``boxes`` is a sequence of ((r0, r1), (c0, c1)) tuples (hashable: the
+    gather plan is cached on them), the windows rows r0:r1 x cols c0:c1,
+    all of one size. Input (N, H, W, C) -> output (N, len(boxes), C). One
+    ``take`` gathers every box into a C-order (N, boxes, count, C) array,
+    so each box's sums run in the order that pooling it alone would give;
+    a fancy index ``x[:, index]`` would lay the gather out index-major and
+    change one-channel sums. Each box is summed with a fold (element i
+    paired with element count-1-i of its row-major flattening) so its mean
+    is bit-identical when the window content is reversed on both spatial
+    axes; plain sequential summation would not be. The backward pass adds
+    the boxes into one gradient, last box first.
+    """
+    xd = x.data
+    if xd.ndim != 4:
+        raise DimensionError(f"box_mean input must be (N,H,W,C), got {xd.shape}")
+    n, h, w, c = xd.shape
+    boxes = tuple(boxes)
+    index, count = _box_plan(h, w, boxes)
+    flat = xd.reshape(n, h * w, c).take(index, axis=1)
+    half = count // 2
+    if half:
+        total = (flat[:, :, :half] + flat[:, :, count - 1:count - 1 - half:-1]).sum(axis=2)
+        if count % 2:
+            total += flat[:, :, half]
+        total /= count
+    else:
+        total = flat[:, :, 0]
 
     def adjoint(go, need):
         gx = np.zeros_like(xd)
+        g = go / count
         for i in reversed(range(len(boxes))):
             (r0, r1), (c0, c1) = boxes[i]
-            gx[:, r0:r1, c0:c1, :] += (go[:, i] / ((r1 - r0) * (c1 - c0)))[:, None, None, :]
+            gx[:, r0:r1, c0:c1, :] += g[:, i, None, None, :]
         return (gx,)
 
-    return record_op(out, (x,), adjoint)
+    return record_op(total, (x,), adjoint)

@@ -54,7 +54,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = ld.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels must be ({n},), got {labels.shape}")
-    if np.any(labels < 1) or np.any(labels > k):
+    if ((labels < 1) | (labels > k)).any():
         raise UsageError(
             f"labels must be 1..{k} (0 marks unlabeled); got range "
             f"[{labels.min()}, {labels.max()}]")
@@ -70,7 +70,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         g[np.arange(n), idx] -= 1.0
         return (g * (go / n),)
 
-    return record_op(np.asarray((log_norm - picked).mean()), (logits,), adjoint)
+    return record_op((log_norm - picked).sum() / n, (logits,), adjoint)
 
 
 class AdamState:

@@ -285,6 +285,39 @@ def quadrant_means_loop(feature):
     return tokens
 
 
+def box_mean_per_box(x, boxes):
+    """Box means of an (N, H, W, C) array, one box at a time: (N, len(boxes), C).
+
+    Each box is flattened row-major and summed with the mirrored-pair fold
+    (element i plus element count-1-i, then the middle one), then divided
+    by its pixel count; boxes may differ in size.
+    """
+    n, _, _, c = x.shape
+    out = np.empty((n, len(boxes), c), dtype=x.dtype)
+    for i, ((r0, r1), (c0, c1)) in enumerate(boxes):
+        count = (r1 - r0) * (c1 - c0)
+        flat = x[:, r0:r1, c0:c1, :].reshape(n, count, c)
+        half = count // 2
+        if half:
+            total = (flat[:, :half] + flat[:, count - 1:count - 1 - half:-1]).sum(axis=1)
+            if count % 2:
+                total = total + flat[:, half]
+        else:
+            total = flat[:, 0]
+        np.divide(total, count, out=out[:, i])
+    return out
+
+
+def box_mean_per_box_grad(x, boxes, go):
+    """Input gradient of :func:`box_mean_per_box` for the output gradient
+    ``go``: each box's share added into one array, last box first."""
+    gx = np.zeros_like(x)
+    for i in reversed(range(len(boxes))):
+        (r0, r1), (c0, c1) = boxes[i]
+        gx[:, r0:r1, c0:c1, :] += (go[:, i] / ((r1 - r0) * (c1 - c0)))[:, None, None, :]
+    return gx
+
+
 def confusion_loop(true_ids, predicted_ids, num_classes):
     out = np.zeros((num_classes, num_classes), dtype=np.int64)
     for t, p in zip(true_ids, predicted_ids):

@@ -96,17 +96,27 @@ def test_relu_gradient_away_from_kink():
 
 
 def test_box_mean_and_prepend_row_gradients():
-    # boxes of 4, 12 and 1 pixels; the first two overlap on row 1, cols 1-2
+    # three 2 x 3 boxes; the first two overlap on row 1, cols 1-2, the last
+    # two on row 2, col 2
     x = _param((2, 4, 5, 3))
     probe = Tensor(RNG.normal(size=(2, 4, 3)))
     grad_row, constant_row = _param((3,)), Tensor(RNG.normal(size=3))
     # the constant row stands in for the global-token ablation's zero row
     for v, checked in [(grad_row, {"x": x, "v": grad_row}), (constant_row, {"x": x})]:
         def model():
-            pooled = ops.box_mean(x, [((0, 2), (1, 3)), ((1, 4), (0, 4)), ((3, 4), (4, 5))])
+            pooled = ops.box_mean(x, [((0, 2), (1, 4)), ((1, 3), (0, 3)), ((2, 4), (2, 5))])
             return sum_all(mul(ops.prepend_row(v, pooled), probe))   # (2, 4, 3)
 
         _check(model, checked)
+
+
+def test_check_gradients_perturbs_a_non_contiguous_parameter():
+    """A transposed view cannot be flattened without a copy; the check must
+    still perturb the parameter itself, in the C order of its gradient."""
+    x = Tensor(RNG.normal(size=(3, 2)).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    report = check_gradients(lambda: sum_all(mul(x, x)), {"x": x}, tolerance=TOL)
+    assert report.ok, report.summary()
 
 
 def test_scale_add_mul_gradients():

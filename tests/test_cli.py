@@ -179,6 +179,21 @@ def test_sweep_mistyped_value_exits_with_one_json_line(workdir, capsys, axis):
     assert json.loads(lines[0])["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("axis,values,fault", [
+    ("patch_size", "3;5", "--values must be comma-separated numbers"),
+    ("depth", "3,5", "unknown sweep axis 'depth'")])
+def test_sweep_checks_its_arguments_before_reading_the_cube(workdir, capsys, axis, values,
+                                                           fault):
+    config = write_config(workdir)   # no synth: the cube file is absent
+    code, out, err = run(capsys, "sweep", "--config", config,
+                         "--axis", axis, "--values", values)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["type"] == "ConfigError" and fault in doc["error"], doc
+
+
 def _strict_json(line):
     def reject(token):
         raise ValueError(f"not JSON: {token}")

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from hsimvt import ConfigError, DimensionError, GradGraph, ModelConfig, ModelParams, Tensor
 from hsimvt import ops
-from hsimvt.model import forward
+from hsimvt.model import forward, quadrant_bounds
 from hsimvt.tensor import record_op
 
-from oracles import (add, attention_longdouble, conv2d_loop, conv3d_loop, mul, reshape,
-                     sum_all)
+from oracles import (add, attention_longdouble, box_mean_per_box, box_mean_per_box_grad,
+                     conv2d_loop, conv3d_loop, mul, reshape, sum_all)
 
 
 def test_every_public_op_is_used_by_the_package():
@@ -281,7 +281,7 @@ def test_prepend_row_broadcasts_a_vector_and_rejects_bad_shapes():
 def test_box_mean_matches_plain_mean():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 5, 5, 3))
-    boxes = [((1, 4), (0, 3)), ((0, 5), (2, 4)), ((4, 5), (4, 5))]
+    boxes = [((1, 4), (0, 3)), ((0, 3), (2, 5)), ((2, 5), (2, 5))]
     out = ops.box_mean(Tensor(x), boxes).data
     assert out.shape == (2, 3, 3)
     for i, ((r0, r1), (c0, c1)) in enumerate(boxes):
@@ -297,10 +297,27 @@ def test_box_mean_matches_plain_mean():
         ops.box_mean(Tensor(x[0]), [((0, 2), (0, 2))])
 
 
+def test_box_mean_rejects_boxes_of_mixed_sizes():
+    x = Tensor(np.zeros((2, 5, 5, 3)))
+    for boxes in ([((0, 2), (0, 2)), ((0, 2), (0, 3))],   # same rows, one column more
+                  [((0, 3), (0, 2)), ((0, 2), (0, 3))],   # same pixel count
+                  [((1, 4), (0, 3)), ((0, 5), (2, 4)), ((4, 5), (4, 5))]):
+        with pytest.raises(DimensionError, match="one size"):
+            ops.box_mean(x, boxes)
+
+
 def _mirrored(box, rows, cols):
     """The box a 180-degree flip of a rows x cols extent moves ``box`` to."""
     (r0, r1), (c0, c1) = box
     return (rows - r1, rows - r0), (cols - c1, cols - c0)
+
+
+def _boxes_of_one_size(rng, rows, cols, count):
+    """``count`` random boxes inside a rows x cols extent, all of one random size."""
+    h, w = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+    return [((int(r), int(r) + h), (int(c), int(c) + w))
+            for r, c in zip(rng.integers(0, rows - h + 1, size=count),
+                            rng.integers(0, cols - w + 1, size=count))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,20 +325,48 @@ def _mirrored(box, rows, cols):
 def test_box_mean_is_exactly_reversal_invariant(rows, cols, seed):
     """The fold summation makes each box mean bit-identical under a
     180-degree flip of the input, read from the mirrored box: the float32
-    property the tokenizer equivariance guarantee rests on. The full
-    window comes first, then up to three random boxes."""
+    property the tokenizer equivariance guarantee rests on. One to four
+    random boxes of one random size, which may be the full window."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(1, rows, cols, 2)).astype(np.float32)
     flipped = x[:, ::-1, ::-1, :].copy()
-    boxes = [((0, rows), (0, cols))]
-    for _ in range(rng.integers(0, 4)):
-        r0, r1 = sorted(rng.choice(rows + 1, size=2, replace=False))
-        c0, c1 = sorted(rng.choice(cols + 1, size=2, replace=False))
-        boxes.append(((int(r0), int(r1)), (int(c0), int(c1))))
+    boxes = _boxes_of_one_size(rng, rows, cols, int(rng.integers(1, 5)))
     a = ops.box_mean(Tensor(x), boxes).data
     b = ops.box_mean(Tensor(flipped), [_mirrored(box, rows, cols) for box in boxes]).data
     assert a.shape == (1, len(boxes), 2)
     np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([3, 5, 7, 9]), st.integers(1, 8),
+       st.sampled_from([np.float32, np.float64]), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_box_mean_matches_the_per_box_oracle_bit_for_bit(batch, p, c, dtype, quadrants, seed):
+    """The one-gather box mean and its input gradient give the bytes of the
+    per-box loop, on the tokenizer's quadrants and on random boxes of one
+    size, with -0.0 among the input and output-gradient entries."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        a = rng.normal(size=shape).astype(dtype)
+        a[rng.random(shape) < 0.2] = -0.0
+        return a
+
+    x = draw((batch, p, p, c))
+    boxes = quadrant_bounds(p) if quadrants else \
+        _boxes_of_one_size(rng, p, p, int(rng.integers(1, 6)))
+    go = draw((batch, len(boxes), c))
+    xt = Tensor(x, requires_grad=True)
+    with GradGraph() as graph:
+        out = ops.box_mean(xt, boxes)
+        loss = sum_all(mul(out, Tensor(go)))
+    graph.backward(loss)
+    want = box_mean_per_box(x, boxes)
+    assert out.data.dtype == want.dtype and out.data.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    want_grad = box_mean_per_box_grad(x, boxes, go)
+    assert xt.grad.dtype == want_grad.dtype and xt.grad.shape == want_grad.shape
+    assert xt.grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
