@@ -117,14 +117,15 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     labels, rep = _labels_and_representation(config)
+    model_config = config.model_config(labels.num_classes)  # before the last run's files go
     history_path = _new_out_path(config, HISTORY_FILE)
     ckpt_path = _out_path(config, CHECKPOINT_FILE)
     # A failed run must not leave an earlier run's checkpoint to be scored.
     with contextlib.suppress(FileNotFoundError):
         os.remove(ckpt_path)
     with open(history_path, "w") as history_file:
-        result = train(rep, labels, config.model_config(labels.num_classes),
-                       config.train_config(), fractions=config.fractions,
+        result = train(rep, labels, model_config, config.train_config(),
+                       fractions=config.fractions,
                        log=lambda h: print(json.dumps(h, sort_keys=True),
                                            file=history_file))
     save_params(ckpt_path, result.params)

@@ -15,6 +15,9 @@ from .ops import _taps
 
 TRAIN, VAL, TEST = 1, 2, 3
 
+# The default (train, val, test) shares of each class's labeled pixels.
+SPLIT_FRACTIONS = (0.05, 0.05, 0.90)
+
 
 @dataclass
 class HsiCube:
@@ -193,7 +196,7 @@ def check_fractions(fractions):
         raise ConfigError(f"split fractions must sum to 1 with a positive train share, got {fr}")
 
 
-def stratified_split(labels: LabelMap, fractions=(0.05, 0.05, 0.90), seed: int = 0) -> SplitAssignment:
+def stratified_split(labels: LabelMap, fractions=SPLIT_FRACTIONS, seed: int = 0) -> SplitAssignment:
     """Per-class seeded shuffle into train/val/test.
 
     Counts per class with n labeled pixels: train = max(1, round(f_train*n)),

@@ -15,7 +15,11 @@ class GradCheckReport:
 
     per_param: dict = field(default_factory=dict)
     tolerance: float = 1e-4
-    failures: list = field(default_factory=list)
+
+    @property
+    def failures(self) -> list:
+        """Names of the parameters whose error reaches the tolerance."""
+        return [name for name, err in self.per_param.items() if err >= self.tolerance]
 
     @property
     def max_rel_err(self) -> float:
@@ -78,7 +82,5 @@ def check_gradients(model_fn, params, tolerance: float = 1e-4,
         denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
         rel = float((np.abs(a - fd) / denom).max()) if a.size else 0.0
         report.per_param[name] = rel
-        if rel >= tolerance:
-            report.failures.append(name)
     return report
 

@@ -1,10 +1,9 @@
 """JSON run configuration with full defaults and strict key checking.
 
-The defaults reproduce the reference protocol (10 views x 3 components,
-5x5 patches, 64 token channels, 8 heads, 300 epochs, batch 64, Adam at
-1e-4, a 5/5/90 split), so the golden path
-``synth -> preprocess -> train -> audit`` runs with no hand-written
-config at all.
+Every mpca, model and train key takes its default from the ModelConfig
+or TrainConfig field it sets, so the golden path
+``synth -> preprocess -> train -> audit`` runs the reference protocol
+with no hand-written config at all.
 """
 
 from __future__ import annotations
@@ -12,41 +11,36 @@ from __future__ import annotations
 import copy
 import json
 
-from .data import check_fractions
+from .data import SPLIT_FRACTIONS, check_fractions
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
 
+# Each mpca, model and train key sets the one ModelConfig or TrainConfig
+# field named here, and takes that field's default and its type.
+FIELDS = {
+    "mpca": (ModelConfig, {"views": "num_views", "components": "view_components"}),
+    "model": (ModelConfig, {
+        "patch_size": "patch_size", "encoder_kernels": "encoder_kernels",
+        "squeeze_channels": "squeeze_channels", "token_channels": "token_channels",
+        "heads": "num_heads", "feature_dim": "feature_dim", "use_sed": "use_sed",
+        "use_global_token": "use_global_token"}),
+    "train": (TrainConfig, {"epochs": "epochs", "batch": "batch_size",
+                            "lr": "learning_rate", "seed": "seed"}),
+}
+
+
+def _field_defaults(section: str) -> dict:
+    cls, keys = FIELDS[section]
+    return {key: getattr(cls, name) for key, name in keys.items()}
+
+
 DEFAULTS = {
-    "data": {
-        "cube_path": "synth_cube.hsz",
-        "labels_path": "synth_labels.hsz",
-    },
-    "mpca": {
-        "views": 10,
-        "components": 3,
-        "enabled": True,
-    },
-    "model": {
-        "patch_size": 5,
-        "encoder_kernels": 8,
-        "squeeze_channels": 40,
-        "token_channels": 64,
-        "heads": 8,
-        "feature_dim": 64,
-        "use_sed": True,
-        "use_global_token": True,
-    },
-    "train": {
-        "epochs": 300,
-        "batch": 64,
-        "lr": 1e-4,
-        "seed": 0,
-        "fractions": [0.05, 0.05, 0.90],
-    },
-    "output": {
-        "dir": ".",
-    },
+    "data": {"cube_path": "synth_cube.hsz", "labels_path": "synth_labels.hsz"},
+    "mpca": _field_defaults("mpca"),
+    "model": _field_defaults("model"),
+    "train": {**_field_defaults("train"), "fractions": list(SPLIT_FRACTIONS)},
+    "output": {"dir": "."},
 }
 
 
@@ -82,7 +76,10 @@ class RunConfig:
                 merged[section][key] = value
         check_fractions(merged["train"]["fractions"])
         self.doc = merged
-        self.train_config()  # TrainConfig checks the other train values
+        # The library configs check the other values; 2 classes is the
+        # fewest a model takes, and the labels supply the real count.
+        self.train_config()
+        self.model_config(2)
 
     @classmethod
     def load(cls, path=None) -> "RunConfig":
@@ -109,36 +106,18 @@ class RunConfig:
 
     @property
     def mpca_shape(self):
-        """(views, components) that preprocessing reduces the cube to.
+        """(views, components) that preprocessing reduces the cube to."""
+        return self.doc["mpca"]["views"], self.doc["mpca"]["components"]
 
-        With ``mpca.enabled`` false the whole cube is one view of
-        ``views * components`` channels: plain PCA with the same output
-        width, the representation-ablation baseline.
-        """
-        p = self.doc["mpca"]
-        if p["enabled"]:
-            return p["views"], p["components"]
-        return 1, p["views"] * p["components"]
+    def _fields(self, section: str) -> dict:
+        """The library fields that ``section``'s keys set, by field name."""
+        _, keys = FIELDS[section]
+        return {name: self.doc[section][key] for key, name in keys.items()}
 
     def model_config(self, num_classes: int) -> ModelConfig:
-        """Build the architecture config; channel width comes from :attr:`mpca_shape`."""
-        m = self.doc["model"]
-        views, components = self.mpca_shape
-        return ModelConfig(
-            patch_size=m["patch_size"],
-            num_views=views,
-            view_components=components,
-            encoder_kernels=m["encoder_kernels"],
-            squeeze_channels=m["squeeze_channels"],
-            token_channels=m["token_channels"],
-            num_heads=m["heads"],
-            feature_dim=m["feature_dim"],
-            num_classes=num_classes,
-            use_sed=m["use_sed"],
-            use_global_token=m["use_global_token"],
-        )
+        """The architecture the mpca and model sections set, for ``num_classes``."""
+        return ModelConfig(num_classes=num_classes, **self._fields("mpca"),
+                           **self._fields("model"))
 
     def train_config(self) -> TrainConfig:
-        t = self.doc["train"]
-        return TrainConfig(epochs=t["epochs"], batch_size=t["batch"],
-                           learning_rate=t["lr"], seed=t["seed"])
+        return TrainConfig(**self._fields("train"))

@@ -19,7 +19,12 @@ from .errors import UsageError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_ACTIVE = threading.local()
+
+class _Active(threading.local):
+    graph = None  # a class default: a thread that never recorded reads it, no lookup fails
+
+
+_ACTIVE = _Active()
 
 
 class Tensor:
@@ -52,7 +57,7 @@ class Tensor:
 
 def active_graph():
     """The graph currently recording on this thread, or None."""
-    return getattr(_ACTIVE, "graph", None)
+    return _ACTIVE.graph
 
 
 def record_op(value, inputs, adjoint) -> Tensor:

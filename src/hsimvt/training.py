@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TRAIN, VAL, LabelMap, PatchSource, SplitAssignment, stratified_split
+from .data import (SPLIT_FRACTIONS, TRAIN, VAL, LabelMap, PatchSource, SplitAssignment,
+                   stratified_split)
 from .errors import ConfigError, DimensionError, DivergenceError, UsageError
 from .metrics import predict_coords
 from .model import ModelConfig, ModelParams, forward
@@ -126,7 +127,7 @@ def derive_split(labels: LabelMap, fractions, master_seed: int) -> SplitAssignme
 # instead of as numpy warnings on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfig,
-          train_config: TrainConfig, fractions=(0.05, 0.05, 0.90),
+          train_config: TrainConfig, fractions=SPLIT_FRACTIONS,
           log=None) -> TrainResult:
     """Train on the preprocessed raster; returns the best-val-OA parameters.
 

@@ -1,10 +1,12 @@
 """Reverse-mode gradients: per-op finite-difference checks and tape rules."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from hsimvt import (GradGraph, ModelConfig, ModelParams, Tensor, UsageError, check_gradients,
-                    cross_entropy, forward)
+from hsimvt import (GradCheckReport, GradGraph, ModelConfig, ModelParams, Tensor, UsageError,
+                    check_gradients, cross_entropy, forward)
 from hsimvt import ops
 
 from oracles import add, mul, reshape, sum_all
@@ -171,6 +173,29 @@ def test_graph_active_only_inside_context():
     assert active_graph() is None
 
 
+def test_each_thread_sees_only_its_own_graph():
+    from hsimvt.tensor import active_graph
+    opened, checked = threading.Event(), threading.Event()
+    seen = {}
+
+    def other_thread():
+        seen["fresh"] = active_graph()
+        with GradGraph() as graph:
+            seen["own"] = active_graph() is graph
+            opened.set()
+            checked.wait(timeout=10)
+
+    with GradGraph() as main_graph:
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        assert opened.wait(timeout=10)
+        assert active_graph() is main_graph
+        checked.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == {"fresh": None, "own": True}
+
+
 def test_backward_requires_scalar_and_single_use():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradGraph() as graph:
@@ -189,6 +214,16 @@ def test_check_gradients_reports_per_parameter():
     assert list(report.per_param) == ["x"]
     assert report.max_rel_err < 1e-6
     assert "ok" in report.summary()
+
+
+def test_grad_check_report_derives_its_failures():
+    report = GradCheckReport(per_param={"a": 1e-7, "b": 1e-4, "c": 0.5}, tolerance=1e-4)
+    assert report.failures == ["b", "c"] and not report.ok
+    assert report.max_rel_err == 0.5
+    assert report.summary().splitlines()[1:] == [
+        "  a: max rel err 1.000e-07 [ok]", "  b: max rel err 1.000e-04 [FAIL]",
+        "  c: max rel err 5.000e-01 [FAIL]"]
+    assert GradCheckReport(per_param={"a": 1e-7}).ok
 
 
 def test_check_gradients_twice_on_the_same_params():

@@ -6,19 +6,21 @@ import io
 import json
 import struct
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (ConfigError, DimensionError, ModelConfig, RunConfig, TrainConfig,
-                    class_palette, experiments, hsz, mpca, render_class_map,
-                    stratified_split, synth_scene, train, write_ppm)
+from hsimvt import (ConfigError, DimensionError, LabelMap, ModelConfig, RunConfig,
+                    TrainConfig, class_palette, experiments, hsz, mpca, render_class_map,
+                    save_labels, stratified_split, synth_scene, train, write_ppm)
 from hsimvt import cli
 from hsimvt.cli import main
 from hsimvt.data import TEST
-from hsimvt.runconfig import DEFAULTS
+from hsimvt.runconfig import DEFAULTS, FIELDS
 
 from oracles import read_ppm
 
@@ -290,6 +292,33 @@ def test_negative_seed_exits_with_one_json_line(workdir, capsys):
         doc = _one_json_error(capsys, command, "--config", negative)
         assert doc["type"] == "ConfigError" and "seed" in doc["error"], command
     assert (workdir / "checkpoint.hsz").exists()  # the refused train removed nothing
+
+
+def test_preprocess_refuses_a_bad_model_section(workdir, capsys):
+    run(capsys, "synth", *SCENE)
+    even = write_config(workdir, {"model": {"patch_size": 4}})
+    doc = _one_json_error(capsys, "preprocess", "--config", even)
+    assert doc["type"] == "ConfigError" and "patch_size" in doc["error"]
+    assert not (workdir / "representation.hsz").exists()
+
+
+def test_a_refused_train_keeps_the_last_runs_files(workdir, capsys):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", good)
+    assert run(capsys, "train", "--config", good)[0] == 0
+    names = ("checkpoint.hsz", "history.jsonl")
+    kept = {name: (workdir / name).read_bytes() for name in names}
+    assert all(kept.values())
+    save_labels(LabelMap(ids=np.ones((24, 24), dtype=np.int64), num_classes=1),
+                workdir / "one_class.hsz")
+    for overrides, fault in (({"model": {"heads": 3, "token_channels": 8}},
+                              "not divisible by num_heads 3"),
+                             ({"data": {"labels_path": "one_class.hsz"}},
+                              "at least 2 classes")):
+        doc = _one_json_error(capsys, "train", "--config", write_config(workdir, overrides))
+        assert doc["type"] == "ConfigError" and fault in doc["error"], overrides
+        assert {name: (workdir / name).read_bytes() for name in names} == kept, overrides
 
 
 @pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity"])
@@ -624,6 +653,8 @@ def test_runconfig_rejects_unknown_and_mistyped():
         RunConfig({"train": {"fractions": [0.5, 0.5]}})
     with pytest.raises(ConfigError, match="object"):
         RunConfig({"train": 3})
+    with pytest.raises(ConfigError, match="U-shape"):
+        RunConfig({"model": {"squeeze_channels": 64}})
 
 
 def test_runconfig_builds_model_and_train_configs():
@@ -637,12 +668,28 @@ def test_runconfig_builds_model_and_train_configs():
 
 
 def test_runconfig_plain_pca_ablation_keeps_width():
-    config = RunConfig({"mpca": {"views": 5, "components": 2, "enabled": False}})
+    config = RunConfig({"mpca": {"views": 1, "components": 10}})
     assert config.mpca_shape == (1, 10)
     mc = config.model_config(num_classes=4)
     assert (mc.num_views, mc.view_components) == (1, 10)
     assert mc.input_channels == 10
     assert RunConfig({"mpca": {"views": 5, "components": 2}}).mpca_shape == (5, 2)
+    with pytest.raises(ConfigError, match="unknown keys"):
+        RunConfig({"mpca": {"views": 5, "components": 2, "enabled": False}})
+
+
+def test_runconfig_keys_set_every_library_field():
+    for cls, exempt in ((ModelConfig, ["num_classes"]), (TrainConfig, [])):
+        names = [name for owner, keys in FIELDS.values() if owner is cls
+                 for name in keys.values()]
+        assert sorted(names + exempt) == sorted(f.name for f in fields(cls)), cls
+
+
+def test_readme_lists_the_run_config_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULTS
 
 
 def test_runconfig_defaults_are_the_library_defaults():

@@ -286,16 +286,16 @@ def test_mpca_of_an_empty_cube_is_degenerate(shape):
         mpca(HsiCube(values=np.zeros(shape, dtype=np.float32)), num_views=2, components=1)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("multiview", [True, False])
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
 def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(bands, views, dtype,
-                                                                     enabled):
+                                                                     multiview):
     rng = np.random.default_rng(bands * 100 + views)
     values = (rng.normal(size=(45, 30, bands)) * 3 + 10).astype(dtype)
     values.flags.writeable = False
     components = min(3, -(-bands // views))
-    shape = (views, components) if enabled else (1, views * components)
+    shape = (views, components) if multiview else (1, views * components)
     for layout in (values, np.asfortranarray(values)):
         cube = HsiCube(values=layout)
         want, fitted = mpca_float64_reference(mmnorm(cube).values, *shape)
@@ -335,16 +335,16 @@ def test_preprocess_keeps_the_degenerate_input_checks():
         mpca(HsiCube(values=values), 2, 4)
 
 
-@pytest.mark.parametrize("shape,views,components,enabled,bound", [
+@pytest.mark.parametrize("shape,views,components,multiview,bound", [
     ((60, 50, 103), 10, 3, True, 1.0),    # first written: 5.49x, all views at once: 3.14x
     ((30, 30, 37), 10, 3, False, 6.2),    # one view of 30 components; 7.14x, 6.52x, now 5.52x
 ])
-def test_preprocess_peak_memory(shape, views, components, enabled, bound):
+def test_preprocess_peak_memory(shape, views, components, multiview, bound):
     rng = np.random.default_rng(12)
     cube = HsiCube(values=rng.random(shape, dtype=np.float32))
     tracemalloc.start()
     try:
-        mpca(cube, *((views, components) if enabled else (1, views * components)))
+        mpca(cube, *((views, components) if multiview else (1, views * components)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
