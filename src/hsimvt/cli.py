@@ -25,7 +25,7 @@ from .model import load_params, save_params
 from .mpca import mpca
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
-from .training import derive_split, train
+from .training import check_representation, derive_split, train
 
 REPRESENTATION_FILE = "representation.hsz"
 CHECKPOINT_FILE = "checkpoint.hsz"
@@ -117,7 +117,9 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     labels, rep = _labels_and_representation(config)
-    model_config = config.model_config(labels.num_classes)  # before the last run's files go
+    # refuse a bad model section or representation before the last run's files go
+    model_config = config.model_config(labels.num_classes)
+    check_representation(rep, labels, model_config)
     history_path = _new_out_path(config, HISTORY_FILE)
     ckpt_path = _out_path(config, CHECKPOINT_FILE)
     # A failed run must not leave an earlier run's checkpoint to be scored.

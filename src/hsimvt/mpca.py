@@ -52,6 +52,12 @@ def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
     return spec
 
 
+# Bytes of cube rows per block of `mpca`'s gather: a block stays in cache
+# while the second view of a pass re-reads it (2**18 and 2**22 timed slower
+# on the Pavia-shaped cube)
+_VIEW_BLOCK_BYTES = 2 ** 20
+
+
 def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
                  norm=None):
     """Write 0-based ``view`` of an (H, W, B) cube into ``out`` (H, W, M).
@@ -183,27 +189,44 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     cube gives the same bits. A run config's :attr:`RunConfig.mpca_shape`
     gives the (views, components) to pass.
 
-    One view at a time is normalized as it is gathered from the cube into a
-    buffer of MMNorm's arithmetic dtype, cast into a reused float64
-    (H*W, M) buffer, centered there in place, fitted and projected into the
-    float32 output. Every float64 expression runs on the same contiguous
+    The views are gathered two per pass over the cube: the pass walks it
+    in row blocks of about ``_VIEW_BLOCK_BYTES``, and for each block
+    normalizes each view's bands into one small buffer of MMNorm's
+    arithmetic dtype and casts that into the view's own float64 (H*W, M)
+    samples buffer (a float64 cube is gathered straight into it). The
+    second view re-reads a block that is still in cache, so the cube is
+    read once per pair of views. A cube that fits in one block is gathered
+    one view at a time, as its re-reads stay in cache anyway. Each view is
+    then checked, centered in place, fitted and projected into the float32
+    output on its own. Every float64 expression runs on the same contiguous
     arrays as ``fit_pca``/``transform_view`` on :func:`build_views`'
     rasters of ``mmnorm(cube)``, so the bits are theirs.
     """
     groups = mpca_spec(cube.bands, num_views, components).num_groups
     lo, span = mmnorm_scalars(cube)
-    view = np.empty((cube.height, cube.width, groups), dtype=span.dtype)
+    h, w = cube.height, cube.width
+    block_rows = max(1, _VIEW_BLOCK_BYTES // (w * cube.bands * cube.values.itemsize))
+    per_pass = 2 if block_rows < h else 1
+    samples = [np.empty((h * w, groups)) for _ in range(min(per_pass, num_views))]
     cast = span.dtype != np.float64
-    samples = np.empty((cube.height * cube.width, groups)) if cast else view.reshape(-1, groups)
-    stacked = np.empty((cube.height, cube.width, num_views * components), dtype=np.float32)
+    block = np.empty((min(block_rows, h), w, groups), dtype=span.dtype) if cast else None
+    stacked = np.empty((h, w, num_views * components), dtype=np.float32)
     models = []
-    for n in range(num_views):
-        _gather_view(cube.values, num_views, n, view, (lo, span))
-        _check_view(view, components)  # on the view dtype: the float64 cast is exact
-        if cast:
-            samples[...] = view.reshape(-1, groups)
-        model = _fit_in_place(samples, components)
-        models.append(model)
-        stacked[:, :, n * components:(n + 1) * components] = \
-            (samples @ model.projection).reshape(cube.height, cube.width, components)
+    for first in range(0, num_views, per_pass):
+        views = range(first, min(first + per_pass, num_views))
+        for r0 in range(0, h, block_rows):
+            rows = cube.values[r0:r0 + block_rows]
+            for n, buffer in zip(views, samples):
+                dest = buffer.reshape(h, w, groups)[r0:r0 + len(rows)]
+                if cast:
+                    _gather_view(rows, num_views, n, block[:len(rows)], (lo, span))
+                    dest[...] = block[:len(rows)]
+                else:
+                    _gather_view(rows, num_views, n, dest, (lo, span))
+        for n, buffer in zip(views, samples):
+            _check_view(buffer.reshape(h, w, groups), components)
+            model = _fit_in_place(buffer, components)
+            models.append(model)
+            stacked[:, :, n * components:(n + 1) * components] = \
+                (buffer @ model.projection).reshape(h, w, components)
     return stacked, models

@@ -123,6 +123,17 @@ def derive_split(labels: LabelMap, fractions, master_seed: int) -> SplitAssignme
     return stratified_split(labels, fractions=fractions, seed=derive_seeds(master_seed)[0])
 
 
+def check_representation(representation: np.ndarray, labels: LabelMap,
+                         model_config: ModelConfig):
+    """Raise :class:`DimensionError` unless ``representation`` is (H, W, C)
+    over the label raster with the model's C input channels."""
+    labels.check_raster(representation)
+    if representation.shape[2] != model_config.input_channels:
+        raise DimensionError(
+            f"representation has {representation.shape[2]} channels, model config "
+            f"implies {model_config.input_channels}")
+
+
 # A diverging run overflows; that is reported once, as DivergenceError,
 # instead of as numpy warnings on stderr.
 @np.errstate(over="ignore", invalid="ignore")
@@ -139,11 +150,7 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
     model's, raises :class:`DimensionError`. A non-finite loss or gradient
     raises :class:`DivergenceError` before its epoch is logged.
     """
-    labels.check_raster(representation)
-    if representation.shape[2] != model_config.input_channels:
-        raise DimensionError(
-            f"representation has {representation.shape[2]} channels, model config "
-            f"implies {model_config.input_channels}")
+    check_representation(representation, labels, model_config)
     _, init_seed, shuffle_seed = derive_seeds(train_config.seed)
     split = derive_split(labels, fractions, train_config.seed)
 

@@ -303,7 +303,7 @@ def test_preprocess_refuses_a_bad_model_section(workdir, capsys):
 
 
 def test_a_refused_train_keeps_the_last_runs_files(workdir, capsys):
-    good = write_config(workdir)
+    good = write_config(workdir)  # preprocessed as 3 views x 2 components
     run(capsys, "synth", *SCENE)
     run(capsys, "preprocess", "--config", good)
     assert run(capsys, "train", "--config", good)[0] == 0
@@ -312,12 +312,15 @@ def test_a_refused_train_keeps_the_last_runs_files(workdir, capsys):
     assert all(kept.values())
     save_labels(LabelMap(ids=np.ones((24, 24), dtype=np.int64), num_classes=1),
                 workdir / "one_class.hsz")
-    for overrides, fault in (({"model": {"heads": 3, "token_channels": 8}},
-                              "not divisible by num_heads 3"),
-                             ({"data": {"labels_path": "one_class.hsz"}},
-                              "at least 2 classes")):
+    for overrides, kind, fault in (
+            ({"model": {"heads": 3, "token_channels": 8}}, "ConfigError",
+             "not divisible by num_heads 3"),
+            ({"data": {"labels_path": "one_class.hsz"}}, "ConfigError",
+             "at least 2 classes"),
+            ({"mpca": {"views": 2, "components": 2}}, "DimensionError",
+             "representation has 6 channels, model config implies 4")):
         doc = _one_json_error(capsys, "train", "--config", write_config(workdir, overrides))
-        assert doc["type"] == "ConfigError" and fault in doc["error"], overrides
+        assert doc["type"] == kind and fault in doc["error"], overrides
         assert {name: (workdir / name).read_bytes() for name in names} == kept, overrides
 
 

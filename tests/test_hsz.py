@@ -119,13 +119,45 @@ def test_rejects_non_object_header(tmp_path):
         hsz.read_framed(path, hsz.CUBE_MAGIC)
 
 
+def _written_rasters(tmp_path):
+    """(path, reader) of one cube and one label raster, freshly written."""
+    cube, labels = tmp_path / "cube.hsz", tmp_path / "labels.hsz"
+    hsz.write_cube_raster(cube, np.zeros((4, 4, 4), dtype=np.float32))
+    hsz.write_label_raster(labels, np.ones((3, 4), dtype=np.uint16), 1)
+    return [(cube, hsz.read_cube_raster), (labels, hsz.read_label_raster)]
+
+
 def test_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "cube.hsz"
-    hsz.write_cube_raster(path, np.zeros((4, 4, 4), dtype=np.float32))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(PayloadLengthError):
-        hsz.read_cube_raster(path)
+    for path, read in _written_rasters(tmp_path):
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(PayloadLengthError, match="header implies"):
+            read(path)
+
+
+def test_rejects_bytes_past_the_payload(tmp_path):
+    for path, read in _written_rasters(tmp_path):
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(PayloadLengthError, match="header implies"):
+            read(path)
+
+
+def test_payload_is_read_only_and_compares_and_slices_like_bytes(tmp_path):
+    path = tmp_path / "m.hsz"
+    body = bytes(range(256)) * 3
+    hsz.write_framed(path, hsz.MODEL_MAGIC, {"a": 1}, body)
+    header, payload = hsz.read_framed(path, hsz.MODEL_MAGIC)
+    assert header == {"a": 1}
+    assert payload.readonly
+    with pytest.raises(TypeError):
+        payload[0] = 1
+    assert len(payload) == len(body) and payload == body and payload != body[:-1]
+    assert payload[5:9] == body[5:9] and payload[-3:].tobytes() == body[-3:]
+    assert bytes(payload[::7]) == body[::7]
+    hsz.write_framed(tmp_path / "again.hsz", hsz.MODEL_MAGIC, header, payload[:10])
+    assert hsz.read_framed(tmp_path / "again.hsz", hsz.MODEL_MAGIC)[1] == body[:10]
+    hsz.write_framed(tmp_path / "empty.hsz", hsz.MODEL_MAGIC, {}, b"")
+    _, empty = hsz.read_framed(tmp_path / "empty.hsz", hsz.MODEL_MAGIC)
+    assert empty == b"" and len(empty) == 0
 
 
 def test_rejects_missing_header_keys(tmp_path):

@@ -1,5 +1,6 @@
 """Multiview PCA: view construction, per-view PCA, concatenation."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from hsimvt.mpca import PcaModel, fix_signs
 
 from oracles import (fix_signs_oracle, jacobi_eigh, mpca_float64_reference,
                      pca_project_oracle)
+
+mpca_module = importlib.import_module("hsimvt.mpca")  # `hsimvt.mpca` is the function
 
 
 # ---------------------------------------------------------------- view layout
@@ -252,17 +255,28 @@ def test_mpca_bit_identical_across_runs():
     assert first.tobytes() == second.tobytes()
 
 
+def _layouts_and_view_blocks(values):
+    """The C and Fortran layouts of ``values``, each with every mpca row-block
+    size to try: the module's own (one block for most of these 45-row cubes,
+    so one view per pass), 7 rows (a partial last block) and 1 row. 7 views
+    leave the last view of each pass over the cube unpaired."""
+    row = values.shape[1] * values.shape[2] * values.itemsize
+    for layout in (values, np.asfortranarray(values)):
+        for block_bytes in (mpca_module._VIEW_BLOCK_BYTES, 7 * row, row):
+            yield layout, block_bytes
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int16])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
-def test_mpca_matches_float64_reference_bit_for_bit(bands, views, dtype):
+def test_mpca_matches_float64_reference_bit_for_bit(monkeypatch, bands, views, dtype):
     """On a raw cube, mpca gives the float64 reference of ``mmnorm(cube)``;
     MMNorm being idempotent, mpca of the normalized cube gives the same bytes."""
-    # 45 x 30 x 103 spans three row blocks of build_views' gather
     rng = np.random.default_rng(bands * 100 + views)
     scale = 1000 if dtype == np.int16 else 1  # integers need a range to round into
     values = (rng.normal(size=(45, 30, bands)) * scale).astype(dtype)
     components = min(3, -(-bands // views))
-    for layout in (values, np.asfortranarray(values)):
+    for layout, block_bytes in _layouts_and_view_blocks(values):
+        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
         cube = HsiCube(values=layout)
         normalized = mmnorm(cube)
         want, fitted = mpca_float64_reference(normalized.values, views, components)
@@ -289,14 +303,15 @@ def test_mpca_of_an_empty_cube_is_degenerate(shape):
 @pytest.mark.parametrize("multiview", [True, False])
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
-def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(bands, views, dtype,
-                                                                     multiview):
+def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(monkeypatch, bands,
+                                                                     views, dtype, multiview):
     rng = np.random.default_rng(bands * 100 + views)
     values = (rng.normal(size=(45, 30, bands)) * 3 + 10).astype(dtype)
     values.flags.writeable = False
     components = min(3, -(-bands // views))
     shape = (views, components) if multiview else (1, views * components)
-    for layout in (values, np.asfortranarray(values)):
+    for layout, block_bytes in _layouts_and_view_blocks(values):
+        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
         cube = HsiCube(values=layout)
         want, fitted = mpca_float64_reference(mmnorm(cube).values, *shape)
         stacked, models = mpca(cube, *shape)
@@ -336,7 +351,9 @@ def test_preprocess_keeps_the_degenerate_input_checks():
 
 
 @pytest.mark.parametrize("shape,views,components,multiview,bound", [
-    ((60, 50, 103), 10, 3, True, 1.0),    # first written: 5.49x, all views at once: 3.14x
+    # first written: 5.49x, all views at once: 3.14x, one view at a time: 0.68x,
+    # two views per pass over the cube (two float64 view buffers): 0.88x
+    ((60, 50, 103), 10, 3, True, 1.0),
     ((30, 30, 37), 10, 3, False, 6.2),    # one view of 30 components; 7.14x, 6.52x, now 5.52x
 ])
 def test_preprocess_peak_memory(shape, views, components, multiview, bound):
