@@ -22,7 +22,7 @@ from .errors import CompatibilityError, ConfigError, HsimvtError
 from .experiments import check_sweep_axis, sweep, write_sweep_csv
 from .metrics import evaluate, predict_coords, rotation_audit
 from .model import load_params, save_params
-from .mpca import mpca
+from .mpca import mpca, mpca_spec
 from .render import render_class_map, write_ppm
 from .runconfig import RunConfig
 from .training import check_representation, derive_split, train
@@ -107,9 +107,14 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     config = RunConfig.load(args.config)
     cube = load_cube(_require_file(config["data"]["cube_path"], "cube file"))
+    # refuse an MPCA shape the cube cannot take before the last run's file goes
+    mpca_spec(cube.bands, *config.mpca_shape)
+    rep_path = _out_path(config, REPRESENTATION_FILE)
+    # A failed preprocess must not leave an earlier cube's representation to train on.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(rep_path)
     rep, _ = mpca(cube, *config.mpca_shape)
-    rep_path = _new_out_path(config, REPRESENTATION_FILE)
-    hsz.write_cube_raster(rep_path, rep)
+    hsz.write_cube_raster(_new_out_path(config, REPRESENTATION_FILE), rep)
     _emit({"representation": rep_path, "channels": int(rep.shape[2])})
     return 0
 

@@ -138,10 +138,33 @@ def pca_project_oracle(samples, components):
             vectors.astype(np.float64))
 
 
+# The package's long-row width (`hsimvt.mpca._MEAN_ROWS`), written out so that
+# changing it, which changes every mean's bits, fails the bit-for-bit tests
+MPCA_MEAN_ROWS = 128
+
+
+def long_row_mean(samples):
+    """Column means of (N, M) samples in MPCA's summation order: row i of
+    every block of ``MPCA_MEAN_ROWS`` sample rows (the last block may be
+    short) added, block by block, into partial row i; the partial rows then
+    added in pairs, first half plus second half, until one is left; over N.
+    """
+    n, m = samples.shape
+    partial = np.zeros((MPCA_MEAN_ROWS, m))
+    for start in range(0, n, MPCA_MEAN_ROWS):
+        block = samples[start:start + MPCA_MEAN_ROWS]
+        partial[:len(block)] += block
+    while len(partial) > 1:
+        half = len(partial) // 2
+        partial = partial[:half] + partial[half:]
+    return partial[0] / n
+
+
 def mpca_float64_reference(values, num_views, components):
     """Multiview PCA as first written: cast the whole cube to float64, zero-pad
     the band axis to whole groups, fancy-index each interleaved view, fit and
-    apply each view's PCA, concatenate view-major, cast to float32.
+    apply each view's PCA, concatenate view-major, cast to float32. The mean
+    is :func:`long_row_mean`.
 
     Returns (H x W x num_views*components float32, [(mean, projection,
     eigenvalues)] per view), meant to match the package bit for bit.
@@ -154,7 +177,7 @@ def mpca_float64_reference(values, num_views, components):
     for n in range(num_views):
         view = np.ascontiguousarray(values[:, :, np.arange(groups) * num_views + n])
         samples = view.reshape(-1, groups)
-        mean = samples.mean(axis=0)
+        mean = long_row_mean(samples)
         centered = samples - mean
         cov = (centered.T @ centered) / (samples.shape[0] - 1)
         eigenvalues, vectors = np.linalg.eigh(cov)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (ConfigError, DimensionError, LabelMap, ModelConfig, RunConfig,
-                    TrainConfig, class_palette, experiments, hsz, mpca, render_class_map,
-                    save_labels, stratified_split, synth_scene, train, write_ppm)
+from hsimvt import (ConfigError, DimensionError, HsiCube, LabelMap, ModelConfig,
+                    RunConfig, TrainConfig, class_palette, experiments, hsz, mpca,
+                    render_class_map, save_cube, save_labels, stratified_split, synth_scene,
+                    train, write_ppm)
 from hsimvt import cli
 from hsimvt.cli import main
 from hsimvt.data import TEST
@@ -300,6 +301,32 @@ def test_preprocess_refuses_a_bad_model_section(workdir, capsys):
     doc = _one_json_error(capsys, "preprocess", "--config", even)
     assert doc["type"] == "ConfigError" and "patch_size" in doc["error"]
     assert not (workdir / "representation.hsz").exists()
+
+
+def test_a_failed_preprocess_leaves_no_representation_behind(workdir, capsys):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    assert run(capsys, "preprocess", "--config", good)[0] == 0
+    kept = (workdir / "representation.hsz").read_bytes()
+    # refused for its config, or before a cube has loaded: the last file stays
+    for overrides, fault in (
+            ({"model": {"patch_size": 4}}, "patch_size"),
+            ({"data": {"cube_path": "no_cube.hsz"}}, "missing cube file"),
+            ({"mpca": {"views": 13}}, "cannot build 13 views from 12 bands")):
+        doc = _one_json_error(capsys, "preprocess", "--config",
+                              write_config(workdir, overrides))
+        assert doc["type"] == "ConfigError" and fault in doc["error"], overrides
+        assert (workdir / "representation.hsz").read_bytes() == kept, overrides
+    # failed after the cube loaded: no representation is left to train on
+    save_cube(HsiCube(values=np.full((24, 24, 12), 0.5, dtype=np.float32)),
+              workdir / "flat.hsz")
+    flat = write_config(workdir, {"data": {"cube_path": "flat.hsz"}})
+    doc = _one_json_error(capsys, "preprocess", "--config", flat)
+    assert doc["type"] == "DegenerateInputError"
+    assert not (workdir / "representation.hsz").exists()
+    doc = _one_json_error(capsys, "train", "--config", flat)
+    assert doc["type"] == "ConfigError" and "representation" in doc["error"]
+    assert not (workdir / "checkpoint.hsz").exists()
 
 
 def test_a_refused_train_keeps_the_last_runs_files(workdir, capsys):

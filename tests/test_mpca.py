@@ -1,6 +1,7 @@
 """Multiview PCA: view construction, per-view PCA, concatenation."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,37 @@ def test_fit_pca_eigensystem_against_jacobi():
     eigenvalues, vectors = jacobi_eigh(cov)
     np.testing.assert_allclose(model.eigenvalues, eigenvalues, atol=1e-10)
     np.testing.assert_allclose(model.projection, fix_signs_oracle(vectors), atol=1e-10)
+
+
+def test_fit_pca_mean_is_within_a_few_ulps_of_the_exact_mean():
+    """The mean against an exactly rounded sum (``math.fsum``), not against a
+    copy of the package's summation: 200,500 rows (not a whole number of
+    long rows) of an offset signal, where summing row after row loses bits."""
+    rng = np.random.default_rng(21)
+    view = 0.5 + 1e-3 * rng.standard_normal((500, 401, 11))
+    samples = view.reshape(-1, 11)
+    exact = np.array([math.fsum(column) for column in samples.T]) / len(samples)
+    ulps = np.spacing(exact)
+    error = np.abs(fit_pca(view, components=3).mean - exact) / ulps
+    assert error.max() <= 4
+    # no worse than row-after-row summation, the order of numpy's axis-0 mean
+    # at the time of writing; cumsum's last row is that order by definition
+    sequential = np.cumsum(samples, axis=0)[-1] / len(samples)
+    assert error.max() <= (np.abs(sequential - exact) / ulps).max()
+
+
+def test_fit_pca_does_not_depend_on_the_views_memory_order():
+    """A band-first cube moved to (H, W, M) is a view whose (N, M) samples are
+    column-major; its fit must be the fit of a C-ordered copy, bit for bit,
+    also when N covers whole long rows and a leftover."""
+    rng = np.random.default_rng(5)
+    band_first = 0.5 + rng.standard_normal((6, 17, 23))  # 391 pixels
+    view = np.moveaxis(band_first, 0, -1)
+    assert view.reshape(-1, 6).flags.f_contiguous
+    got = fit_pca(view, components=3)
+    want = fit_pca(np.ascontiguousarray(view), components=3)
+    for field in ("mean", "projection", "eigenvalues"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_fix_signs_matches_independent_oracle():
