@@ -9,11 +9,15 @@ per-view outputs are concatenated view-major along the channel axis.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import blas_threads, one_blas_thread
+from ._blas import usable_cpus as _usable_cpus
 from .data import HsiCube, mmnorm_scalars
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
@@ -56,6 +60,10 @@ def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
 # while the second view of a pass re-reads it (2**18 and 2**22 timed slower
 # on the Pavia-shaped cube)
 _VIEW_BLOCK_BYTES = 2 ** 20
+
+# `mpca` fits its views on two threads once their float64 samples together
+# take this many bytes; see the README's Notes for the measurements
+_THREAD_SAMPLE_BYTES = 48 * 2 ** 20
 
 
 def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
@@ -209,6 +217,41 @@ def transform_view(view: np.ndarray, model: PcaModel) -> np.ndarray:
     return out.reshape(h, w, model.components)
 
 
+def _view_workers(num_views: int, sample_bytes: int) -> int:
+    """Threads for :func:`mpca`'s views, whose float64 samples take
+    ``sample_bytes`` together: 2 from ``_THREAD_SAMPLE_BYTES`` on, when
+    the process may use two CPUs and OpenBLAS's thread count can be held
+    at one; 1 otherwise."""
+    if (num_views < 2 or sample_bytes < _THREAD_SAMPLE_BYTES
+            or _usable_cpus() < 2 or blas_threads() is None):
+        return 1
+    return 2
+
+
+def _on_two_threads(body):
+    """Run ``body(0)`` here and ``body(1)`` on a helper thread under the
+    caller's context (numpy's error state included), with OpenBLAS held at
+    one thread. A helper error is re-raised, with its type, once both have
+    stopped and the BLAS count is back."""
+    failures = []
+
+    def helper():
+        try:
+            body(1)
+        except BaseException as error:  # re-raised below, in the caller
+            failures.append(error)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    with one_blas_thread():
+        thread.start()
+        try:
+            body(0)
+        finally:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
 def mpca(cube: HsiCube, num_views: int, components: int):
     """MMNorm then multiview PCA: views -> per-view PCA -> view-major concat.
 
@@ -217,44 +260,68 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     cube gives the same bits. A run config's :attr:`RunConfig.mpca_shape`
     gives the (views, components) to pass.
 
-    The views are gathered two per pass over the cube: the pass walks it
+    The views are gathered ``per_pass`` at a time: a pass walks the cube
     in row blocks of about ``_VIEW_BLOCK_BYTES``, and for each block
     normalizes each view's bands into one small buffer of MMNorm's
     arithmetic dtype and casts that into the view's own float64 (H*W, M)
-    samples buffer (a float64 cube is gathered straight into it). The
-    second view re-reads a block that is still in cache, so the cube is
-    read once per pair of views. A cube that fits in one block is gathered
-    one view at a time, as its re-reads stay in cache anyway. Each view is
-    then checked, centered in place, fitted and projected into the float32
-    output on its own. Every float64 expression runs on the same contiguous
+    samples buffer (a float64 cube is gathered straight into it). Each
+    view is then checked, centered in place, fitted and projected into
+    its channels of the float32 output on its own.
+
+    On one thread (``_view_workers``) a pass gathers two views: the second
+    re-reads a block that is still in cache, so the cube is read once per
+    pair of views; a cube that fits in one block is gathered one view at
+    a time, as its re-reads stay in cache anyway. On two threads, with
+    OpenBLAS at one thread, each thread gathers one view per pass and the
+    threads take the views in turn, so two float64 view buffers are live
+    either way. Every float64 expression runs on the same contiguous
     arrays as ``fit_pca``/``transform_view`` on :func:`build_views`'
-    rasters of ``mmnorm(cube)``, so the bits are theirs.
+    rasters of ``mmnorm(cube)``, so the bits are theirs, at the BLAS
+    thread count the path runs under. The README's Notes list the view
+    widths where OpenBLAS's products change bits with that count.
     """
     groups = mpca_spec(cube.bands, num_views, components).num_groups
     lo, span = mmnorm_scalars(cube)
     h, w = cube.height, cube.width
     block_rows = max(1, _VIEW_BLOCK_BYTES // (w * cube.bands * cube.values.itemsize))
-    per_pass = 2 if block_rows < h else 1
-    samples = [np.empty((h * w, groups)) for _ in range(min(per_pass, num_views))]
+    workers = _view_workers(num_views, h * w * num_views * groups * 8)
+    per_pass = 2 if workers == 1 and block_rows < h else 1
     cast = span.dtype != np.float64
-    block = np.empty((min(block_rows, h), w, groups), dtype=span.dtype) if cast else None
     stacked = np.empty((h, w, num_views * components), dtype=np.float32)
-    models = []
-    for first in range(0, num_views, per_pass):
-        views = range(first, min(first + per_pass, num_views))
-        for r0 in range(0, h, block_rows):
-            rows = cube.values[r0:r0 + block_rows]
+    models = [None] * num_views
+
+    # every worker's buffers, the projection's included, come from the
+    # caller's heap: what a helper thread's own heap frees stays resident
+    # (a projection temporary in the helper added 4-8 MB to the peak RSS
+    # of the Pavia-shaped bench)
+    buffers = [([np.empty((h * w, groups)) for _ in range(min(per_pass, num_views))],
+                np.empty((min(block_rows, h), w, groups), dtype=span.dtype) if cast else None,
+                np.empty((h * w, components)))
+               for _ in range(workers)]
+
+    def fit_views(worker):
+        # passes worker, worker + workers, ... of per_pass views each
+        samples, block, projected = buffers[worker]
+        for first in range(worker * per_pass, num_views, workers * per_pass):
+            views = range(first, min(first + per_pass, num_views))
+            for r0 in range(0, h, block_rows):
+                rows = cube.values[r0:r0 + block_rows]
+                for n, buffer in zip(views, samples):
+                    dest = buffer.reshape(h, w, groups)[r0:r0 + len(rows)]
+                    if cast:
+                        _gather_view(rows, num_views, n, block[:len(rows)], (lo, span))
+                        dest[...] = block[:len(rows)]
+                    else:
+                        _gather_view(rows, num_views, n, dest, (lo, span))
             for n, buffer in zip(views, samples):
-                dest = buffer.reshape(h, w, groups)[r0:r0 + len(rows)]
-                if cast:
-                    _gather_view(rows, num_views, n, block[:len(rows)], (lo, span))
-                    dest[...] = block[:len(rows)]
-                else:
-                    _gather_view(rows, num_views, n, dest, (lo, span))
-        for n, buffer in zip(views, samples):
-            _check_view(buffer.reshape(h, w, groups), components)
-            model = _fit_in_place(buffer, components)
-            models.append(model)
-            stacked[:, :, n * components:(n + 1) * components] = \
-                (buffer @ model.projection).reshape(h, w, components)
+                _check_view(buffer.reshape(h, w, groups), components)
+                models[n] = _fit_in_place(buffer, components)
+                np.matmul(buffer, models[n].projection, out=projected)
+                stacked[:, :, n * components:(n + 1) * components] = \
+                    projected.reshape(h, w, components)
+
+    if workers == 1:
+        fit_views(0)
+    else:
+        _on_two_threads(fit_views)
     return stacked, models

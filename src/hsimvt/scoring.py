@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from . import errors
+from ._blas import usable_cpus as _usable_cpus
 from .data import PatchSource
 from .errors import HsimvtError, WorkerError
 from .model import ModelConfig, ModelParams
@@ -46,12 +47,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from hsimvt.scoring import worker_main; worker_main()")
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def pool_workers(n_values: int, n_coords: int, batch: int) -> int:

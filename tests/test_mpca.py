@@ -1,7 +1,12 @@
 """Multiview PCA: view construction, per-view PCA, concatenation."""
 
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsimvt import (ConfigError, DegenerateInputError, DimensionError, HsiCube,
-                    build_views, fit_pca, mmnorm, mpca, synth_scene, transform_view,
-                    view_spec)
+                    _blas, build_views, fit_pca, mmnorm, mpca, save_cube, synth_scene,
+                    transform_view, view_spec)
 from hsimvt.mpca import PcaModel, fix_signs
 
 from oracles import (fix_signs_oracle, jacobi_eigh, mpca_float64_reference,
                      pca_project_oracle)
 
 mpca_module = importlib.import_module("hsimvt.mpca")  # `hsimvt.mpca` is the function
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mpca_module.__file__)))
 
 
 # ---------------------------------------------------------------- view layout
@@ -398,3 +404,169 @@ def test_preprocess_peak_memory(shape, views, components, multiview, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * cube.values.nbytes
+
+
+# ------------------------------------------------------- views on two threads
+
+needs_blas_control = pytest.mark.skipif(
+    _blas.blas_threads() is None, reason="no in-process control of this numpy's BLAS")
+
+
+@pytest.fixture()
+def blas_at_two_threads():
+    """OpenBLAS at two threads for the test, so that a count left at one shows."""
+    get, set_ = _blas._control()
+    previous = get()
+    set_(2)
+    yield
+    set_(previous)
+
+
+def _force_workers(monkeypatch, workers):
+    """Make `mpca` pick ``workers`` view threads whatever the cube's size."""
+    monkeypatch.setattr(mpca_module, "_THREAD_SAMPLE_BYTES", 0)
+    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: workers)
+
+
+def _count_two_thread_runs(monkeypatch):
+    runs = []
+    on_two_threads = mpca_module._on_two_threads
+
+    def counting(body):
+        runs.append(body)
+        return on_two_threads(body)
+
+    monkeypatch.setattr(mpca_module, "_on_two_threads", counting)
+    return runs
+
+
+def _mpca_bytes(cube, views, components):
+    stacked, models = mpca(cube, views, components)
+    return stacked.tobytes(), [(m.mean.tobytes(), m.projection.tobytes(),
+                                m.eigenvalues.tobytes()) for m in models]
+
+
+@needs_blas_control
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+@pytest.mark.parametrize("bands,views", [(103, 10), (20, 7), (9, 3)])
+def test_threaded_mpca_matches_serial_bit_for_bit(monkeypatch, bands, views, dtype):
+    rng = np.random.default_rng(bands * 10 + views)
+    scale = 1000 if dtype == np.int16 else 1
+    values = (rng.normal(size=(45, 30, bands)) * scale).astype(dtype)
+    row = values.shape[1] * values.shape[2] * values.itemsize
+    runs = _count_two_thread_runs(monkeypatch)
+    # 7-row blocks leave a partial last block of the 45 rows
+    for block_bytes in (mpca_module._VIEW_BLOCK_BYTES, 7 * row):
+        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
+        cube = HsiCube(values=values)
+        _force_workers(monkeypatch, 1)
+        serial = _mpca_bytes(cube, views, 3)
+        assert not runs
+        _force_workers(monkeypatch, 2)
+        assert _mpca_bytes(cube, views, 3) == serial
+        assert len(runs) == 1
+        runs.clear()
+
+
+@needs_blas_control
+def test_view_threads_run_at_one_blas_thread_and_restore_the_count(monkeypatch,
+                                                                   blas_at_two_threads):
+    """Both threads fit at one BLAS thread under the caller's numpy error
+    state, and the count is back afterwards."""
+    seen = []
+    fit_in_place = mpca_module._fit_in_place
+
+    def recording(samples, components):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     _blas.blas_threads(), np.geterr()["divide"]))
+        return fit_in_place(samples, components)
+
+    monkeypatch.setattr(mpca_module, "_fit_in_place", recording)
+    _force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(3)
+    with np.errstate(divide="raise"):
+        mpca(HsiCube(values=rng.random((12, 10, 20), dtype=np.float32)), 5, 2)
+    assert sorted(seen) == [(False, 1, "raise")] * 2 + [(True, 1, "raise")] * 3
+    assert _blas.blas_threads() == 2
+
+
+@needs_blas_control
+@pytest.mark.parametrize("constant_view", [0, 1], ids=["caller", "helper"])
+def test_a_view_threads_error_keeps_its_type_and_leaves_no_thread(monkeypatch,
+                                                                 blas_at_two_threads,
+                                                                 constant_view):
+    before_threads = set(threading.enumerate())
+    _force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(13)
+    values = rng.random((6, 5, 8), dtype=np.float32)
+    values[:, :, constant_view::4] = 0.25  # views 0/1 of 4 are the caller's/helper's
+    with pytest.raises(DegenerateInputError, match="zero-variance"):
+        mpca(HsiCube(values=values), 4, 1)
+    assert _blas.blas_threads() == 2
+    assert set(threading.enumerate()) == before_threads
+
+
+def test_mpca_runs_serially_without_blas_control(monkeypatch):
+    monkeypatch.setattr(_blas, "_control", lambda: None)
+    assert _blas.blas_threads() is None
+    with _blas.one_blas_thread() as held:
+        assert held is False
+    runs = _count_two_thread_runs(monkeypatch)
+    _force_workers(monkeypatch, 2)
+    assert mpca_module._view_workers(10, 2 ** 40) == 1
+    rng = np.random.default_rng(5)
+    cube = HsiCube(values=rng.random((9, 8, 12), dtype=np.float32))
+    threaded_request = _mpca_bytes(cube, 4, 2)
+    assert not runs
+    _force_workers(monkeypatch, 1)
+    assert _mpca_bytes(cube, 4, 2) == threaded_request
+
+
+def test_view_thread_rule(monkeypatch):
+    monkeypatch.setattr(_blas, "_control", lambda: (lambda: 2, lambda n: None))
+    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 2)
+    big = mpca_module._THREAD_SAMPLE_BYTES
+    assert mpca_module._view_workers(10, big) == 2
+    assert mpca_module._view_workers(10, big - 1) == 1
+    assert mpca_module._view_workers(1, big) == 1  # one view: nothing to share
+    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 1)
+    assert mpca_module._view_workers(10, big) == 1
+    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 2)
+    # the bench shapes: Pavia's 10 views of 11 bands on two threads, Indian
+    # Pines' 200 bands serial, at 10 views and at 4
+    assert mpca_module._view_workers(10, 610 * 340 * 110 * 8) == 2
+    assert mpca_module._view_workers(10, 145 * 145 * 200 * 8) == 1
+    assert mpca_module._view_workers(4, 145 * 145 * 200 * 8) == 1
+
+
+PREPROCESS = """
+import importlib, sys
+from hsimvt import cli
+if sys.argv[1] == "serial":
+    importlib.import_module("hsimvt.mpca")._THREAD_SAMPLE_BYTES = 1 << 62
+sys.exit(cli.main(["preprocess", "--config", "config.json"]))
+"""
+
+
+@needs_blas_control
+def test_preprocess_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One and two BLAS threads, on the two-thread path and (at two BLAS
+    threads) on the serial one, write the same representation."""
+    h, w, bands, views = 260, 240, 103, 10
+    if mpca_module._view_workers(views, h * w * 110 * 8) != 2:
+        pytest.skip("the view threads need two usable CPUs")
+    rng = np.random.default_rng(21)
+    base = rng.random((h, w, 1), dtype=np.float32)
+    values = base * np.linspace(0.5, 2.0, bands, dtype=np.float32)
+    values += 0.05 * rng.random((h, w, bands), dtype=np.float32)
+    save_cube(HsiCube(values=values), tmp_path / "cube.hsz")
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"data": {"cube_path": "cube.hsz"}, "mpca": {"views": views, "components": 3}}))
+    written = {}
+    for path, blas in (("threaded", "1"), ("threaded", "2"), ("serial", "2")):
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=blas)
+        done = subprocess.run([sys.executable, "-c", PREPROCESS, path], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written[path, blas] = (tmp_path / "representation.hsz").read_bytes()
+    assert len(set(written.values())) == 1
