@@ -57,6 +57,14 @@ def blas_threads() -> int | None:
     return None if control is None else control[0]()
 
 
+def may_split() -> bool:
+    """Whether work may split across threads or processes that each hold
+    OpenBLAS at one thread: the process may use two CPUs, and control of
+    the count was found. Without it a forked child could not lower an
+    initialized OpenBLAS's count, so callers run serially."""
+    return usable_cpus() >= 2 and _control() is not None
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Hold OpenBLAS at one thread inside the block and restore the count

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import blas_threads, one_blas_thread
-from ._blas import usable_cpus as _usable_cpus
+from ._blas import may_split, one_blas_thread
 from .data import HsiCube, mmnorm_scalars
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
@@ -220,10 +219,8 @@ def transform_view(view: np.ndarray, model: PcaModel) -> np.ndarray:
 def _view_workers(num_views: int, sample_bytes: int) -> int:
     """Threads for :func:`mpca`'s views, whose float64 samples take
     ``sample_bytes`` together: 2 from ``_THREAD_SAMPLE_BYTES`` on, when
-    the process may use two CPUs and OpenBLAS's thread count can be held
-    at one; 1 otherwise."""
-    if (num_views < 2 or sample_bytes < _THREAD_SAMPLE_BYTES
-            or _usable_cpus() < 2 or blas_threads() is None):
+    :func:`~hsimvt._blas.may_split` allows it; 1 otherwise."""
+    if num_views < 2 or sample_bytes < _THREAD_SAMPLE_BYTES or not may_split():
         return 1
     return 2
 

@@ -8,14 +8,15 @@ thread per worker. Every batch therefore computes exactly as it does in
 the serial loop, so the predictions keep the serial path's bits. They come
 back in coords order.
 
-A worker is a plain ``python`` process started by :mod:`subprocess`. It is
-not a :mod:`multiprocessing` child: ``spawn`` re-runs a caller script that
+A worker is a child made by :func:`os.fork`, so it starts with the
+caller's parameters, raster and coordinates in pages it shares with the
+caller; nothing is sent to it. It holds OpenBLAS at one thread, scores its
+share, writes its predictions as little-endian int64 to one pipe and
+leaves through :func:`os._exit`, whatever it raised. Its fd 2 is a second
+pipe: on an error it writes one JSON line there and exits 1. It is not a
+:mod:`multiprocessing` child: ``spawn`` re-runs a caller script that
 lacks an ``if __name__ == "__main__"`` guard, and leaves a resource-tracker
-process running after the pool is gone. The worker imports hsimvt from the
-caller's own package directory. On stdin it reads one JSON header line,
-then the parameter vector, the raster and its share of the coordinates as
-raw bytes. On stdout it writes its predictions as little-endian int64. On
-an error it writes one JSON line on stderr and exits 1.
+process running after the pool is gone.
 """
 
 from __future__ import annotations
@@ -23,38 +24,43 @@ from __future__ import annotations
 import json
 import os
 import selectors
-import subprocess
-import sys
+import signal
 
 import numpy as np
 
-from . import errors
-from ._blas import usable_cpus as _usable_cpus
+from . import _blas, errors, metrics  # metrics imports this module
 from .data import PatchSource
 from .errors import HsimvtError, WorkerError
-from .model import ModelConfig, ModelParams
+from .model import ModelParams
 
 # A job runs on workers once len(coords) x the parameter count reaches this.
-# Starting the workers costs 0.3-0.5 s (each imports numpy and hsimvt and
-# reads the raster), so smaller jobs stay serial; see the README's Notes for
-# the measurements that set it.
+# See the README's Notes for the measurements that set it.
 _POOL_WORK_MIN = 2 ** 31
 
 # Never more workers than this, however many CPUs the process may use.
 _MAX_WORKERS = 4
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from hsimvt.scoring import worker_main; worker_main()")
-
 
 def pool_workers(n_values: int, n_coords: int, batch: int) -> int:
     """Worker processes for scoring ``n_coords`` pixels with ``n_values``
     parameters in batches of ``batch``; 1 means the serial loop."""
-    if n_coords * n_values < _POOL_WORK_MIN:
+    if n_coords * n_values < _POOL_WORK_MIN or not _blas.may_split():
         return 1
-    return max(1, min(_usable_cpus(), _MAX_WORKERS, -(-n_coords // batch)))
+    return min(_blas.usable_cpus(), _MAX_WORKERS, -(-n_coords // batch))
+
+
+class _Worker:
+    """A forked worker: its pid, the read ends of its predictions and
+    error pipes, and its exit code once it has been waited for."""
+
+    def __init__(self, pid: int, out: int, err: int):
+        self.pid, self.out, self.err = pid, out, err
+        self.returncode = None
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
 
 
 def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
@@ -62,43 +68,57 @@ def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
     """Predicted class ids for ``coords``, scored on ``workers`` processes.
 
     Worker i scores ``coords[bounds[i]:bounds[i + 1]]`` of
-    :func:`_batch_bounds`. Every worker has been waited for when this
-    returns or raises. A worker that exits or fails raises
-    :class:`WorkerError`, or the worker's own :class:`HsimvtError` type.
+    :func:`_batch_bounds`. Every worker has been waited for, and every
+    pipe closed, when this returns or raises. A worker that exits or fails
+    raises :class:`WorkerError`, or the worker's own :class:`HsimvtError`
+    type.
     """
-    coords = np.ascontiguousarray(coords)
-    raster = np.ascontiguousarray(source.raster)
     bounds = _batch_bounds(len(coords), workers, batch)
-    head = {"config": params.config.to_json_dict(), "patch_size": source.patch_size,
-            "batch": batch, "values": _spec(params.values), "raster": _spec(raster)}
-    env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
     procs = []
     try:
-        try:
-            for _ in range(workers):
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-c", _WORKER_CODE, _PACKAGE_ROOT], bufsize=0, env=env,
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
-        except OSError as exc:
-            raise WorkerError(f"cannot start a scoring worker: {exc}") from exc
-        for i, (proc, lo, hi) in enumerate(zip(procs, bounds, bounds[1:])):
-            share = coords[lo:hi]
-            line = json.dumps(dict(head, coords=_spec(share))).encode() + b"\n"
-            try:
-                for part in (np.frombuffer(line, np.uint8), params.values, raster, share):
-                    _send(proc.stdin.fileno(), part)
-            except BrokenPipeError:
-                proc.wait()
-                raise _failure(i, proc.returncode, proc.stderr.read()) from None
-            proc.stdin.close()
+        for lo, hi in zip(bounds, bounds[1:]):
+            procs.append(_fork(params, source, coords[lo:hi], batch))
         return _collect(procs, bounds)
     finally:
         for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            for pipe in (proc.stdin, proc.stdout, proc.stderr):
-                pipe.close()
+            if proc.returncode is None:  # not yet waited for, so the pid is still its own
+                os.kill(proc.pid, signal.SIGKILL)
+            os.close(proc.out)
+            os.close(proc.err)
             proc.wait()
+
+
+def _fork(params: ModelParams, source: PatchSource, share: np.ndarray,
+          batch: int) -> _Worker:
+    """Start a worker that scores ``share``; see the module docstring."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        raise WorkerError(f"cannot start a scoring worker: {exc}") from exc
+    out_r, out_w, err_r, err_w = fds
+    if pid == 0:  # the worker; it never returns
+        status = 1
+        try:
+            os.close(out_r)
+            os.close(err_r)
+            os.dup2(err_w, 2)
+            with _blas.one_blas_thread():
+                predicted = metrics._predict_batches(params, source, share, batch)
+            _send(out_w, predicted.astype("<i8").tobytes())
+            status = 0
+        except BaseException as exc:  # reported to the caller, which raises it
+            line = json.dumps({"type": type(exc).__name__, "error": str(exc)}) + "\n"
+            _send(err_w, line.encode())
+        finally:
+            os._exit(status)
+    os.close(out_w)  # before the next fork, so that only this worker holds them
+    os.close(err_w)
+    return _Worker(pid, out_r, err_r)
 
 
 def _batch_bounds(n: int, workers: int, batch: int) -> list:
@@ -123,8 +143,8 @@ def _collect(procs, bounds) -> np.ndarray:
     pipes_open = [2] * len(procs)
     with selectors.DefaultSelector() as selector:
         for i, proc in enumerate(procs):
-            selector.register(proc.stdout, selectors.EVENT_READ, (i, got[i]))
-            selector.register(proc.stderr, selectors.EVENT_READ, (i, err[i]))
+            selector.register(proc.out, selectors.EVENT_READ, (i, got[i]))
+            selector.register(proc.err, selectors.EVENT_READ, (i, err[i]))
         while selector.get_map():
             for key, _ in selector.select():
                 i, buf = key.data
@@ -164,48 +184,8 @@ def _failure(i: int, returncode: int, stderr: bytes) -> HsimvtError:
     return WorkerError(f"scoring worker {i} failed: {kind}: {message}")
 
 
-def _spec(a: np.ndarray) -> dict:
-    return {"dtype": a.dtype.str, "shape": list(a.shape)}
-
-
-def _bytes_of(a: np.ndarray) -> memoryview:
-    """The bytes of the C-contiguous array ``a``, without a copy."""
-    return memoryview(a.reshape(-1).view(np.uint8))
-
-
-def _send(fd: int, a: np.ndarray):
-    """Write all of the C-contiguous array ``a`` to ``fd``."""
-    view = _bytes_of(a)
+def _send(fd: int, data: bytes):
+    """Write all of ``data`` to ``fd``."""
+    view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
-
-
-def _receive(stream, spec: dict) -> np.ndarray:
-    """A new array of ``spec``'s dtype and shape, filled from ``stream``."""
-    a = np.empty(spec["shape"], dtype=spec["dtype"])
-    view = _bytes_of(a)
-    while view:
-        n = stream.readinto(view)
-        if not n:
-            raise EOFError("scoring job ended early")
-        view = view[n:]
-    return a
-
-
-def worker_main():
-    """Score the share of a job that arrives on stdin; see the module docstring."""
-    from .metrics import _predict_batches  # metrics imports this module
-
-    try:
-        stdin = sys.stdin.buffer
-        head = json.loads(stdin.readline())
-        values = _receive(stdin, head["values"])
-        raster = _receive(stdin, head["raster"])
-        coords = _receive(stdin, head["coords"])
-        params = ModelParams.from_vector(ModelConfig.from_json_dict(head["config"]), values)
-        source = PatchSource(raster, head["patch_size"])
-        predicted = _predict_batches(params, source, coords, head["batch"])
-        _send(sys.stdout.fileno(), predicted.astype("<i8"))
-    except Exception as exc:  # reported to the caller, which raises it
-        print(json.dumps({"type": type(exc).__name__, "error": str(exc)}), file=sys.stderr)
-        sys.exit(1)

@@ -425,7 +425,7 @@ def blas_at_two_threads():
 def _force_workers(monkeypatch, workers):
     """Make `mpca` pick ``workers`` view threads whatever the cube's size."""
     monkeypatch.setattr(mpca_module, "_THREAD_SAMPLE_BYTES", 0)
-    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: workers)
 
 
 def _count_two_thread_runs(monkeypatch):
@@ -524,14 +524,14 @@ def test_mpca_runs_serially_without_blas_control(monkeypatch):
 
 def test_view_thread_rule(monkeypatch):
     monkeypatch.setattr(_blas, "_control", lambda: (lambda: 2, lambda n: None))
-    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     big = mpca_module._THREAD_SAMPLE_BYTES
     assert mpca_module._view_workers(10, big) == 2
     assert mpca_module._view_workers(10, big - 1) == 1
     assert mpca_module._view_workers(1, big) == 1  # one view: nothing to share
-    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 1)
     assert mpca_module._view_workers(10, big) == 1
-    monkeypatch.setattr(mpca_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     # the bench shapes: Pavia's 10 views of 11 bands on two threads, Indian
     # Pines' 200 bands serial, at 10 views and at 4
     assert mpca_module._view_workers(10, 610 * 340 * 110 * 8) == 2

@@ -16,7 +16,7 @@ import pytest
 
 from hsimvt import (DimensionError, ModelConfig, ModelParams, PatchSource, WorkerError,
                     synth_scene)
-from hsimvt import metrics, scoring
+from hsimvt import _blas, metrics, scoring
 from hsimvt.cli import main
 from hsimvt.data import save_cube, save_labels
 from hsimvt.model import load_params
@@ -27,6 +27,9 @@ TOY = ModelConfig(patch_size=3, num_views=2, view_components=2, encoder_kernels=
                   num_classes=3)
 BATCH = metrics._SCORING_BATCH
 
+needs_blas_control = pytest.mark.skipif(
+    _blas.blas_threads() is None, reason="no in-process control of this numpy's BLAS")
+
 
 def children() -> set:
     """Pids of this process's live child processes, over all its threads."""
@@ -35,6 +38,18 @@ def children() -> set:
         with open(path) as f:
             pids.update(int(p) for p in f.read().split())
     return pids
+
+
+def open_fds() -> list:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def with_blas_control(monkeypatch, cpus):
+    """The pool rule on ``cpus`` usable CPUs, with BLAS thread control
+    whether or not this host's numpy has it."""
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blas, "_control", lambda: (lambda: 2, lambda n: None))
 
 
 def toy_job(n, dtype=np.float32, seed=0):
@@ -62,10 +77,12 @@ def test_two_workers_give_the_serial_bits(turned, n, dtype):
     serial = metrics._predict_batches(params, source, coords, BATCH)
     if dtype == np.float64:
         assert (serial == 2).all()
+    fds = open_fds()
     pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
     assert pooled.dtype == serial.dtype == np.int64
     assert pooled.tobytes() == serial.tobytes()
     assert children() == set()
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 42776])
@@ -105,36 +122,42 @@ def n_values(config):
 def test_pool_rule_picks_each_bench_job_path(monkeypatch, config, pixels, pooled):
     assert (n_values(PAVIA), n_values(INDIAN_PINES), n_values(BENCH_TOY)) == \
         (143249, 143704, 1487)
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    with_blas_control(monkeypatch, 2)
     assert scoring.pool_workers(n_values(config), pixels, BATCH) == (2 if pooled else 1)
 
 
 def test_pool_size_is_bounded_by_cpus_cap_and_batches(monkeypatch):
     big = scoring._POOL_WORK_MIN
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 1)
+    with_blas_control(monkeypatch, 1)
     assert scoring.pool_workers(big, 10 * BATCH, BATCH) == 1
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 64)
+    with_blas_control(monkeypatch, 64)
     assert scoring.pool_workers(big, 100 * BATCH, BATCH) == scoring._MAX_WORKERS
     assert scoring.pool_workers(big, BATCH + 1, BATCH) == 2
 
 
+def test_scoring_runs_serially_without_blas_control(monkeypatch):
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blas, "_control", lambda: None)
+    assert scoring.pool_workers(scoring._POOL_WORK_MIN, 10 * BATCH, BATCH) == 1
+
+
+@needs_blas_control
 def test_workers_run_one_blas_thread_whatever_the_caller_sets(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    envs = []
-    popen = subprocess.Popen
-
-    def recording(*args, **kwargs):
-        envs.append(kwargs["env"])
-        return popen(*args, **kwargs)
-
-    monkeypatch.setattr(scoring.subprocess, "Popen", recording)
+    """Each worker reads its own BLAS thread count as its predictions."""
+    monkeypatch.setattr(metrics, "_predict_batches",
+                        lambda params, source, coords, batch:
+                        np.full(len(coords), _blas.blas_threads()))
     params, source, coords = toy_job(300)
-    scoring.predict_pooled(params, source, coords, 2, BATCH)
-    assert len(envs) == 2
-    for env in envs:
-        assert {v: env[v] for v in scoring._BLAS_THREAD_VARS} == dict.fromkeys(
-            scoring._BLAS_THREAD_VARS, "1")
+    get, set_ = _blas._control()
+    previous = get()
+    try:
+        for caller_threads in (1, 2):
+            set_(caller_threads)
+            seen = scoring.predict_pooled(params, source, coords, 2, BATCH)
+            assert seen.tolist() == [1] * 300
+            assert get() == caller_threads
+    finally:
+        set_(previous)
 
 
 def test_a_worker_error_keeps_its_type():
@@ -143,9 +166,41 @@ def test_a_worker_error_keeps_its_type():
                         TOY.patch_size)
     with pytest.raises(DimensionError, match="channels"):
         metrics._predict_batches(params, wrong, coords, BATCH)
+    fds = open_fds()
     with pytest.raises(DimensionError, match="channels"):
         scoring.predict_pooled(params, wrong, coords, 2, BATCH)
     assert children() == set()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("exc", [SystemExit, KeyboardInterrupt])
+def test_a_base_exception_in_a_worker_is_a_worker_error(monkeypatch, exc):
+    def raising(*args):
+        raise exc()
+
+    monkeypatch.setattr(metrics, "_predict_batches", raising)
+    params, source, coords = toy_job(300)
+    fds = open_fds()
+    with pytest.raises(WorkerError, match=exc.__name__):
+        scoring.predict_pooled(params, source, coords, 2, BATCH)
+    assert children() == set()
+    assert open_fds() == fds
+
+
+def test_a_worker_writing_to_fd_2_leaves_the_callers_stderr_empty(monkeypatch, capfd):
+    predict_batches = metrics._predict_batches
+
+    def noisy(*args):
+        os.write(2, b"a warning from a worker\n")
+        return predict_batches(*args)
+
+    params, source, coords = toy_job(300)
+    serial = predict_batches(params, source, coords, BATCH)
+    monkeypatch.setattr(metrics, "_predict_batches", noisy)
+    capfd.readouterr()
+    pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
+    assert pooled.tobytes() == serial.tobytes()
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("coords", [
@@ -186,7 +241,7 @@ def kill_a_worker_during(fn, ready=None):
     thread = threading.Thread(target=run)
     thread.start()
     if ready is not None:
-        assert ready.wait(30), "the workers never got their jobs"
+        assert ready.wait(30), "the workers never started"
         time.sleep(0.2)
     deadline = time.monotonic() + 30
     while not (children() - before) and thread.is_alive() and time.monotonic() < deadline:
@@ -207,20 +262,22 @@ def test_a_worker_killed_while_scoring_raises_worker_error_at_once(monkeypatch):
     raster = np.random.default_rng(1).standard_normal((192, 192, 30)).astype(np.float32)
     coords = np.argwhere(np.ones((192, 192), dtype=bool))
     source = PatchSource(raster, 5)
-    jobs_sent = threading.Event()
+    started = threading.Event()
     collect = scoring._collect
 
     def signalling_collect(*args):
-        jobs_sent.set()
+        started.set()
         return collect(*args)
 
     monkeypatch.setattr(scoring, "_collect", signalling_collect)
+    fds = open_fds()
     outcome, seconds = kill_a_worker_during(
-        lambda: scoring.predict_pooled(params, source, coords, 2, BATCH), jobs_sent)
+        lambda: scoring.predict_pooled(params, source, coords, 2, BATCH), started)
     assert isinstance(outcome.get("error"), WorkerError), outcome
     assert "killed by signal 9" in str(outcome["error"])
     assert seconds < 1.0  # the other worker is stopped, not waited out
     assert children() == set()
+    assert open_fds() == fds
 
 
 # ----------------------------------------------------------------- the CLI
@@ -268,11 +325,12 @@ def cli_outputs(capsys, root, config):
     return out
 
 
+@needs_blas_control
 def test_cli_outputs_are_byte_identical_on_both_paths(pooled_scene, capsys, monkeypatch):
     root, config = pooled_scene
     pooled_calls = []
     pooled = scoring.predict_pooled
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     monkeypatch.setattr(scoring, "predict_pooled",
                         lambda *args: pooled_calls.append(args[3]) or pooled(*args))
     on_workers = cli_outputs(capsys, root, config)
@@ -284,10 +342,11 @@ def test_cli_outputs_are_byte_identical_on_both_paths(pooled_scene, capsys, monk
     assert children() == set()
 
 
+@needs_blas_control
 def test_cli_exits_1_with_one_json_line_when_a_worker_is_killed(pooled_scene, capsys,
                                                                 monkeypatch):
     root, config = pooled_scene
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     outcome, _ = kill_a_worker_during(
         lambda: main(["map", "--config", config, "--out", str(root / "killed.ppm")]))
     assert outcome == {"value": 1}
@@ -302,8 +361,8 @@ def test_cli_exits_1_with_one_json_line_when_a_worker_is_killed(pooled_scene, ca
 UNGUARDED = """
 import sys
 import numpy as np
-from hsimvt import ModelConfig, ModelParams, PatchSource, metrics, scoring
-scoring._usable_cpus = lambda: 2
+from hsimvt import ModelConfig, ModelParams, PatchSource, _blas, metrics, scoring
+_blas.usable_cpus = lambda: 2
 scoring._POOL_WORK_MIN = 0
 config = ModelConfig(patch_size=3, num_views=2, view_components=2, encoder_kernels=2,
                      squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
