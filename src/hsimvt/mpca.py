@@ -55,33 +55,22 @@ def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
     return spec
 
 
-# Bytes of cube rows per block of `mpca`'s gather: a block stays in cache
-# while the second view of a pass re-reads it (2**18 and 2**22 timed slower
-# on the Pavia-shaped cube)
-_VIEW_BLOCK_BYTES = 2 ** 20
-
 # `mpca` fits its views on two threads once their float64 samples together
 # take this many bytes; see the README's Notes for the measurements
 _THREAD_SAMPLE_BYTES = 48 * 2 ** 20
 
 
-def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
-                 norm=None):
-    """Write 0-based ``view`` of an (H, W, B) cube into ``out`` (H, W, M).
-
-    The view's bands are cast into ``out``, or with ``norm`` = (lo, span)
-    normalized into it as ``(x - lo) / span``, computed in ``out``'s
-    dtype; its padding groups are zeroed.
-    """
+def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray, norm):
+    """Write 0-based ``view`` of an (H, W, B) cube into ``out`` (H, W, M),
+    normalized with ``norm`` = (lo, span) as ``(x - lo) / span`` computed
+    in ``span``'s dtype and cast into ``out``'s; its padding groups are
+    zeroed."""
+    lo, span = norm
     bands = values[:, :, view::num_views]
     real = bands.shape[2]
     out[:, :, real:] = 0
-    if norm is None:
-        out[:, :, :real] = bands
-    else:
-        lo, span = norm
-        np.subtract(bands, lo, out=out[:, :, :real])
-        np.divide(out, span, out=out)  # padding stays 0: 0 / span is +0
+    np.subtract(bands, lo, out=out[:, :, :real], dtype=span.dtype)
+    np.divide(out, span, out=out, dtype=span.dtype)  # padding stays 0: 0 / span is +0
 
 
 def build_views(cube: HsiCube, num_views: int):
@@ -89,12 +78,13 @@ def build_views(cube: HsiCube, num_views: int):
 
     Returns (ViewSpec, list of H x W x M float64 rasters). Bands past the
     original count are zero padding. The rasters are consecutive slices of
-    one (views, H, W, M) buffer.
+    one (views, H, W, M) buffer; ``(x - 0) / 1`` in float64 keeps each
+    value's bits.
     """
     spec = view_spec(cube.bands, num_views)
     views = np.empty((num_views, cube.height, cube.width, spec.num_groups))
     for n, view in enumerate(views):
-        _gather_view(cube.values, num_views, n, view)
+        _gather_view(cube.values, num_views, n, view, (np.float64(0), np.float64(1)))
     return spec, list(views)
 
 
@@ -227,9 +217,8 @@ def _view_workers(num_views: int, sample_bytes: int) -> int:
 
 def _on_two_threads(body):
     """Run ``body(0)`` here and ``body(1)`` on a helper thread under the
-    caller's context (numpy's error state included), with OpenBLAS held at
-    one thread. A helper error is re-raised, with its type, once both have
-    stopped and the BLAS count is back."""
+    caller's context (numpy's error state included). A helper error is
+    re-raised, with its type, once both have stopped."""
     failures = []
 
     def helper():
@@ -239,12 +228,11 @@ def _on_two_threads(body):
             failures.append(error)
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    with one_blas_thread():
-        thread.start()
-        try:
-            body(0)
-        finally:
-            thread.join()
+    thread.start()
+    try:
+        body(0)
+    finally:
+        thread.join()
     if failures:
         raise failures[0]
 
@@ -257,33 +245,22 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     cube gives the same bits. A run config's :attr:`RunConfig.mpca_shape`
     gives the (views, components) to pass.
 
-    The views are gathered ``per_pass`` at a time: a pass walks the cube
-    in row blocks of about ``_VIEW_BLOCK_BYTES``, and for each block
-    normalizes each view's bands into one small buffer of MMNorm's
-    arithmetic dtype and casts that into the view's own float64 (H*W, M)
-    samples buffer (a float64 cube is gathered straight into it). Each
-    view is then checked, centered in place, fitted and projected into
-    its channels of the float32 output on its own.
-
-    On one thread (``_view_workers``) a pass gathers two views: the second
-    re-reads a block that is still in cache, so the cube is read once per
-    pair of views; a cube that fits in one block is gathered one view at
-    a time, as its re-reads stay in cache anyway. On two threads, with
-    OpenBLAS at one thread, each thread gathers one view per pass and the
-    threads take the views in turn, so two float64 view buffers are live
-    either way. Every float64 expression runs on the same contiguous
+    Each of the ``_view_workers`` workers (threads) owns one float64
+    (H*W, M) samples buffer and takes views worker, worker + workers, ...
+    It normalizes each view's bands from the raw cube into its buffer in
+    one pass, in MMNorm's arithmetic dtype, then checks, centers in
+    place, fits and projects the view into its channels of the float32
+    output. OpenBLAS is held at one thread throughout, on one worker or
+    two, where :mod:`hsimvt._blas` found control of it. Every float64
+    expression then runs, at one BLAS thread, on the same contiguous
     arrays as ``fit_pca``/``transform_view`` on :func:`build_views`'
-    rasters of ``mmnorm(cube)``, so the bits are theirs, at the BLAS
-    thread count the path runs under. The README's Notes list the view
-    widths where OpenBLAS's products change bits with that count.
+    rasters of ``mmnorm(cube)``, and the bits are theirs whatever the
+    path, ``OPENBLAS_NUM_THREADS`` or CPU count.
     """
     groups = mpca_spec(cube.bands, num_views, components).num_groups
-    lo, span = mmnorm_scalars(cube)
+    norm = mmnorm_scalars(cube)
     h, w = cube.height, cube.width
-    block_rows = max(1, _VIEW_BLOCK_BYTES // (w * cube.bands * cube.values.itemsize))
     workers = _view_workers(num_views, h * w * num_views * groups * 8)
-    per_pass = 2 if workers == 1 and block_rows < h else 1
-    cast = span.dtype != np.float64
     stacked = np.empty((h, w, num_views * components), dtype=np.float32)
     models = [None] * num_views
 
@@ -291,34 +268,23 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     # caller's heap: what a helper thread's own heap frees stays resident
     # (a projection temporary in the helper added 4-8 MB to the peak RSS
     # of the Pavia-shaped bench)
-    buffers = [([np.empty((h * w, groups)) for _ in range(min(per_pass, num_views))],
-                np.empty((min(block_rows, h), w, groups), dtype=span.dtype) if cast else None,
-                np.empty((h * w, components)))
+    buffers = [(np.empty((h * w, groups)), np.empty((h * w, components)))
                for _ in range(workers)]
 
     def fit_views(worker):
-        # passes worker, worker + workers, ... of per_pass views each
-        samples, block, projected = buffers[worker]
-        for first in range(worker * per_pass, num_views, workers * per_pass):
-            views = range(first, min(first + per_pass, num_views))
-            for r0 in range(0, h, block_rows):
-                rows = cube.values[r0:r0 + block_rows]
-                for n, buffer in zip(views, samples):
-                    dest = buffer.reshape(h, w, groups)[r0:r0 + len(rows)]
-                    if cast:
-                        _gather_view(rows, num_views, n, block[:len(rows)], (lo, span))
-                        dest[...] = block[:len(rows)]
-                    else:
-                        _gather_view(rows, num_views, n, dest, (lo, span))
-            for n, buffer in zip(views, samples):
-                _check_view(buffer.reshape(h, w, groups), components)
-                models[n] = _fit_in_place(buffer, components)
-                np.matmul(buffer, models[n].projection, out=projected)
-                stacked[:, :, n * components:(n + 1) * components] = \
-                    projected.reshape(h, w, components)
+        samples, projected = buffers[worker]
+        view = samples.reshape(h, w, groups)
+        for n in range(worker, num_views, workers):
+            _gather_view(cube.values, num_views, n, view, norm)
+            _check_view(view, components)
+            models[n] = _fit_in_place(samples, components)
+            np.matmul(samples, models[n].projection, out=projected)
+            stacked[:, :, n * components:(n + 1) * components] = \
+                projected.reshape(h, w, components)
 
-    if workers == 1:
-        fit_views(0)
-    else:
-        _on_two_threads(fit_views)
+    with one_blas_thread():
+        if workers == 1:
+            fit_views(0)
+        else:
+            _on_two_threads(fit_views)
     return stacked, models

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, extended precision) and shares no code with hsimvt, except the four
-test-only ops at the end, which put their adjoints on hsimvt's tape.
+test-only ops at the end, which put their adjoints on hsimvt's tape, and
+the BLAS thread hold that :func:`mpca_float64_reference` runs under.
 """
 
 import numpy as np
 
+from hsimvt._blas import one_blas_thread
 from hsimvt.errors import DimensionError
 from hsimvt.tensor import record_op
 
@@ -164,7 +166,8 @@ def mpca_float64_reference(values, num_views, components):
     """Multiview PCA as first written: cast the whole cube to float64, zero-pad
     the band axis to whole groups, fancy-index each interleaved view, fit and
     apply each view's PCA, concatenate view-major, cast to float32. The mean
-    is :func:`long_row_mean`.
+    is :func:`long_row_mean`. OpenBLAS is held at one thread, as in
+    ``mpca``, whose covariance bits depend on the count for some view widths.
 
     Returns (H x W x num_views*components float32, [(mean, projection,
     eigenvalues)] per view), meant to match the package bit for bit.
@@ -174,17 +177,18 @@ def mpca_float64_reference(values, num_views, components):
     groups = -(-bands // num_views)
     values = np.pad(values, ((0, 0), (0, 0), (0, groups * num_views - bands)))
     parts, fitted = [], []
-    for n in range(num_views):
-        view = np.ascontiguousarray(values[:, :, np.arange(groups) * num_views + n])
-        samples = view.reshape(-1, groups)
-        mean = long_row_mean(samples)
-        centered = samples - mean
-        cov = (centered.T @ centered) / (samples.shape[0] - 1)
-        eigenvalues, vectors = np.linalg.eigh(cov)
-        order = np.argsort(eigenvalues)[::-1][:components]
-        projection = fix_signs_oracle(vectors[:, order])
-        fitted.append((mean, projection, np.maximum(eigenvalues[order], 0.0)))
-        parts.append(((samples - mean) @ projection).reshape(*view.shape[:2], components))
+    with one_blas_thread():
+        for n in range(num_views):
+            view = np.ascontiguousarray(values[:, :, np.arange(groups) * num_views + n])
+            samples = view.reshape(-1, groups)
+            mean = long_row_mean(samples)
+            centered = samples - mean
+            cov = (centered.T @ centered) / (samples.shape[0] - 1)
+            eigenvalues, vectors = np.linalg.eigh(cov)
+            order = np.argsort(eigenvalues)[::-1][:components]
+            projection = fix_signs_oracle(vectors[:, order])
+            fitted.append((mean, projection, np.maximum(eigenvalues[order], 0.0)))
+            parts.append(((samples - mean) @ projection).reshape(*view.shape[:2], components))
     return np.concatenate(parts, axis=2).astype(np.float32), fitted
 
 

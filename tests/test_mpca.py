@@ -293,28 +293,16 @@ def test_mpca_bit_identical_across_runs():
     assert first.tobytes() == second.tobytes()
 
 
-def _layouts_and_view_blocks(values):
-    """The C and Fortran layouts of ``values``, each with every mpca row-block
-    size to try: the module's own (one block for most of these 45-row cubes,
-    so one view per pass), 7 rows (a partial last block) and 1 row. 7 views
-    leave the last view of each pass over the cube unpaired."""
-    row = values.shape[1] * values.shape[2] * values.itemsize
-    for layout in (values, np.asfortranarray(values)):
-        for block_bytes in (mpca_module._VIEW_BLOCK_BYTES, 7 * row, row):
-            yield layout, block_bytes
-
-
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int16])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
-def test_mpca_matches_float64_reference_bit_for_bit(monkeypatch, bands, views, dtype):
+def test_mpca_matches_float64_reference_bit_for_bit(bands, views, dtype):
     """On a raw cube, mpca gives the float64 reference of ``mmnorm(cube)``;
     MMNorm being idempotent, mpca of the normalized cube gives the same bytes."""
     rng = np.random.default_rng(bands * 100 + views)
     scale = 1000 if dtype == np.int16 else 1  # integers need a range to round into
     values = (rng.normal(size=(45, 30, bands)) * scale).astype(dtype)
     components = min(3, -(-bands // views))
-    for layout, block_bytes in _layouts_and_view_blocks(values):
-        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
+    for layout in (values, np.asfortranarray(values)):
         cube = HsiCube(values=layout)
         normalized = mmnorm(cube)
         want, fitted = mpca_float64_reference(normalized.values, views, components)
@@ -341,15 +329,14 @@ def test_mpca_of_an_empty_cube_is_degenerate(shape):
 @pytest.mark.parametrize("multiview", [True, False])
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("bands,views", [(103, 10), (20, 4), (8, 1), (7, 7)])
-def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(monkeypatch, bands,
-                                                                     views, dtype, multiview):
+def test_preprocess_matches_float64_reference_of_mmnorm_bit_for_bit(bands, views, dtype,
+                                                                     multiview):
     rng = np.random.default_rng(bands * 100 + views)
     values = (rng.normal(size=(45, 30, bands)) * 3 + 10).astype(dtype)
     values.flags.writeable = False
     components = min(3, -(-bands // views))
     shape = (views, components) if multiview else (1, views * components)
-    for layout, block_bytes in _layouts_and_view_blocks(values):
-        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
+    for layout in (values, np.asfortranarray(values)):
         cube = HsiCube(values=layout)
         want, fitted = mpca_float64_reference(mmnorm(cube).values, *shape)
         stacked, models = mpca(cube, *shape)
@@ -389,10 +376,12 @@ def test_preprocess_keeps_the_degenerate_input_checks():
 
 
 @pytest.mark.parametrize("shape,views,components,multiview,bound", [
-    # first written: 5.49x, all views at once: 3.14x, one view at a time: 0.68x,
-    # two views per pass over the cube (two float64 view buffers): 0.88x
-    ((60, 50, 103), 10, 3, True, 1.0),
-    ((30, 30, 37), 10, 3, False, 6.2),    # one view of 30 components; 7.14x, 6.52x, now 5.52x
+    # first written: 5.49x, all views at once: 3.14x, two views per pass over
+    # the cube (two float64 view buffers): 0.88-0.94x, one float64 view
+    # buffer, gathered in one pass: 0.64x
+    ((60, 50, 103), 10, 3, True, 0.75),
+    # one view of 30 components; 7.14x, 6.52x, 5.52-5.93x, now 4.98x
+    ((30, 30, 37), 10, 3, False, 6.2),
 ])
 def test_preprocess_peak_memory(shape, views, components, multiview, bound):
     rng = np.random.default_rng(12)
@@ -453,12 +442,9 @@ def test_threaded_mpca_matches_serial_bit_for_bit(monkeypatch, bands, views, dty
     rng = np.random.default_rng(bands * 10 + views)
     scale = 1000 if dtype == np.int16 else 1
     values = (rng.normal(size=(45, 30, bands)) * scale).astype(dtype)
-    row = values.shape[1] * values.shape[2] * values.itemsize
     runs = _count_two_thread_runs(monkeypatch)
-    # 7-row blocks leave a partial last block of the 45 rows
-    for block_bytes in (mpca_module._VIEW_BLOCK_BYTES, 7 * row):
-        monkeypatch.setattr(mpca_module, "_VIEW_BLOCK_BYTES", block_bytes)
-        cube = HsiCube(values=values)
+    for layout in (values, np.asfortranarray(values)):
+        cube = HsiCube(values=layout)
         _force_workers(monkeypatch, 1)
         serial = _mpca_bytes(cube, views, 3)
         assert not runs
@@ -504,6 +490,50 @@ def test_a_view_threads_error_keeps_its_type_and_leaves_no_thread(monkeypatch,
         mpca(HsiCube(values=values), 4, 1)
     assert _blas.blas_threads() == 2
     assert set(threading.enumerate()) == before_threads
+
+
+@needs_blas_control
+def test_serial_and_threaded_models_do_not_depend_on_the_blas_thread_count(monkeypatch,
+                                                                           blas_at_two_threads):
+    """At M = 100, where OpenBLAS's covariance bits change with its thread
+    count, the serial path at two BLAS threads, the two-thread path and a
+    run under ``one_blas_thread()`` give the same models and output. 21,025
+    rows reach OpenBLAS's threaded kernels; smaller views may not."""
+    rng = np.random.default_rng(53)
+    cube = HsiCube(values=rng.random((145, 145, 200), dtype=np.float32))
+    runs = _count_two_thread_runs(monkeypatch)
+    _force_workers(monkeypatch, 1)
+    serial = _mpca_bytes(cube, 2, 3)
+    with _blas.one_blas_thread():
+        held = _mpca_bytes(cube, 2, 3)
+    assert not runs
+    _force_workers(monkeypatch, 2)
+    assert _mpca_bytes(cube, 2, 3) == held == serial
+    assert len(runs) == 1
+
+
+@needs_blas_control
+def test_serial_views_fit_at_one_blas_thread_and_restore_the_count(monkeypatch,
+                                                                   blas_at_two_threads):
+    seen = []
+    fit_in_place = mpca_module._fit_in_place
+
+    def recording(samples, components):
+        seen.append(_blas.blas_threads())
+        return fit_in_place(samples, components)
+
+    monkeypatch.setattr(mpca_module, "_fit_in_place", recording)
+    _force_workers(monkeypatch, 1)
+    rng = np.random.default_rng(4)
+    values = rng.random((12, 10, 20), dtype=np.float32)
+    mpca(HsiCube(values=values), 5, 2)
+    assert seen == [1] * 5
+    assert _blas.blas_threads() == 2
+    values[:, :, 2::5] = 0.25  # view 2 of 5 is the same at every pixel
+    with pytest.raises(DegenerateInputError, match="zero-variance"):
+        mpca(HsiCube(values=values), 5, 2)
+    assert seen == [1] * 7
+    assert _blas.blas_threads() == 2
 
 
 def test_mpca_runs_serially_without_blas_control(monkeypatch):
