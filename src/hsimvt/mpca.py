@@ -57,7 +57,7 @@ def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
 
 # `mpca` fits its views on two threads once their float64 samples together
 # take this many bytes; see the README's Notes for the measurements
-_THREAD_SAMPLE_BYTES = 48 * 2 ** 20
+_THREAD_SAMPLE_BYTES = 16 * 2 ** 20
 
 
 def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray, norm):
@@ -218,7 +218,8 @@ def _view_workers(num_views: int, sample_bytes: int) -> int:
 def _on_two_threads(body):
     """Run ``body(0)`` here and ``body(1)`` on a helper thread under the
     caller's context (numpy's error state included). A helper error is
-    re-raised, with its type, once both have stopped."""
+    re-raised, with its type, once both have stopped. If the helper cannot
+    start, ``body(0)`` then ``body(1)`` run here."""
     failures = []
 
     def helper():
@@ -228,7 +229,12 @@ def _on_two_threads(body):
             failures.append(error)
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread"
+        body(0)
+        body(1)
+        return
     try:
         body(0)
     finally:

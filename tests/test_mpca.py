@@ -382,8 +382,14 @@ def test_preprocess_keeps_the_degenerate_input_checks():
     ((60, 50, 103), 10, 3, True, 0.75),
     # one view of 30 components; 7.14x, 6.52x, 5.52-5.93x, now 4.98x
     ((30, 30, 37), 10, 3, False, 6.2),
+    # 17.6 MiB of float64 samples, on two view threads (two float64 view
+    # buffers): 0.85x, against 0.57x on one thread
+    ((145, 145, 103), 10, 3, True, 0.9),
 ])
-def test_preprocess_peak_memory(shape, views, components, multiview, bound):
+def test_preprocess_peak_memory(monkeypatch, shape, views, components, multiview, bound):
+    # two usable CPUs: the cases above the thread floor run on two threads
+    # wherever the BLAS thread count can be held; the others stay serial
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(12)
     cube = HsiCube(values=rng.random(shape, dtype=np.float32))
     tracemalloc.start()
@@ -493,6 +499,27 @@ def test_a_view_threads_error_keeps_its_type_and_leaves_no_thread(monkeypatch,
 
 
 @needs_blas_control
+def test_a_helper_thread_that_cannot_start_leaves_its_views_to_the_caller(monkeypatch):
+    """When ``Thread.start`` raises (no thread can be made), the caller
+    fits both workers' views itself: the serial bits, and no thread left."""
+    rng = np.random.default_rng(17)
+    cube = HsiCube(values=rng.random((45, 30, 103), dtype=np.float32))
+    _force_workers(monkeypatch, 1)
+    serial = _mpca_bytes(cube, 10, 3)
+    before_threads = set(threading.enumerate())
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    runs = _count_two_thread_runs(monkeypatch)
+    _force_workers(monkeypatch, 2)
+    assert _mpca_bytes(cube, 10, 3) == serial
+    assert len(runs) == 1
+    assert set(threading.enumerate()) == before_threads
+
+
+@needs_blas_control
 def test_serial_and_threaded_models_do_not_depend_on_the_blas_thread_count(monkeypatch,
                                                                            blas_at_two_threads):
     """At M = 100, where OpenBLAS's covariance bits change with its thread
@@ -562,11 +589,13 @@ def test_view_thread_rule(monkeypatch):
     monkeypatch.setattr(_blas, "usable_cpus", lambda: 1)
     assert mpca_module._view_workers(10, big) == 1
     monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
-    # the bench shapes: Pavia's 10 views of 11 bands on two threads, Indian
-    # Pines' 200 bands serial, at 10 views and at 4
+    # the bench shapes: Pavia's 10 views of 11 bands and Indian Pines' 200
+    # bands, at 10 views and at 4, on two threads; the toy's 128x128x16 cube
+    # at 4 views serial
     assert mpca_module._view_workers(10, 610 * 340 * 110 * 8) == 2
-    assert mpca_module._view_workers(10, 145 * 145 * 200 * 8) == 1
-    assert mpca_module._view_workers(4, 145 * 145 * 200 * 8) == 1
+    assert mpca_module._view_workers(10, 145 * 145 * 200 * 8) == 2
+    assert mpca_module._view_workers(4, 145 * 145 * 200 * 8) == 2
+    assert mpca_module._view_workers(4, 128 * 128 * 16 * 8) == 1
 
 
 PREPROCESS = """
