@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "checkpoint" in extra:
             p.add_argument("--checkpoint", default=None)
         if "axis" in extra:
-            p.add_argument("--axis", required=True)
+            p.add_argument("--axis", required=True,
+                           help="any mpca, model or train key but fractions, or train_fraction")
             p.add_argument("--values", required=True,
                            help="comma-separated values, e.g. 3,5,7")
         if "out" in extra:

@@ -239,6 +239,11 @@ class PatchSource:
             raise DimensionError(f"raster must be (H,W,C), got {raster.shape}")
         if patch_size < 1 or patch_size % 2 == 0:
             raise ConfigError(f"patch size must be odd and >= 1, got {patch_size}")
+        h, w, c = raster.shape
+        # the (H, W, P, P, C) window view below is never smaller than its padded raster
+        if h * w * patch_size ** 2 * c * raster.itemsize > np.iinfo(np.intp).max:
+            raise ConfigError(f"{patch_size}x{patch_size} patches of a {h}x{w}x{c} raster "
+                              f"are too big to allocate")
         self.raster, self.patch_size = raster, patch_size
         # (H, W, P, P, C): windows[h, w] is the patch centred on pixel (h, w)
         self._windows = _taps(raster[None], (patch_size, patch_size))[0]

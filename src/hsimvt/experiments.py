@@ -10,13 +10,13 @@ from .data import mmnorm  # noqa: F401 -- bench/spans.py traces experiments.mmno
 from .errors import ConfigError, DimensionError
 from .metrics import evaluate
 from .mpca import mpca, mpca_spec
-from .runconfig import RunConfig
+from .runconfig import FIELDS, RunConfig
 from .training import train
 
-# The run-config key (section, key) that each sweep axis overrides.
-SWEEP_AXES = {"patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
-              "components": ("mpca", "components"), "heads": ("model", "heads"),
-              "train_fraction": ("train", "fractions")}
+# The run-config key (section, key) that each sweep axis overrides: every
+# mpca, model and train key under its own name, and train_fraction.
+SWEEP_AXES = {key: (section, key) for section, (_, keys) in FIELDS.items() for key in keys}
+SWEEP_AXES["train_fraction"] = ("train", "fractions")
 
 
 def run_once(cube: HsiCube, labels: LabelMap, config: RunConfig):
@@ -65,10 +65,10 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
           log=None):
     """Train and test once per value of one axis; everything else held fixed.
 
-    Each value overrides one key of ``config``. Axis names: patch_size,
-    views, components, heads, train_fraction. Before the first run starts,
-    the cube must cover the label raster, and every value must pass the
-    run config's checks and give a valid model and MPCA shape. Consecutive
+    Each value overrides one key of ``config``: ``axis`` is any mpca, model or
+    train key but fractions, or train_fraction (:data:`SWEEP_AXES`). Before the
+    first run starts, the cube must cover the label raster, and every value must
+    pass the run config's checks and give a valid model and MPCA shape. Consecutive
     values of one :attr:`RunConfig.mpca_shape` share one representation.
     """
     check_sweep_axis(axis)

@@ -64,6 +64,9 @@ class ModelConfig:
                     f"channel widths must form a U-shape: expanded {expanded} and "
                     f"token width {self.token_channels} must both exceed the squeeze "
                     f"width {self.squeeze_channels}")
+        count = sum(math.prod(shape) for shape in ModelParams.expected_shapes(self).values())
+        if count * 8 > np.iinfo(np.intp).max:  # float64 parameters, as gradcheck uses
+            raise ConfigError(f"a model of {count} parameters is too big to allocate")
 
     @property
     def input_channels(self) -> int:

@@ -169,8 +169,7 @@ def test_sweep_deeply_nested_values_exit_with_one_json_line(workdir, capsys):
     assert json.loads(lines[0])["type"] == "ConfigError"
 
 
-@pytest.mark.parametrize("axis", ["patch_size", "heads", "views", "components",
-                                  "train_fraction"])
+@pytest.mark.parametrize("axis", list(experiments.SWEEP_AXES))
 def test_sweep_mistyped_value_exits_with_one_json_line(workdir, capsys, axis):
     config = write_config(workdir)
     run(capsys, "synth", *SCENE)
@@ -180,6 +179,34 @@ def test_sweep_mistyped_value_exits_with_one_json_line(workdir, capsys, axis):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["type"] == "ConfigError"
+
+
+def test_sweep_axes_are_the_run_config_keys_and_train_fraction():
+    keys = [(section, key) for section, (_, names) in FIELDS.items() for key in names]
+    assert len({key for _, key in keys}) == len(keys)  # no axis name is ambiguous
+    assert sorted(experiments.SWEEP_AXES.values()) == sorted(keys + [("train", "fractions")])
+    for axis, (section, key) in experiments.SWEEP_AXES.items():
+        assert axis == key or (axis, key) == ("train_fraction", "fractions"), axis
+    # the axes of the old hand-written table keep their keys, so their CSVs keep their bytes
+    assert {axis: experiments.SWEEP_AXES[axis] for axis in
+            ("patch_size", "views", "components", "heads", "train_fraction")} == {
+        "patch_size": ("model", "patch_size"), "views": ("mpca", "views"),
+        "components": ("mpca", "components"), "heads": ("model", "heads"),
+        "train_fraction": ("train", "fractions")}
+
+
+@pytest.mark.parametrize("axis, values, written", [
+    ("use_global_token", "true,false", ["True", "False"]),
+    ("use_sed", "true,false", ["True", "False"]),
+    ("seed", "0,1,2", ["0", "1", "2"])])
+def test_sweep_runs_the_ablation_switches_and_seeds(workdir, capsys, axis, values, written):
+    config = write_config(workdir, {"train": {"epochs": 1}})
+    run(capsys, "synth", *SCENE)
+    code, out, _ = run(capsys, "sweep", "--config", config, "--axis", axis,
+                       "--values", values)
+    assert code == 0 and json.loads(out)["rows"] == len(written)
+    lines = (workdir / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [[axis, v] for v in written]
 
 
 @pytest.mark.parametrize("axis,values,fault", [
@@ -410,6 +437,28 @@ def test_deeply_nested_hsz_header_exits_with_one_json_line(workdir, capsys, comm
     assert doc["type"] == "FormatError" and "nested" in doc["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [
+    ("patch_size", 2 ** 31 + 1), ("feature_dim", 2 ** 62), ("token_channels", 2 ** 62),
+    ("encoder_kernels", 2 ** 62)])
+def test_a_model_too_big_for_numpy_exits_with_one_json_line(workdir, capsys, key, value):
+    good = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", good)
+    huge = workdir / "huge.json"
+    huge.write_text(json.dumps({**CONFIG, "model": {**CONFIG["model"], key: value}}))
+    doc = _one_json_error(capsys, "train", "--config", str(huge))
+    assert doc["type"] == "ConfigError" and "too big to allocate" in doc["error"]
+    assert not (workdir / "checkpoint.hsz").exists()
+    assert run(capsys, "train", "--config", good)[0] == 0
+    doc = _one_json_error(capsys, "eval", "--config", str(huge))
+    assert doc["type"] in ("ConfigError", "CompatibilityError"), doc
+    doc = _one_json_error(capsys, "sweep", "--config", good, "--axis", key,
+                          "--values", str(value), "--out", "huge.csv")
+    assert doc["type"] == "ConfigError" and "too big to allocate" in doc["error"]
+    assert not (workdir / "huge.csv").exists()
+
+
 def test_synth_refuses_a_cube_too_big_for_numpy(workdir, capsys):
     # refused by its size alone, before any draw or allocation
     doc = _one_json_error(capsys, "synth", "--height", "10000000000000", "--width", "1",
@@ -435,6 +484,7 @@ def test_sweep_refuses_a_cube_of_another_size_before_preprocessing(workdir, monk
     ("views", [4, 40], "cannot build 40 views from 8 bands"),
     ("components", [2, 3], "components must be in 1..2"),
     ("patch_size", [3, 4], "patch_size must be odd"),
+    ("feature_dim", [8, 2 ** 62], "too big to allocate"),
 ])
 def test_sweep_checks_every_value_before_preprocessing(monkeypatch, axis, values, error):
     cube, labels = synth_scene(seed=0, height=12, width=10, bands=8, num_classes=3,
@@ -466,6 +516,8 @@ def test_bad_fraction_sweep_exits_before_preprocessing(workdir, capsys, monkeypa
 @pytest.mark.parametrize("axis, values, preprocessed", [
     ("heads", [1, 2, 4], [(4, 1)]),
     ("views", [4, 8], [(4, 1), (8, 1)]),
+    ("seed", [0, 1], [(4, 1)]),
+    ("use_sed", [True, False], [(4, 1)]),
 ])
 def test_sweep_preprocesses_once_per_mpca_shape(monkeypatch, axis, values, preprocessed):
     cube, labels = synth_scene(seed=0, height=16, width=12, bands=8, num_classes=3,
@@ -478,11 +530,11 @@ def test_sweep_preprocesses_once_per_mpca_shape(monkeypatch, axis, values, prepr
                         lambda cube, *shape: shapes.append(shape) or mpca(cube, *shape))
     rows = experiments.sweep(cube, labels, config, axis, values)
     assert shapes == preprocessed
-    if axis == "heads":  # the same rows as one run_once per value
+    if axis in ("heads", "use_sed"):  # the same rows as one run_once per value
         for value, row in zip(values, rows):
             report, result = experiments.run_once(
                 cube, labels, RunConfig({**config.doc, "model": {**config["model"],
-                                                                  "heads": value}}))
+                                                                  axis: value}}))
             assert row == {"axis": axis, "value": value, "oa": report.oa, "aa": report.aa,
                            "best_epoch": result.best_epoch,
                            "best_val_oa": result.best_val_oa}
