@@ -154,7 +154,8 @@ def rotation_audit(params: ModelParams, source: PatchSource, coords: np.ndarray,
     raw = evaluate(params, source, coords, true_ids)
     turned = PatchSource(source.raster[::-1, ::-1], source.patch_size)
     last = np.array(source.raster.shape[:2]) - 1
-    rotated = evaluate(params, turned, last - coords, true_ids)
+    # int64, since the raw pass checked them and uint64 minus int64 is float64
+    rotated = evaluate(params, turned, last - np.asarray(coords, dtype=np.int64), true_ids)
     if raw.counts != rotated.counts:
         raise UsageError("rotation audit evaluated different pixel sets")
     return RotationAudit(raw=raw, rotated=rotated)

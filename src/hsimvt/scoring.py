@@ -10,18 +10,22 @@ back in coords order.
 
 A worker is a child made by :func:`os.fork`, so it starts with the
 caller's parameters, raster and coordinates in pages it shares with the
-caller; nothing is sent to it. It holds OpenBLAS at one thread, scores its
-share, writes its predictions as little-endian int64 to one pipe and
-leaves through :func:`os._exit`, whatever it raised. Its fd 2 is a second
-pipe: on an error it writes one JSON line there and exits 1. It is not a
-:mod:`multiprocessing` child: ``spawn`` re-runs a caller script that
-lacks an ``if __name__ == "__main__"`` guard, and leaves a resource-tracker
-process running after the pool is gone.
+caller; nothing is sent to it. Before the first fork the caller maps one
+anonymous shared int64 array of ``len(coords)`` predictions, and each
+worker writes its share into its own slice of it. A worker holds OpenBLAS
+at one thread, scores its share and leaves through :func:`os._exit`,
+whatever it raised. Its one pipe to the caller is its fd 2: on an error it
+writes one JSON line there and exits 1, and the pipe's end of file marks
+the worker's end. It is not a :mod:`multiprocessing` child: ``spawn``
+re-runs a caller script that lacks an ``if __name__ == "__main__"``
+guard, and leaves a resource-tracker process running after the pool is
+gone.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import selectors
 import signal
@@ -50,11 +54,11 @@ def pool_workers(n_values: int, n_coords: int, batch: int) -> int:
 
 
 class _Worker:
-    """A forked worker: its pid, the read ends of its predictions and
-    error pipes, and its exit code once it has been waited for."""
+    """A forked worker: its pid, the read end of the pipe on its fd 2, and
+    its exit code once it has been waited for."""
 
-    def __init__(self, pid: int, out: int, err: int):
-        self.pid, self.out, self.err = pid, out, err
+    def __init__(self, pid: int, err: int):
+        self.pid, self.err = pid, err
         self.returncode = None
 
     def wait(self) -> int:
@@ -68,57 +72,57 @@ def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
     """Predicted class ids for ``coords``, scored on ``workers`` processes.
 
     Worker i scores ``coords[bounds[i]:bounds[i + 1]]`` of
-    :func:`_batch_bounds`. Every worker has been waited for, and every
-    pipe closed, when this returns or raises. A worker that exits or fails
-    raises :class:`WorkerError`, or the worker's own :class:`HsimvtError`
-    type.
+    :func:`_batch_bounds` into the same slice of a shared mapping, which
+    this copies out once every worker has exited 0. Every worker has been
+    waited for, and every pipe and the mapping closed, when this returns
+    or raises. A worker that exits or fails raises :class:`WorkerError`,
+    or the worker's own :class:`HsimvtError` type.
     """
     bounds = _batch_bounds(len(coords), workers, batch)
     procs = []
-    try:
-        for lo, hi in zip(bounds, bounds[1:]):
-            procs.append(_fork(params, source, coords[lo:hi], batch))
-        return _collect(procs, bounds)
-    finally:
-        for proc in procs:
-            if proc.returncode is None:  # not yet waited for, so the pid is still its own
-                os.kill(proc.pid, signal.SIGKILL)
-            os.close(proc.out)
-            os.close(proc.err)
-            proc.wait()
+    with mmap.mmap(-1, 8 * len(coords)) as shared:  # anonymous, so shared with forks
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                procs.append(_fork(params, source, coords[lo:hi], batch, shared, lo))
+            _collect(procs)
+            return np.frombuffer(shared, dtype=np.int64).copy()
+        finally:
+            for proc in procs:
+                if proc.returncode is None:  # not yet waited for, so the pid is still its own
+                    os.kill(proc.pid, signal.SIGKILL)
+                os.close(proc.err)
+                proc.wait()
 
 
-def _fork(params: ModelParams, source: PatchSource, share: np.ndarray,
-          batch: int) -> _Worker:
-    """Start a worker that scores ``share``; see the module docstring."""
+def _fork(params: ModelParams, source: PatchSource, share: np.ndarray, batch: int,
+          shared: mmap.mmap, lo: int) -> _Worker:
+    """Start a worker that scores ``share`` into ``shared`` from element
+    ``lo`` on; see the module docstring."""
     fds = []
     try:
-        fds += os.pipe()
         fds += os.pipe()
         pid = os.fork()
     except OSError as exc:
         for fd in fds:
             os.close(fd)
         raise WorkerError(f"cannot start a scoring worker: {exc}") from exc
-    out_r, out_w, err_r, err_w = fds
+    err_r, err_w = fds
     if pid == 0:  # the worker; it never returns
         status = 1
         try:
-            os.close(out_r)
             os.close(err_r)
             os.dup2(err_w, 2)
             with _blas.one_blas_thread():
                 predicted = metrics._predict_batches(params, source, share, batch)
-            _send(out_w, predicted.astype("<i8").tobytes())
+            np.frombuffer(shared, np.int64, len(share), 8 * lo)[:] = predicted
             status = 0
         except BaseException as exc:  # reported to the caller, which raises it
-            line = json.dumps({"type": type(exc).__name__, "error": str(exc)}) + "\n"
-            _send(err_w, line.encode())
+            with open(err_w, "w") as err:
+                err.write(json.dumps({"type": type(exc).__name__, "error": str(exc)}) + "\n")
         finally:
             os._exit(status)
-    os.close(out_w)  # before the next fork, so that only this worker holds them
-    os.close(err_w)
-    return _Worker(pid, out_r, err_r)
+    os.close(err_w)  # before the next fork, so that only this worker holds it
+    return _Worker(pid, err_r)
 
 
 def _batch_bounds(n: int, workers: int, batch: int) -> list:
@@ -134,37 +138,24 @@ def _batch_bounds(n: int, workers: int, batch: int) -> list:
     return [min(n, i * n_batches // workers * batch) for i in range(workers + 1)]
 
 
-def _collect(procs, bounds) -> np.ndarray:
-    """Read every worker's predictions and stderr as they arrive; raise on
-    the first worker that exits without all of its predictions."""
-    out = np.empty(bounds[-1], dtype=np.int64)
-    got = [bytearray() for _ in procs]
+def _collect(procs):
+    """Read every worker's fd 2 until it closes, then wait for the worker;
+    raise on the first worker that exits nonzero."""
     err = [bytearray() for _ in procs]
-    pipes_open = [2] * len(procs)
     with selectors.DefaultSelector() as selector:
         for i, proc in enumerate(procs):
-            selector.register(proc.out, selectors.EVENT_READ, (i, got[i]))
-            selector.register(proc.err, selectors.EVENT_READ, (i, err[i]))
+            selector.register(proc.err, selectors.EVENT_READ, i)
         while selector.get_map():
             for key, _ in selector.select():
-                i, buf = key.data
+                i = key.data
                 chunk = os.read(key.fd, 1 << 16)
                 if chunk:
-                    buf += chunk
+                    err[i] += chunk
                     continue
                 selector.unregister(key.fileobj)
-                pipes_open[i] -= 1
-                if pipes_open[i]:
-                    continue
-                lo, hi = bounds[i], bounds[i + 1]
                 returncode = procs[i].wait()
                 if returncode != 0:
                     raise _failure(i, returncode, bytes(err[i]))
-                if len(got[i]) != (hi - lo) * 8:
-                    raise WorkerError(f"scoring worker {i} returned {len(got[i]) // 8} "
-                                      f"predictions, expected {hi - lo}")
-                out[lo:hi] = np.frombuffer(got[i], dtype="<i8")
-    return out
 
 
 def _failure(i: int, returncode: int, stderr: bytes) -> HsimvtError:
@@ -182,10 +173,3 @@ def _failure(i: int, returncode: int, stderr: bytes) -> HsimvtError:
     if isinstance(cls, type) and issubclass(cls, HsimvtError):
         return cls(message)
     return WorkerError(f"scoring worker {i} failed: {kind}: {message}")
-
-
-def _send(fd: int, data: bytes):
-    """Write all of ``data`` to ``fd``."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]

@@ -145,7 +145,8 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
     Every epoch reshuffles the train pixels with its own stream, runs
     batches of ``batch_size``, then scores validation overall accuracy; the
     trained parameters are returned holding the values copied at the epoch
-    that scored best (earliest epoch wins ties). A representation that is
+    that scored best (earliest epoch wins ties), or the last epoch's when
+    the split has no validation pixel. A representation that is
     not (H, W, C) over the label raster, or whose channel count is not the
     model's, raises :class:`DimensionError`. A non-finite loss or gradient
     raises :class:`DivergenceError` before its epoch is logged.
@@ -201,10 +202,11 @@ def train(representation: np.ndarray, labels: LabelMap, model_config: ModelConfi
         history.append({"epoch": epoch, "train_loss": train_loss, "val_oa": val_oa})
         if log is not None:
             log(history[-1])
-        if best is None or val_oa > best[0]:
+        if len(val_coords) and (best is None or val_oa > best[0]):
             best = (val_oa, epoch, params.values.copy())
 
-    best_val_oa, best_epoch, best_values = best
+    # with no validation pixel there is nothing to select on: keep the last epoch
+    best_val_oa, best_epoch, best_values = best or (0.0, train_config.epochs, params.values)
     params.values[...] = best_values
     return TrainResult(params=params, history=history, best_epoch=best_epoch,
                        best_val_oa=best_val_oa, split=split)

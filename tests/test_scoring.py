@@ -45,6 +45,12 @@ def open_fds() -> list:
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def shared_mappings() -> int:
+    """How many of this process's memory mappings are shared."""
+    with open("/proc/self/maps") as f:
+        return sum(line.split()[1].endswith("s") for line in f)
+
+
 def with_blas_control(monkeypatch, cpus):
     """The pool rule on ``cpus`` usable CPUs, with BLAS thread control
     whether or not this host's numpy has it."""
@@ -77,12 +83,33 @@ def test_two_workers_give_the_serial_bits(turned, n, dtype):
     serial = metrics._predict_batches(params, source, coords, BATCH)
     if dtype == np.float64:
         assert (serial == 2).all()
-    fds = open_fds()
+    fds, mappings = open_fds(), shared_mappings()
     pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
     assert pooled.dtype == serial.dtype == np.int64
     assert pooled.tobytes() == serial.tobytes()
+    assert pooled.base is None  # a private copy, not a view of the workers' mapping
     assert children() == set()
     assert open_fds() == fds
+    assert shared_mappings() == mappings
+
+
+def test_each_worker_has_one_pipe_to_the_caller(monkeypatch):
+    """The predictions come back through shared memory, so the caller holds
+    one pipe end per worker while it collects: the worker's fd 2."""
+    collect = scoring._collect
+    held = []
+
+    def counting_collect(*args):
+        held.append(len(open_fds()))
+        return collect(*args)
+
+    monkeypatch.setattr(scoring, "_collect", counting_collect)
+    params, source, coords = toy_job(3 * BATCH)
+    fds = len(open_fds())
+    pooled = scoring.predict_pooled(params, source, coords, 3, BATCH)
+    assert held == [fds + 3]
+    assert pooled.tobytes() == metrics._predict_batches(params, source, coords,
+                                                        BATCH).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 42776])
@@ -166,11 +193,12 @@ def test_a_worker_error_keeps_its_type():
                         TOY.patch_size)
     with pytest.raises(DimensionError, match="channels"):
         metrics._predict_batches(params, wrong, coords, BATCH)
-    fds = open_fds()
+    fds, mappings = open_fds(), shared_mappings()
     with pytest.raises(DimensionError, match="channels"):
         scoring.predict_pooled(params, wrong, coords, 2, BATCH)
     assert children() == set()
     assert open_fds() == fds
+    assert shared_mappings() == mappings
 
 
 @pytest.mark.parametrize("exc", [SystemExit, KeyboardInterrupt])
@@ -180,11 +208,12 @@ def test_a_base_exception_in_a_worker_is_a_worker_error(monkeypatch, exc):
 
     monkeypatch.setattr(metrics, "_predict_batches", raising)
     params, source, coords = toy_job(300)
-    fds = open_fds()
+    fds, mappings = open_fds(), shared_mappings()
     with pytest.raises(WorkerError, match=exc.__name__):
         scoring.predict_pooled(params, source, coords, 2, BATCH)
     assert children() == set()
     assert open_fds() == fds
+    assert shared_mappings() == mappings
 
 
 def test_a_worker_writing_to_fd_2_leaves_the_callers_stderr_empty(monkeypatch, capfd):
@@ -270,7 +299,7 @@ def test_a_worker_killed_while_scoring_raises_worker_error_at_once(monkeypatch):
         return collect(*args)
 
     monkeypatch.setattr(scoring, "_collect", signalling_collect)
-    fds = open_fds()
+    fds, mappings = open_fds(), shared_mappings()
     outcome, seconds = kill_a_worker_during(
         lambda: scoring.predict_pooled(params, source, coords, 2, BATCH), started)
     assert isinstance(outcome.get("error"), WorkerError), outcome
@@ -278,6 +307,7 @@ def test_a_worker_killed_while_scoring_raises_worker_error_at_once(monkeypatch):
     assert seconds < 1.0  # the other worker is stopped, not waited out
     assert children() == set()
     assert open_fds() == fds
+    assert shared_mappings() == mappings
 
 
 # ----------------------------------------------------------------- the CLI

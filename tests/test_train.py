@@ -311,6 +311,18 @@ def test_train_returns_the_best_epochs_parameters_not_the_last():
         == result.best_val_oa
 
 
+def test_train_without_validation_pixels_keeps_the_last_epoch():
+    representation, labels = small_scene()
+    fractions = (0.5, 0.0, 0.5)
+    three, one = (train(representation, labels, SMALL_MODEL,
+                        TrainConfig(epochs=epochs, batch_size=32, seed=6), fractions)
+                  for epochs in (3, 1))
+    assert len(three.split.coords(VAL)) == 0
+    assert (three.best_epoch, three.best_val_oa) == (3, 0.0)
+    assert one.best_epoch == 1
+    assert not np.array_equal(three.params.values, one.params.values)
+
+
 # -------------------------------------------------------------------- metrics
 
 def test_confusion_matrix_and_report_hand_arithmetic():
@@ -403,6 +415,14 @@ def test_evaluate_batch_size_is_cosmetic(trained, monkeypatch):
     monkeypatch.setattr(metrics, "_SCORING_BATCH", 512)
     b = evaluate(result.params, source, coords, true_ids)
     assert _json(a) == _json(b)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
+def test_rotation_audit_takes_every_integer_coordinate_type(trained, dtype):
+    result, source, coords, true_ids = trained
+    audit = rotation_audit(result.params, source, coords.astype(dtype), true_ids)
+    assert _json(audit.raw) == _json(evaluate(result.params, source, coords, true_ids))
+    assert audit.raw.counts == audit.rotated.counts
 
 
 def test_rotation_audit_pairs_identical_pixels(trained):
