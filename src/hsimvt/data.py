@@ -154,14 +154,12 @@ def mmnorm(cube: HsiCube) -> HsiCube:
     """Rescale with the single global min and max so values span [0, 1].
 
     Float cubes are scaled in their own precision into one new array,
-    other cubes in float64; the cube's range is reused, not rescanned.
+    other cubes in float64. The new cube finds its range as any cube does.
     """
     lo, span = mmnorm_scalars(cube)
     scaled = np.subtract(cube.values, lo)
     np.divide(scaled, span, out=scaled)
-    # the min and max map to the new min and max, through the same ufunc loops
-    top = np.divide(np.subtract(np.asarray(cube.value_range[1], dtype=scaled.dtype), lo), span)
-    return HsiCube._checked(scaled, cube.name, (scaled.dtype.type(0), top))
+    return HsiCube(scaled, cube.name)
 
 
 @dataclass
@@ -268,9 +266,9 @@ def synth_scene(seed: int, height: int, width: int, bands: int, num_classes: int
     pixel values are the class spectrum plus N(0, noise_sigma) noise.
 
     The float32 cube is filled in blocks of whole rows. Each block draws its
-    noise from the one generator in turn, which consumes the stream exactly
-    as one whole-cube draw does, so every element is the same float64
-    ``spectrum + noise_sigma * z`` before the cast.
+    noise from the one generator in turn, as one whole-cube draw would, so
+    every element is the same float64 ``spectrum + noise_sigma * z`` before
+    the cast; at sigma 0, z is ±0.0 and leaves the spectrum as it is.
     """
     if num_classes < 2:
         raise ConfigError("synthetic scene needs at least 2 classes")
@@ -301,7 +299,7 @@ def synth_scene(seed: int, height: int, width: int, bands: int, num_classes: int
     values = np.empty((height, width, bands), dtype=np.float32)
     ids = np.empty((height, width), dtype=np.int64)
     block_rows = max(1, _SYNTH_BLOCK_BYTES // (width * bands * 8))
-    noise = np.empty((min(block_rows, height), width, bands)) if noise_sigma > 0 else None
+    noise = np.empty((min(block_rows, height), width, bands))
     lows, highs = [], []
     for r0 in range(0, height, block_rows):
         r1 = min(r0 + block_rows, height)
@@ -309,13 +307,10 @@ def synth_scene(seed: int, height: int, width: int, bands: int, num_classes: int
         block_ids = (row_dist2[:, None, :] + col_dist2).argmin(axis=2) + 1
         ids[r0:r1] = block_ids
         block = values[r0:r1]
-        if noise is None:
-            block[...] = spectra[block_ids - 1]
-        else:
-            z = rng.standard_normal(out=noise[:r1 - r0])
-            z *= noise_sigma
-            # the float64 sum, cast to float32 as it is stored
-            np.add(spectra[block_ids - 1], z, out=block, casting="same_kind")
+        z = rng.standard_normal(out=noise[:r1 - r0])
+        z *= noise_sigma
+        # the float64 sum, cast to float32 as it is stored
+        np.add(spectra[block_ids - 1], z, out=block, casting="same_kind")
         lows.append(block.min())
         highs.append(block.max())
     name = f"synth-{seed}"

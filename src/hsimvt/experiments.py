@@ -41,13 +41,13 @@ def _override(config: RunConfig, axis: str, value) -> RunConfig:
     """``config`` with the one key that ``axis`` names set from ``value``.
 
     A train_fraction value (a fraction like 0.05) keeps the validation
-    share; the test share absorbs the rest.
+    share; the test share takes the rest, clamped at 0.
     """
     section, key = SWEEP_AXES[axis]
     if axis == "train_fraction":
         f_val = config.fractions[1]
         try:
-            value = [value, f_val, 1.0 - value - f_val]
+            value = [value, f_val, max(0.0, 1.0 - value - f_val)]
         except TypeError:
             raise ConfigError(f"train_fraction values must be numbers, got {value!r}") from None
     doc = copy.deepcopy(config.doc)

@@ -18,12 +18,12 @@ class GradCheckReport:
 
     @property
     def failures(self) -> list:
-        """Names of the parameters whose error reaches the tolerance."""
-        return [name for name, err in self.per_param.items() if err >= self.tolerance]
+        """Names of the parameters whose error is not below the tolerance (NaN fails)."""
+        return [name for name, err in self.per_param.items() if not err < self.tolerance]
 
     @property
     def max_rel_err(self) -> float:
-        return max(self.per_param.values()) if self.per_param else 0.0
+        return float(np.max(list(self.per_param.values()))) if self.per_param else 0.0
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, PayloadLengthError
+from .errors import ConfigError, FormatError, PayloadLengthError
 
 CUBE_MAGIC = b"HSZCUBE\0"
 LABEL_MAGIC = b"HSZLBL\0\0"
@@ -41,31 +41,26 @@ def read_framed(path, magic: bytes):
     """Return (header dict, payload); validates magic and framing.
 
     The payload is a read-only ``memoryview`` of a numpy ``uint8`` array
-    sized from the file and filled with ``readinto``, so it compares,
+    sized from the file and filled with one buffered ``readinto`` (which
+    reads until the array is full or the file ends), so it compares,
     slices and takes ``len`` like ``bytes``. A numpy-owned buffer is
     aligned for any dtype and, being large, gets transparent huge pages
     where the kernel grants them on advice, so reading it faults in far
     fewer pages than a ``bytes`` object of the same size.
     """
-    with open(path, "rb", buffering=0) as f:
+    with open(path, "rb") as f:
         prefix = f.read(12)
         if len(prefix) < 12:
             raise FormatError(f"{path}: file too short for an HSZ frame")
         if prefix[:8] != magic:
             raise FormatError(f"{path}: bad magic {prefix[:8]!r}, expected {magic!r}")
         (hlen,) = struct.unpack("<I", prefix[8:])
-        head = f.read(hlen)
-        if len(head) < hlen:
+        size = os.fstat(f.fileno()).st_size
+        if hlen > size - 12:
             raise FormatError(f"{path}: header length {hlen} exceeds file size")
-        buffer = np.empty(os.fstat(f.fileno()).st_size - f.tell(), dtype=np.uint8)
-        payload = memoryview(buffer)
-        filled = 0
-        while filled < len(payload):  # one read returns at most ~2 GiB on Linux
-            got = f.readinto(payload[filled:])
-            if not got:
-                break
-            filled += got
-        payload = payload[:filled].toreadonly()
+        head = f.read(hlen)
+        buffer = np.empty(size - 12 - hlen, dtype=np.uint8)
+        payload = memoryview(buffer)[:f.readinto(buffer)].toreadonly()
     try:
         header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -124,6 +119,10 @@ def write_label_raster(path, ids: np.ndarray, num_classes: int):
     """Write an (H, W) class-id raster as an HSZLBL file."""
     if ids.ndim != 2:
         raise ValueError(f"label raster must be 2-D, got shape {ids.shape}")
+    lo, hi = ids.min(initial=0), ids.max(initial=0)
+    if not (0 <= num_classes <= 0xFFFF and 0 <= lo and hi <= 0xFFFF):
+        raise ConfigError(f"label rasters hold ids and class counts of 0..65535, got "
+                          f"{num_classes} classes and ids {lo}..{hi}")
     h, w = ids.shape
     header = {"height": h, "width": w, "classes": int(num_classes)}
     payload = np.ascontiguousarray(ids, dtype="<u2").tobytes()
@@ -138,5 +137,4 @@ def read_label_raster(path):
     if len(payload) != expected:
         raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    ids = np.frombuffer(payload, dtype="<u2").reshape(h, w)
-    return np.ascontiguousarray(ids), k
+    return np.frombuffer(payload, dtype="<u2").reshape(h, w), k

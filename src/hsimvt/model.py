@@ -113,7 +113,6 @@ class ModelParams:
 
     def __init__(self, config: ModelConfig, tensors: dict):
         """Copy ``tensors`` (name -> Tensor, any float dtype) into the vectors."""
-        self.config = config
         shapes = self.expected_shapes(config)
         for name, shape in shapes.items():
             if name not in tensors:
@@ -125,13 +124,17 @@ class ModelParams:
         extra = set(tensors) - set(shapes)
         if extra:
             raise ConfigError(f"unexpected parameters: {sorted(extra)}")
-        self.values = np.concatenate([tensors[n].data.ravel() for n in shapes])
-        self.grads = np.zeros_like(self.values)
+        self._bind(config, shapes, np.concatenate([tensors[n].data.ravel() for n in shapes]))
+
+    def _bind(self, config: ModelConfig, shapes: dict, values: np.ndarray):
+        """Own ``values`` and make each named Tensor a view of its slice."""
+        self.config, self.values = config, values
+        self.grads = np.zeros_like(values)
         self._tensors = {}
         end = 0
         for name, shape in shapes.items():
             start, end = end, end + math.prod(shape)
-            t = Tensor(self.values[start:end].reshape(shape), requires_grad=True)
+            t = Tensor(values[start:end].reshape(shape), requires_grad=True)
             t.grad = self.grads[start:end].reshape(shape)
             self._tensors[name] = t
 
@@ -143,30 +146,18 @@ class ModelParams:
         if flat.shape != (total,):
             raise CompatibilityError(
                 f"parameter vector has shape {flat.shape}, config implies ({total},)")
-        tensors = {}
-        end = 0
-        for name, shape in shapes.items():
-            start, end = end, end + math.prod(shape)
-            tensors[name] = Tensor(flat[start:end].reshape(shape))
-        return cls(config, tensors)
+        params = cls.__new__(cls)
+        params._bind(config, shapes, flat.copy())
+        return params
 
     @staticmethod
     def expected_shapes(config: ModelConfig) -> dict:
         """name -> array shape, in canonical order."""
-        c_in = config.input_channels
         k3 = config.token_channels
         shapes = {}
-        if config.use_sed:
-            shapes["sed.conv3.kernels"] = (config.encoder_kernels, 3, 3, 3)
-            shapes["sed.conv3.bias"] = (config.encoder_kernels,)
-            shapes["sed.conv2a.kernels"] = (config.squeeze_channels, 3, 3,
-                                            config.encoder_kernels * c_in)
-            shapes["sed.conv2a.bias"] = (config.squeeze_channels,)
-            shapes["sed.conv2b.kernels"] = (k3, 3, 3, config.squeeze_channels)
-            shapes["sed.conv2b.bias"] = (k3,)
-        else:
-            shapes["sed.flat.kernels"] = (k3, 3, 3, c_in)
-            shapes["sed.flat.bias"] = (k3,)
+        for prefix, _, kernel, _ in _sed_layers(config):
+            shapes[f"{prefix}.kernels"] = kernel
+            shapes[f"{prefix}.bias"] = kernel[:1]
         shapes["global_token"] = (k3,)
         shapes["attn.wqkv"] = (config.num_heads, 3, k3, config.head_dim)
         shapes["feature.weight"] = (5 * k3, config.feature_dim)
@@ -288,6 +279,18 @@ def load_params(path) -> ModelParams:
     return ModelParams.from_vector(config, np.frombuffer(payload, dtype="<f4"))
 
 
+def _sed_layers(config: ModelConfig) -> list:
+    """The encoder-decoder's 3x3 conv + ReLU layers in order, as (parameter
+    prefix, op, kernel shape, trace key), each bias one entry per kernel;
+    built per call, so a swapped ``ops.conv3d`` or ``ops.conv2d`` counts."""
+    c_in, k3, k8 = config.input_channels, config.token_channels, config.encoder_kernels
+    if not config.use_sed:
+        return [("sed.flat", ops.conv2d, (k3, 3, 3, c_in), "sed.decoded")]
+    return [("sed.conv3", ops.conv3d, (k8, 3, 3, 3), "sed.expanded"),
+            ("sed.conv2a", ops.conv2d, (config.squeeze_channels, 3, 3, k8 * c_in), "sed.squeezed"),
+            ("sed.conv2b", ops.conv2d, (k3, 3, 3, config.squeeze_channels), "sed.decoded")]
+
+
 def sed_forward(patch: Tensor, params: ModelParams, trace: dict = None) -> Tensor:
     """Spectral encoder-decoder: expand (3-D conv) / squeeze / re-expand.
 
@@ -304,23 +307,12 @@ def sed_forward(patch: Tensor, params: ModelParams, trace: dict = None) -> Tenso
         raise DimensionError(
             f"patch spatial extent {patch.data.shape[-3:-1]} does not match "
             f"patch_size {config.patch_size}")
-    if config.use_sed:
-        expanded = ops.relu(ops.conv3d(patch, params["sed.conv3.kernels"],
-                                       params["sed.conv3.bias"]))
-        squeezed = ops.relu(ops.conv2d(expanded, params["sed.conv2a.kernels"],
-                                       params["sed.conv2a.bias"]))
-        decoded = ops.relu(ops.conv2d(squeezed, params["sed.conv2b.kernels"],
-                                      params["sed.conv2b.bias"]))
+    x = patch
+    for prefix, op, _, key in _sed_layers(config):
+        x = ops.relu(op(x, params[f"{prefix}.kernels"], params[f"{prefix}.bias"]))
         if trace is not None:
-            trace["sed.expanded"] = expanded.data.shape
-            trace["sed.squeezed"] = squeezed.data.shape
-            trace["sed.decoded"] = decoded.data.shape
-        return decoded
-    decoded = ops.relu(ops.conv2d(patch, params["sed.flat.kernels"],
-                                  params["sed.flat.bias"]))
-    if trace is not None:
-        trace["sed.decoded"] = decoded.data.shape
-    return decoded
+            trace[key] = x.data.shape
+    return x
 
 
 def quadrant_bounds(patch_size: int):

@@ -8,6 +8,7 @@ import pytest
 from hsimvt import (GradCheckReport, GradGraph, ModelConfig, ModelParams, Tensor, UsageError,
                     check_gradients, cross_entropy, forward)
 from hsimvt import ops
+from hsimvt.tensor import record_op
 
 from oracles import add, mul, reshape, sum_all
 
@@ -224,6 +225,27 @@ def test_grad_check_report_derives_its_failures():
         "  a: max rel err 1.000e-07 [ok]", "  b: max rel err 1.000e-04 [FAIL]",
         "  c: max rel err 5.000e-01 [FAIL]"]
     assert GradCheckReport(per_param={"a": 1e-7}).ok
+
+
+def _nan_adjoint(x):
+    """``x`` itself, whose adjoint gives a NaN gradient."""
+    return record_op(x.data.copy(), (x,), lambda go, need: (np.full_like(x.data, np.nan),))
+
+
+@pytest.mark.parametrize("case", ["nan adjoint", "nan loss", "finite then nan"])
+def test_a_nan_error_fails_the_gradient_check(case):
+    a, b = _param((3,)), _param((3,))
+    nan = Tensor(np.full(3, np.nan))
+    losses = {"nan adjoint": lambda: sum_all(_nan_adjoint(b)),
+              "nan loss": lambda: sum_all(mul(b, nan)),
+              "finite then nan": lambda: add(sum_all(mul(a, a)), sum_all(_nan_adjoint(b)))}
+    params = {"a": a, "b": b} if case == "finite then nan" else {"b": b}
+    report = check_gradients(losses[case], params)
+    assert not report.ok and "b" in report.failures and "a" not in report.failures
+    assert np.isnan(report.max_rel_err)
+    assert report.summary().splitlines()[-1] == "  b: max rel err nan [FAIL]"
+    if "a" in params:
+        assert report.summary().splitlines()[1].endswith("[ok]")
 
 
 def test_check_gradients_twice_on_the_same_params():

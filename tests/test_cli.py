@@ -195,6 +195,13 @@ def test_sweep_axes_are_the_run_config_keys_and_train_fraction():
         "train_fraction": ("train", "fractions")}
 
 
+def test_train_fraction_may_leave_no_test_share():
+    config = RunConfig({"train": {"fractions": [0.1, 0.1, 0.8]}})
+    assert experiments._override(config, "train_fraction", 0.9).fractions == (0.9, 0.1, 0.0)
+    with pytest.raises(ConfigError, match="sum to 1"):
+        experiments._override(config, "train_fraction", 1.5)
+
+
 @pytest.mark.parametrize("axis, values, written", [
     ("use_global_token", "true,false", ["True", "False"]),
     ("use_sed", "true,false", ["True", "False"]),
@@ -228,6 +235,13 @@ def _strict_json(line):
     def reject(token):
         raise ValueError(f"not JSON: {token}")
     return json.loads(line, parse_constant=reject)
+
+
+def test_a_cube_declaring_a_huge_header_exits_with_one_json_line(workdir, capsys):
+    config = write_config(workdir)
+    (workdir / "synth_cube.hsz").write_bytes(hsz.CUBE_MAGIC + struct.pack("<I", 0xFFFFFFF0))
+    doc = _one_json_error(capsys, "preprocess", "--config", config)
+    assert doc["type"] == "FormatError" and "exceeds file size" in doc["error"]
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr

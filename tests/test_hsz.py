@@ -2,13 +2,14 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import FormatError, PayloadLengthError
+from hsimvt import ConfigError, FormatError, LabelMap, PayloadLengthError, save_labels
 from hsimvt import hsz
 
 
@@ -101,6 +102,31 @@ def test_rejects_header_length_past_eof(tmp_path):
     path.write_bytes(hsz.CUBE_MAGIC + struct.pack("<I", 10_000) + b"{}")
     with pytest.raises(FormatError, match="exceeds file size"):
         hsz.read_framed(path, hsz.CUBE_MAGIC)
+
+
+def test_a_huge_header_length_is_refused_before_it_is_read(tmp_path):
+    path = tmp_path / "huge.hsz"
+    path.write_bytes(hsz.CUBE_MAGIC + struct.pack("<I", 0xFFFFFFF0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="exceeds file size"):
+            hsz.read_framed(path, hsz.CUBE_MAGIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_label_ids_past_uint16_are_refused_before_writing(tmp_path):
+    labels = LabelMap(ids=np.arange(1, 70_001).reshape(7, 10_000), num_classes=70_000)
+    path = tmp_path / "labels.hsz"
+    with pytest.raises(ConfigError, match="0..65535"):
+        save_labels(labels, path)
+    assert not path.exists()
+    for ids, classes in [(np.full((2, 2), -1), 1), (np.ones((2, 2)), 65_536)]:
+        with pytest.raises(ConfigError, match="0..65535"):
+            hsz.write_label_raster(path, ids, classes)
+        assert not path.exists()
 
 
 def test_rejects_malformed_header_json(tmp_path):

@@ -38,6 +38,35 @@ def test_config_default_shapes():
     assert shapes["classifier.weight"] == (64, 16)
 
 
+# The checkpoint layout: every name and shape, in canonical order.
+CANONICAL_SHAPES = [
+    (ModelConfig(), [
+        ("sed.conv3.kernels", (8, 3, 3, 3)), ("sed.conv3.bias", (8,)),
+        ("sed.conv2a.kernels", (40, 3, 3, 240)), ("sed.conv2a.bias", (40,)),
+        ("sed.conv2b.kernels", (64, 3, 3, 40)), ("sed.conv2b.bias", (64,)),
+        ("global_token", (64,)), ("attn.wqkv", (8, 3, 64, 8)),
+        ("feature.weight", (320, 64)), ("feature.bias", (64,)),
+        ("classifier.weight", (64, 16)), ("classifier.bias", (16,))]),
+    (ModelConfig(use_sed=False), [
+        ("sed.flat.kernels", (64, 3, 3, 30)), ("sed.flat.bias", (64,)),
+        ("global_token", (64,)), ("attn.wqkv", (8, 3, 64, 8)),
+        ("feature.weight", (320, 64)), ("feature.bias", (64,)),
+        ("classifier.weight", (64, 16)), ("classifier.bias", (16,))]),
+    (TOY, [
+        ("sed.conv3.kernels", (4, 3, 3, 3)), ("sed.conv3.bias", (4,)),
+        ("sed.conv2a.kernels", (6, 3, 3, 16)), ("sed.conv2a.bias", (6,)),
+        ("sed.conv2b.kernels", (8, 3, 3, 6)), ("sed.conv2b.bias", (8,)),
+        ("global_token", (8,)), ("attn.wqkv", (2, 3, 8, 4)),
+        ("feature.weight", (40, 8)), ("feature.bias", (8,)),
+        ("classifier.weight", (8, 3)), ("classifier.bias", (3,))]),
+]
+
+
+@pytest.mark.parametrize("config, expected", CANONICAL_SHAPES)
+def test_expected_shapes_keep_the_checkpoint_order(config, expected):
+    assert list(ModelParams.expected_shapes(config).items()) == expected
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="odd"):
         ModelConfig(patch_size=4)
