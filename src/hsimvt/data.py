@@ -80,6 +80,8 @@ class LabelMap:
     def __post_init__(self):
         if self.ids.ndim != 2:
             raise DimensionError(f"label map must be 2-D, got {self.ids.shape}")
+        if self.ids.dtype.kind not in "iu":
+            raise ConfigError(f"label ids must be integers, got dtype {self.ids.dtype}")
         if self.ids.min(initial=0) < 0:
             raise ConfigError(f"label id {int(self.ids.min())} is negative; 0 marks unlabeled")
         if self.ids.max(initial=0) > self.num_classes:

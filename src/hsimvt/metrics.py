@@ -41,16 +41,18 @@ class MetricsReport:
 
 
 def confusion_matrix(true_ids, predicted_ids, num_classes: int) -> np.ndarray:
-    true_ids = np.asarray(true_ids, dtype=np.int64)
-    predicted_ids = np.asarray(predicted_ids, dtype=np.int64)
+    true_ids, predicted_ids = np.asarray(true_ids), np.asarray(predicted_ids)
     if true_ids.shape != predicted_ids.shape:
         raise DimensionError(
             f"label arrays disagree: {true_ids.shape} vs {predicted_ids.shape}")
+    for name, ids in (("true", true_ids), ("predicted", predicted_ids)):
+        if ids.dtype.kind not in "iu":
+            raise UsageError(f"{name} labels must be integer class ids, got dtype {ids.dtype}")
     if np.any(true_ids < 1) or np.any(true_ids > num_classes):
         raise UsageError("true labels must be 1..K")
     if np.any(predicted_ids < 1) or np.any(predicted_ids > num_classes):
         raise UsageError("predicted labels must be 1..K")
-    flat = (true_ids - 1) * num_classes + (predicted_ids - 1)
+    flat = (true_ids.astype(np.int64) - 1) * num_classes + (predicted_ids.astype(np.int64) - 1)
     counts = np.bincount(flat, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 

@@ -5,7 +5,8 @@ pooling take batched patches laid out as (N, H, W, C), channels last.
 Each op computes its output and hands it, with its inputs and its adjoint,
 to :func:`~hsimvt.tensor.record_op`, which puts the adjoint on the tape
 while a :class:`~hsimvt.tensor.GradGraph` is active and any input requires
-a gradient.
+a gradient. ``conv3d`` asks :func:`~hsimvt.tensor.records` first: a call
+that will record no adjoint does not keep its window matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, record_op, records
 
 # conv2d's forward runs tap by tap (:func:`_conv2d_by_tap`) once its corner
 # tap's product takes at least this many multiply-adds; smaller products stay
@@ -25,6 +26,12 @@ from .tensor import Tensor, record_op
 # calls cost more than the skipped products save, and small blocks would
 # reach BLAS kernels that round differently.
 TAP_PRODUCT_MIN = 2 ** 21
+
+# A conv3d forward that records no adjoint builds its window matrix in blocks
+# of whole patches that fit this many bytes (:func:`_conv3d_blocks`): 8
+# patches of the default 5x5x30 float32 input, about 650 KB. Set by timing
+# batch-256 forwards of the default model at 4, 8, 16 and 32 patches a block.
+_CONV3D_BLOCK_BYTES = 5 * 2 ** 17
 
 
 def _taps(a: np.ndarray, kshape) -> np.ndarray:
@@ -118,7 +125,13 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     The window matrix keeps the channel axis innermost, (N*H*W, k1*k2*k3, C),
     so one batched product with the (K, k1*k2*k3) kernel matrix writes the
-    kernel-major output directly.
+    kernel-major output directly. Only the adjoint reads that matrix again,
+    so a call that records none (see :func:`~hsimvt.tensor.records`) and
+    whose batch spans more than one block of :data:`_CONV3D_BLOCK_BYTES`
+    builds it a block of whole patches at a time (at least one patch) in
+    one reused buffer, and multiplies each block into its slice of the
+    output. Every output pixel is the same (K, k1*k2*k3) @ (k1*k2*k3, C)
+    product either way, so both give the same bits.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -134,13 +147,21 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     n, h, w, c = xd.shape
 
     ktaps = (k1, k2, k3)
-    cols = np.ascontiguousarray(_taps(xd, ktaps)).reshape(n * h * w, k1 * k2 * k3, c)
-    wmat = kd.reshape(nk, -1)
-    out = np.matmul(wmat, cols).reshape(n * h * w, nk * c)  # kernel-major channels
-    out += bias.data.repeat(c)
+    rows, taps = h * w, k1 * k2 * k3
+    wmat = kd.reshape(nk, taps)
+    bias_c = bias.data.repeat(c)  # kernel-major, like the output channels
+    windows = _taps(xd, ktaps)
+    inputs = (x, kernels, bias)
+    if not records(inputs):
+        step = max(1, _CONV3D_BLOCK_BYTES // max(1, rows * taps * c * xd.itemsize))
+        if step < n:
+            return Tensor(_conv3d_blocks(windows, wmat, bias_c, step))
+    cols = np.ascontiguousarray(windows).reshape(n * rows, taps, c)
+    out = np.matmul(wmat, cols).reshape(n * rows, nk * c)
+    out += bias_c
 
     def adjoint(go, need):
-        god = go.reshape(n * h * w, nk, c)
+        god = go.reshape(n * rows, nk, c)
         gx = gk = gb = None
         if need[1]:
             gk = np.matmul(god, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
@@ -151,7 +172,29 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             gx = _fold(gcols.reshape(ktaps + (n, h, w, c)), ktaps)
         return gx, gk, gb
 
-    return record_op(out.reshape(n, h, w, nk * c), (x, kernels, bias), adjoint)
+    return record_op(out.reshape(n, h, w, nk * c), inputs, adjoint)
+
+
+def _conv3d_blocks(windows: np.ndarray, wmat: np.ndarray, bias: np.ndarray,
+                   step: int) -> np.ndarray:
+    """conv3d's forward over the (N, H, W, k1, k2, k3, C) ``windows`` view,
+    ``step`` >= 1 whole patches at a time: each block is copied into one
+    reused buffer, multiplied by the (K, k1*k2*k3) ``wmat`` into its slice
+    of the output, and given the kernel-major ``bias``. Returns
+    (N, H, W, K*C)."""
+    n, h, w = windows.shape[:3]
+    c, rows = windows.shape[-1], h * w
+    nk, taps = wmat.shape
+    out = np.empty((n * rows, nk * c), np.result_type(wmat, windows))
+    cols = np.empty((step * rows, taps, c), windows.dtype)
+    for i in range(0, n, step):
+        part = windows[i:i + step]
+        block = cols[:len(part) * rows]
+        np.copyto(block.reshape(part.shape), part)
+        dst = out[i * rows:i * rows + len(block)]
+        np.matmul(wmat, block, out=dst.reshape(len(block), nk, c))
+        dst += bias
+    return out.reshape(n, h, w, nk * c)
 
 
 def _conv2d_by_tap(xd: np.ndarray, wtaps: np.ndarray, ktaps: tuple,

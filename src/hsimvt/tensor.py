@@ -60,13 +60,21 @@ def active_graph():
     return _ACTIVE.graph
 
 
+def records(inputs) -> bool:
+    """Whether an op over ``inputs`` records an adjoint: a graph is recording
+    on this thread and some input requires a gradient. :func:`record_op`
+    follows this rule, and an op may ask it first to skip what only its
+    adjoint would read."""
+    return _ACTIVE.graph is not None and any(t.requires_grad for t in inputs)
+
+
 def record_op(value, inputs, adjoint) -> Tensor:
     """Wrap an op's output ``value`` in a Tensor and put its adjoint on the tape.
 
-    Only while a graph is recording and some input requires a gradient does
-    the output require one too; then one closure is recorded. Once the
-    output has a gradient ``go``, that closure calls ``adjoint(go, need)``,
-    where ``need`` holds one requires-grad flag per input, and adds each
+    Only when :func:`records` holds for ``inputs`` does the output require a
+    gradient too; then one closure is recorded. Once the output has a
+    gradient ``go``, that closure calls ``adjoint(go, need)``, where
+    ``need`` holds one requires-grad flag per input, and adds each
     returned array into the input it belongs to when that input needs it.
     The adjoint may return anything (such as None) for the others.
 
@@ -77,12 +85,9 @@ def record_op(value, inputs, adjoint) -> Tensor:
     a zeroed copy, so no two tensors' gradients share memory.
     """
     result = Tensor(value)
-    graph = active_graph()
-    if graph is None:
+    if not records(inputs):
         return result
     need = tuple(t.requires_grad for t in inputs)
-    if not any(need):
-        return result
     result.requires_grad = True
 
     def backward():
@@ -104,7 +109,7 @@ def record_op(value, inputs, adjoint) -> Tensor:
                 t.grad += g
             given.append(g)
 
-    graph.record(backward)
+    _ACTIVE.graph.record(backward)
     return result
 
 

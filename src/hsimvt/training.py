@@ -55,6 +55,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = ld.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels must be ({n},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise UsageError(f"labels must be integer class ids, got dtype {labels.dtype}")
     if ((labels < 1) | (labels > k)).any():
         raise UsageError(
             f"labels must be 1..{k} (0 marks unlabeled); got range "

@@ -8,7 +8,7 @@ import pytest
 from hsimvt import (GradCheckReport, GradGraph, ModelConfig, ModelParams, Tensor, UsageError,
                     check_gradients, cross_entropy, forward)
 from hsimvt import ops
-from hsimvt.tensor import record_op
+from hsimvt.tensor import record_op, records
 
 from oracles import add, mul, reshape, sum_all
 
@@ -150,6 +150,15 @@ def test_gradients_accumulate_across_graphs():
             loss = sum_all(mul(x, three))
         graph.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 6.0))
+
+
+def test_records_needs_a_graph_and_an_input_that_needs_a_gradient():
+    plain, tracked = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+    assert not records((plain, tracked))
+    with GradGraph():
+        assert not records((plain, plain)) and not records(())
+        assert records((plain, tracked))
+    assert not records((tracked,))
 
 
 def test_no_graph_means_no_tracking():

@@ -68,6 +68,19 @@ def test_label_map_validation():
         LabelMap(ids=np.zeros(4, dtype=int), num_classes=1)
 
 
+@pytest.mark.parametrize("ids", [np.array([[1.0, 2.0], [0.0, 2.0]]), np.array([[1.5, 2], [0, 2]]),
+                                 np.array([[True, True], [False, True]])])
+def test_label_map_refuses_ids_that_are_not_integers(ids):
+    with pytest.raises(ConfigError, match="label ids must be integers"):
+        LabelMap(ids=ids, num_classes=int(np.ceil(ids.max())))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+def test_label_map_takes_every_integer_dtype(dtype):
+    labels = LabelMap(ids=np.array([[1, 2], [0, 2]], dtype=dtype), num_classes=2)
+    np.testing.assert_array_equal(labels.labeled_coords(), [[0, 0], [0, 1], [1, 1]])
+
+
 def test_mmnorm_spans_unit_interval():
     rng = np.random.default_rng(0)
     cube = HsiCube(values=(rng.normal(size=(5, 6, 7)) * 3 + 10).astype(np.float32))

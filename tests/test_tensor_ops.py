@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,125 @@ def test_conv3d_rejects_bad_bias_and_rank():
     with pytest.raises(DimensionError):  # one unbatched (H, W, C) patch
         ops.conv3d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))),
                    Tensor(np.zeros(2)))
+
+
+TOY = ModelConfig(patch_size=3, num_views=4, view_components=2, encoder_kernels=2,
+                  squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
+                  num_classes=3)
+
+
+def _patches_per_block(config, dtype):
+    """Whole patches in one block of conv3d's streamed window matrix."""
+    patch = config.patch_size ** 2 * 27 * config.input_channels * np.dtype(dtype).itemsize
+    return max(1, ops._CONV3D_BLOCK_BYTES // patch)
+
+
+def _block_batches(config, dtype):
+    block = _patches_per_block(config, dtype)
+    return sorted({1, max(block - 1, 1), block, block + 1, 255, 256, 257})
+
+
+def _conv3d_inputs(config, n, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    p, c, k = config.patch_size, config.input_channels, config.encoder_kernels
+    return (Tensor(rng.normal(size=(n, p, p, c)).astype(dtype)),
+            Tensor(rng.normal(size=(k, 3, 3, 3)).astype(dtype), requires_grad=True),
+            Tensor(rng.normal(size=k).astype(dtype), requires_grad=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", [ModelConfig(), TOY], ids=["default", "toy"])
+def test_streamed_conv3d_gives_the_recorded_bits(config, dtype):
+    """Unrecorded calls build the window matrix block by block; the output is
+    byte-identical to the recorded call's whole-window product at batches
+    around the block size and around the scoring batch."""
+    for n in _block_batches(config, dtype):
+        x, k, b = _conv3d_inputs(config, n, dtype, seed=n)
+        streamed = ops.conv3d(x, k, b).data
+        with GradGraph() as graph:
+            recorded = ops.conv3d(x, k, b).data
+        assert len(graph) == 1
+        assert streamed.dtype == recorded.dtype and streamed.shape == recorded.shape
+        assert streamed.tobytes() == recorded.tobytes(), n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(use_sed=False), TOY],
+                         ids=["default", "no-sed", "toy"])
+def test_logits_keep_their_bits_with_and_without_a_recording_graph(config, dtype):
+    rng = np.random.default_rng(29)
+    params = ModelParams.initialize(config, seed=29, dtype=dtype)
+    params.values += rng.normal(0.0, 0.01, size=params.values.shape).astype(dtype)
+    p, c = config.patch_size, config.input_channels
+    for n in _block_batches(config, dtype):
+        batch = Tensor(rng.normal(size=(n, p, p, c)).astype(dtype))
+        plain = forward(batch, params).data
+        with GradGraph():
+            recorded = forward(batch, params).data
+        assert plain.tobytes() == recorded.tobytes(), n
+
+
+def test_conv3d_of_an_empty_batch_is_empty():
+    x, k, b = _conv3d_inputs(ModelConfig(), 0, np.float32)
+    with GradGraph():
+        recorded = ops.conv3d(x, k, b)
+    for out in (ops.conv3d(x, k, b), recorded):
+        assert out.data.shape == (0, 5, 5, 8 * 30) and out.data.dtype == np.float32
+
+
+def test_streamed_conv3d_takes_one_patch_a_block_below_one_patch(monkeypatch):
+    x, k, b = _conv3d_inputs(TOY, 3, np.float64)
+    with GradGraph():
+        want = ops.conv3d(x, k, b).data
+    monkeypatch.setattr(ops, "_CONV3D_BLOCK_BYTES", 0)
+    assert ops.conv3d(x, k, b).data.tobytes() == want.tobytes()
+
+
+def _peak_beyond_output(x, k, b):
+    """conv3d's traced memory peak less its output's bytes, and its output."""
+    tracemalloc.start()
+    try:
+        out = ops.conv3d(x, k, b)
+        return tracemalloc.get_traced_memory()[1] - out.data.nbytes, out
+    finally:
+        tracemalloc.stop()
+
+
+WINDOW_256 = 256 * 25 * 27 * 30 * 4  # the default conv3d's window matrix at batch 256, float32
+
+
+def test_streamed_conv3d_peaks_below_a_quarter_of_the_window():
+    """An unrecorded default-shape conv3d at the scoring batch of 256 never
+    holds its 20.7 MB window matrix: beyond its output, it peaks below a
+    quarter of that."""
+    peak, _ = _peak_beyond_output(*_conv3d_inputs(ModelConfig(), 256, np.float32))
+    assert peak < WINDOW_256 / 4, peak
+
+
+def test_conv3d_streams_inside_a_graph_when_no_input_needs_a_gradient():
+    x, k, b = (Tensor(t.data) for t in _conv3d_inputs(ModelConfig(), 256, np.float32))
+    with GradGraph() as graph:
+        peak, out = _peak_beyond_output(x, k, b)
+    assert peak < WINDOW_256 / 4, peak
+    assert len(graph) == 0 and not out.requires_grad
+
+
+def test_conv3d_keeps_the_whole_window_for_its_adjoint():
+    """A call whose kernels need a gradient holds the whole window matrix;
+    its kernel and bias gradients are that matrix's products, bit for bit."""
+    x, k, b = _conv3d_inputs(ModelConfig(), 256, np.float32)
+    go = np.random.default_rng(1).normal(size=(256, 5, 5, 8 * 30)).astype(np.float32)
+    with GradGraph() as graph:
+        peak, out = _peak_beyond_output(x, k, b)
+        loss = sum_all(mul(out, Tensor(go)))
+    graph.backward(loss)
+    assert peak >= WINDOW_256, peak
+    assert x.grad is None
+    cols = np.ascontiguousarray(ops._taps(x.data, (3, 3, 3))).reshape(-1, 27, 30)
+    god = go.reshape(-1, 8, 30)
+    want_k = np.matmul(god, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
+    assert k.grad.tobytes() == want_k.tobytes()
+    assert b.grad.tobytes() == god.sum(axis=0).sum(axis=1).tobytes()
 
 
 # ops.TAP_PRODUCT_MIN values that send every conv2d forward tap by tap, then

@@ -61,6 +61,13 @@ def test_cross_entropy_rejects_unlabeled():
         cross_entropy(logits, [1, 2, 3])
 
 
+@pytest.mark.parametrize("labels", [[1.5, 2.0], [1.0, 2.0], [True, True]])
+def test_cross_entropy_refuses_labels_that_are_not_integers(labels):
+    # 1.5 would otherwise be scored as class 1, and True as class 1
+    with pytest.raises(UsageError, match="integer class ids"):
+        cross_entropy(Tensor(np.zeros((2, 3), dtype=np.float32)), labels)
+
+
 def test_cross_entropy_matches_longdouble_oracle():
     rng = np.random.default_rng(22)
     logits = rng.normal(scale=5.0, size=(32, 7))
@@ -365,6 +372,20 @@ def test_confusion_rejects_out_of_range():
         confusion_matrix([1, 1], [1, 3], 2)
     with pytest.raises(UsageError):
         report_from_confusion(np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("true_ids,pred", [([1.7, 2], [1, 2]), ([1, 2], [1.0, 2.0]),
+                                           ([True, True], [1, 2])])
+def test_confusion_refuses_ids_that_are_not_integers(true_ids, pred):
+    # 1.7 would otherwise be counted as class 1
+    with pytest.raises(UsageError, match="integer class ids"):
+        confusion_matrix(true_ids, pred, 2)
+
+
+def test_confusion_takes_narrow_integer_ids_without_overflow():
+    true_ids = np.full(3, 200, dtype=np.uint8)
+    got = confusion_matrix(true_ids, true_ids, 200)
+    assert got[199, 199] == 3 and got.sum() == 3
 
 
 def test_aa_skips_absent_classes():
