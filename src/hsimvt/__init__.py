@@ -21,8 +21,7 @@ from .model import (ModelConfig, ModelParams, assemble_tokens,
                     feature_and_classify, forward, load_params, multi_head,
                     predict, quadrant_bounds, save_params, sed_forward,
                     tokenize)
-from .mpca import (PcaModel, ViewSpec, build_views, fit_pca, mpca, transform_view,
-                   view_spec)
+from .mpca import PcaModel, build_views, fit_pca, mpca, transform_view, view_spec
 from .render import class_palette, render_class_map, write_ppm
 from .runconfig import RunConfig
 from .tensor import GradGraph, Tensor

@@ -84,6 +84,9 @@ class LabelMap:
             raise ConfigError(f"label ids must be integers, got dtype {self.ids.dtype}")
         if self.ids.min(initial=0) < 0:
             raise ConfigError(f"label id {int(self.ids.min())} is negative; 0 marks unlabeled")
+        if self.num_classes > self.ids.size:  # before counting: each class needs a pixel
+            raise ConfigError(f"{self.num_classes} classes cannot all be labeled in "
+                              f"{self.ids.size} pixels")
         if self.ids.max(initial=0) > self.num_classes:
             raise ConfigError(
                 f"label id {int(self.ids.max())} exceeds declared class count {self.num_classes}")

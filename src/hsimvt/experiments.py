@@ -11,7 +11,7 @@ from .errors import ConfigError, DimensionError
 from .metrics import evaluate
 from .mpca import mpca, mpca_spec
 from .runconfig import FIELDS, RunConfig
-from .training import train
+from .training import derive_split, train
 
 # The run-config key (section, key) that each sweep axis overrides: every
 # mpca, model and train key under its own name, and train_fraction.
@@ -68,7 +68,8 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     Each value overrides one key of ``config``: ``axis`` is any mpca, model or
     train key but fractions, or train_fraction (:data:`SWEEP_AXES`). Before the
     first run starts, the cube must cover the label raster, and every value must
-    pass the run config's checks and give a valid model and MPCA shape. Consecutive
+    pass the run config's checks, give a valid model and MPCA shape, and leave
+    a test pixel in the split that :func:`train` draws for it. Consecutive
     values of one :attr:`RunConfig.mpca_shape` share one representation.
     """
     check_sweep_axis(axis)
@@ -79,9 +80,13 @@ def sweep(cube: HsiCube, labels: LabelMap, config: RunConfig, axis: str, values,
     if (cube.height, cube.width) != labels.shape:
         raise DimensionError(f"cube is {cube.height}x{cube.width}, labels are "
                              f"{labels.shape[0]}x{labels.shape[1]}")
-    for run_config in configs:
+    for value, run_config in zip(values, configs):
         run_config.model_config(labels.num_classes)
         mpca_spec(cube.bands, *run_config.mpca_shape)
+        counts = derive_split(labels, run_config.fractions, run_config["train"]["seed"]).counts()
+        if not counts["test"]:
+            raise ConfigError(f"{axis} {value!r} leaves no test pixel to score: its split "
+                              f"is {counts['train']}/{counts['val']}/0 px train/val/test")
     rows = []
     shape = rep = None
     for value, run_config in zip(values, configs):

@@ -133,6 +133,8 @@ def read_label_raster(path):
     """Read an HSZLBL file; returns (ids (H,W) uint16, num_classes)."""
     header, payload = read_framed(path, LABEL_MAGIC)
     h, w, k = header_ints(header, path, "height", "width", "classes")
+    if k > 0xFFFF:
+        raise FormatError(f"{path}: header 'classes' must be at most 65535, got {k}")
     expected = h * w * 2
     if len(payload) != expected:
         raise PayloadLengthError(

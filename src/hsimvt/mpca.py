@@ -1,10 +1,9 @@
-"""Multiview PCA: band grouping, interleaved views, per-view PCA, concat.
+"""Multiview PCA: interleaved band views, per-view PCA, concat.
 
-The band axis is zero-padded to a whole number of groups of ``g``
-consecutive bands; view ``n`` (1-based) collects the n-th band of every
-group, so the views are stride-``g`` interleaves that partition the padded
-band range. Each view is reduced to ``d`` principal components and the
-per-view outputs are concatenated view-major along the channel axis.
+The spectrum splits into ``g`` interleaved views of ``M`` bands each, over
+a zero-padded band axis (:func:`view_spec` states the rule). Each view is
+reduced to ``d`` principal components and the per-view outputs are
+concatenated view-major along the channel axis.
 """
 
 from __future__ import annotations
@@ -21,38 +20,23 @@ from .data import HsiCube, mmnorm_scalars
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
-@dataclass(frozen=True)
-class ViewSpec:
-    """Index bookkeeping for the interleaved views of a B-band cube."""
-
-    num_views: int          # g
-    num_groups: int         # M = ceil(B / g)
-
-    @property
-    def padded_bands(self) -> int:
-        return self.num_views * self.num_groups
-
-    def band_indices(self, view: int) -> np.ndarray:
-        """Padded-cube band indices of 1-based ``view``: (m-1)*g + (view-1)."""
-        if not 1 <= view <= self.num_views:
-            raise ConfigError(f"view must be in 1..{self.num_views}, got {view}")
-        return np.arange(self.num_groups) * self.num_views + (view - 1)
-
-
-def view_spec(num_bands: int, num_views: int) -> ViewSpec:
+def view_spec(num_bands: int, num_views: int) -> int:
+    """Bands per view, M = ceil(B / g), of g = ``num_views`` views of B =
+    ``num_bands`` bands: 0-based view n takes bands n, n + g, ..., n + (M - 1)·g
+    of the band axis zero-padded to g·M, as :func:`_gather_view` gathers them."""
     if num_views < 1:
         raise ConfigError(f"need at least 1 view, got {num_views}")
     if num_views > num_bands:
         raise ConfigError(f"cannot build {num_views} views from {num_bands} bands")
-    return ViewSpec(num_views=num_views, num_groups=math.ceil(num_bands / num_views))
+    return math.ceil(num_bands / num_views)
 
 
-def mpca_spec(num_bands: int, num_views: int, components: int) -> ViewSpec:
+def mpca_spec(num_bands: int, num_views: int, components: int) -> int:
     """:func:`view_spec`, also checking that 1 <= ``components`` <= bands per view."""
-    spec = view_spec(num_bands, num_views)
-    if not 1 <= components <= spec.num_groups:
-        raise ConfigError(f"components must be in 1..{spec.num_groups}, got {components}")
-    return spec
+    groups = view_spec(num_bands, num_views)
+    if not 1 <= components <= groups:
+        raise ConfigError(f"components must be in 1..{groups}, got {components}")
+    return groups
 
 
 # `mpca` fits its views on two threads once their float64 samples together
@@ -76,16 +60,15 @@ def _gather_view(values: np.ndarray, num_views: int, view: int, out: np.ndarray,
 def build_views(cube: HsiCube, num_views: int):
     """Split a cube into ``num_views`` interleaved views.
 
-    Returns (ViewSpec, list of H x W x M float64 rasters). Bands past the
-    original count are zero padding. The rasters are consecutive slices of
-    one (views, H, W, M) buffer; ``(x - 0) / 1`` in float64 keeps each
-    value's bits.
+    Returns the list of H x W x M float64 rasters (M: :func:`view_spec`),
+    gathered as :func:`mpca` gathers them; bands past the original count
+    are zero padding. The rasters are consecutive slices of one
+    (views, H, W, M) buffer; ``(x - 0) / 1`` in float64 keeps each value's bits.
     """
-    spec = view_spec(cube.bands, num_views)
-    views = np.empty((num_views, cube.height, cube.width, spec.num_groups))
+    views = np.empty((num_views, cube.height, cube.width, view_spec(cube.bands, num_views)))
     for n, view in enumerate(views):
         _gather_view(cube.values, num_views, n, view, (np.float64(0), np.float64(1)))
-    return spec, list(views)
+    return list(views)
 
 
 @dataclass
@@ -263,7 +246,7 @@ def mpca(cube: HsiCube, num_views: int, components: int):
     rasters of ``mmnorm(cube)``, and the bits are theirs whatever the
     path, ``OPENBLAS_NUM_THREADS`` or CPU count.
     """
-    groups = mpca_spec(cube.bands, num_views, components).num_groups
+    groups = mpca_spec(cube.bands, num_views, components)
     norm = mmnorm_scalars(cube)
     h, w = cube.height, cube.width
     workers = _view_workers(num_views, h * w * num_views * groups * 8)

@@ -19,9 +19,9 @@ import time
 import numpy as np
 import pytest
 
-from hsimvt import (ModelConfig, ModelParams, Tensor, TrainConfig,
-                    check_gradients, cross_entropy, evaluate, fit_pca, forward,
-                    load_cube, load_labels, mmnorm, mpca, rotate180,
+from hsimvt import (HsiCube, ModelConfig, ModelParams, Tensor, TrainConfig,
+                    build_views, check_gradients, cross_entropy, evaluate, fit_pca,
+                    forward, load_cube, load_labels, mmnorm, mpca, rotate180,
                     rotation_audit, synth_scene, tokenize, train,
                     transform_view, view_spec)
 from hsimvt.data import TEST, PatchSource
@@ -78,18 +78,23 @@ def test_criterion_02_pca_oracle_equivalence():
 
 
 def test_criterion_03_view_partition_property():
+    # the views `mpca` gathers, read through `build_views` from an index
+    # cube: band b holds b + 1, and padding reads 0
     started = time.perf_counter()
     rng = np.random.default_rng(3)
     for _ in range(1000):
         num_bands = int(rng.integers(1, 513))
         num_views = int(rng.integers(1, num_bands + 1))
-        spec = view_spec(num_bands, num_views)
-        seen = np.concatenate([spec.band_indices(n)
-                               for n in range(1, num_views + 1)])
-        assert len(seen) == spec.padded_bands
-        counts = np.bincount(seen, minlength=spec.padded_bands)
-        assert (counts == 1).all(), \
+        groups = view_spec(num_bands, num_views)
+        cube = HsiCube(values=np.arange(1.0, num_bands + 1).reshape(1, 1, num_bands))
+        views = np.stack(build_views(cube, num_views))[:, 0, 0].astype(np.int64)
+        assert views.shape == (num_views, groups)
+        counts = np.bincount(views.reshape(-1), minlength=num_bands + 1)
+        assert (counts[1:] == 1).all() and counts[0] == views.size - num_bands, \
             f"B={num_bands} g={num_views}: views do not partition the band range"
+        padded = np.arange(num_views)[:, None] + num_views * np.arange(groups)
+        assert (views == np.where(padded < num_bands, padded + 1, 0)).all(), \
+            f"B={num_bands} g={num_views}: a view is not every g-th padded band"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"partition sweep took {elapsed:.1f}s, budget 10s"
     print(f"[criterion 03] PASS - 1000 random (B,g) pairs partition exactly "

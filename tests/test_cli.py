@@ -202,6 +202,26 @@ def test_train_fraction_may_leave_no_test_share():
         experiments._override(config, "train_fraction", 1.5)
 
 
+def test_sweep_refuses_a_value_with_no_test_pixel_before_preprocessing(workdir, capsys,
+                                                                       monkeypatch):
+    # 0.9 gives fractions (0.9, 0.1, 0.0): a 360/40/0 px split of the 20x20 scene
+    run(capsys, "synth", "--height", "20", "--width", "20", "--bands", "12",
+        "--classes", "3")
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 1, "fractions": [0.1, 0.1, 0.8]},
+                                  "model": {"patch_size": 3},
+                                  "mpca": {"views": 4, "components": 2}}))
+    shapes = []
+    mpca = experiments.mpca
+    monkeypatch.setattr(experiments, "mpca",
+                        lambda cube, *shape: shapes.append(shape) or mpca(cube, *shape))
+    doc = _one_json_error(capsys, "sweep", "--config", str(config),
+                          "--axis", "train_fraction", "--values", "0.2,0.9")
+    assert doc["type"] == "ConfigError", doc
+    assert "train_fraction 0.9 leaves no test pixel" in doc["error"], doc
+    assert shapes == [] and not (workdir / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("axis, values, written", [
     ("use_global_token", "true,false", ["True", "False"]),
     ("use_sed", "true,false", ["True", "False"]),
@@ -449,6 +469,17 @@ def test_deeply_nested_hsz_header_exits_with_one_json_line(workdir, capsys, comm
     (workdir / name).write_bytes(magic + struct.pack("<I", len(head)) + head)
     doc = _one_json_error(capsys, command, "--config", config)
     assert doc["type"] == "FormatError" and "nested" in doc["error"]
+
+
+@pytest.mark.parametrize("classes", [2 ** 40, 2 ** 62, 2 ** 70])
+def test_a_label_file_declaring_a_huge_class_count_exits_with_one_json_line(workdir, capsys,
+                                                                            classes):
+    config = write_config(workdir)
+    hsz.write_framed(workdir / "synth_labels.hsz", hsz.LABEL_MAGIC,
+                     {"height": 2, "width": 2, "classes": classes},
+                     np.ones(4, dtype="<u2").tobytes())
+    doc = _one_json_error(capsys, "train", "--config", config)
+    assert doc["type"] == "FormatError" and "at most 65535" in doc["error"], doc
 
 
 @pytest.mark.filterwarnings("error")

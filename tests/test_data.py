@@ -66,6 +66,9 @@ def test_label_map_validation():
         LabelMap(ids=np.array([[1, 2], [-1, 0]]), num_classes=2)
     with pytest.raises(DimensionError):
         LabelMap(ids=np.zeros(4, dtype=int), num_classes=1)
+    # refused before counting: bincount would ask for 2**70 + 1 counts
+    with pytest.raises(ConfigError, match="classes cannot all be labeled in 4 pixels"):
+        LabelMap(ids=np.ones((2, 2), dtype=int), num_classes=2 ** 70)
 
 
 @pytest.mark.parametrize("ids", [np.array([[1.0, 2.0], [0.0, 2.0]]), np.array([[1.5, 2], [0, 2]]),

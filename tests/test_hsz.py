@@ -129,6 +129,18 @@ def test_label_ids_past_uint16_are_refused_before_writing(tmp_path):
         assert not path.exists()
 
 
+def test_label_class_counts_past_uint16_are_refused_on_reading(tmp_path):
+    path = tmp_path / "labels.hsz"
+    payload = np.ones(4, dtype="<u2").tobytes()
+    hsz.write_framed(path, hsz.LABEL_MAGIC, {"height": 2, "width": 2, "classes": 65_535},
+                     payload)
+    assert hsz.read_label_raster(path)[1] == 65_535
+    hsz.write_framed(path, hsz.LABEL_MAGIC, {"height": 2, "width": 2, "classes": 65_536},
+                     payload)
+    with pytest.raises(FormatError, match="at most 65535, got 65536"):
+        hsz.read_label_raster(path)
+
+
 def test_rejects_malformed_header_json(tmp_path):
     path = tmp_path / "bad.hsz"
     head = b"{not json"

@@ -28,28 +28,34 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(mpca_module.__file__)))
 
 # ---------------------------------------------------------------- view layout
 
+def gathered_bands(num_bands, num_views):
+    """Per view, what :func:`build_views` gathers from an index cube whose
+    band b holds b + 1: each entry is its band + 1, or 0 where it is padding."""
+    cube = HsiCube(values=np.arange(1.0, num_bands + 1).reshape(1, 1, num_bands))
+    return [view[0, 0].astype(np.int64) for view in build_views(cube, num_views)]
+
+
 def test_view_spec_200_bands_10_views():
-    spec = view_spec(200, 10)
-    assert spec.num_groups == 20
-    assert spec.padded_bands == 200
-    np.testing.assert_array_equal(spec.band_indices(1), np.arange(0, 200, 10))
-    np.testing.assert_array_equal(spec.band_indices(10), np.arange(9, 200, 10))
+    assert view_spec(200, 10) == 20
+    views = gathered_bands(200, 10)
+    assert sum(map(len, views)) == 200
+    np.testing.assert_array_equal(views[0], np.arange(0, 200, 10) + 1)
+    np.testing.assert_array_equal(views[9], np.arange(9, 200, 10) + 1)
 
 
 def test_view_spec_smallest_interleave():
-    spec = view_spec(4, 2)
-    np.testing.assert_array_equal(spec.band_indices(1), [0, 2])
-    np.testing.assert_array_equal(spec.band_indices(2), [1, 3])
+    views = gathered_bands(4, 2)
+    np.testing.assert_array_equal(views[0], [1, 3])
+    np.testing.assert_array_equal(views[1], [2, 4])
 
 
 def test_view_spec_padding_103_bands():
-    spec = view_spec(103, 10)
-    assert spec.num_groups == 11
-    assert spec.padded_bands == 110
-    # band 109 is padding and lands in view 10
-    assert 109 in spec.band_indices(10)
-    padded = np.concatenate([spec.band_indices(n) for n in range(1, 11)])
-    assert (padded >= 103).sum() == 7  # bands 103..109 are synthetic zeros
+    assert view_spec(103, 10) == 11
+    views = gathered_bands(103, 10)
+    assert sum(map(len, views)) == 110
+    # padded band 109 is the last of view 10 (0-based 9); bands 103..109 are zeros
+    np.testing.assert_array_equal(views[9], list(range(10, 101, 10)) + [0])
+    assert (np.concatenate(views) == 0).sum() == 7
 
 
 def test_view_spec_errors():
@@ -57,11 +63,6 @@ def test_view_spec_errors():
         view_spec(10, 0)
     with pytest.raises(ConfigError):
         view_spec(10, 11)
-    spec = view_spec(10, 2)
-    with pytest.raises(ConfigError):
-        spec.band_indices(0)
-    with pytest.raises(ConfigError):
-        spec.band_indices(3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,21 +70,23 @@ def test_view_spec_errors():
     lambda b: st.tuples(st.just(b), st.integers(1, b))))
 def test_views_partition_padded_band_range(pair):
     num_bands, num_views = pair
-    spec = view_spec(num_bands, num_views)
-    seen = np.concatenate([spec.band_indices(n) for n in range(1, num_views + 1)])
-    assert len(seen) == spec.padded_bands
-    assert set(seen.tolist()) == set(range(spec.padded_bands))
-    for n in range(1, num_views + 1):
-        idx = spec.band_indices(n)
-        assert len(idx) == spec.num_groups
-        if len(idx) > 1:
-            assert (np.diff(idx) == num_views).all()
+    groups = view_spec(num_bands, num_views)
+    views = gathered_bands(num_bands, num_views)
+    seen = np.concatenate(views)
+    assert len(seen) == num_views * groups
+    # every real band once; the padding, 0, fills the rest of the padded range
+    counts = np.bincount(seen, minlength=num_bands + 1)
+    assert (counts[1:] == 1).all()
+    assert counts[0] == num_views * groups - num_bands
+    for n, view in enumerate(views):
+        assert len(view) == groups
+        padded = n + num_views * np.arange(groups)  # stride g from band n
+        np.testing.assert_array_equal(view, np.where(padded < num_bands, padded + 1, 0))
 
 
 def test_build_views_gathers_and_pads():
     values = np.arange(2 * 2 * 5, dtype=np.float64).reshape(2, 2, 5)
-    spec, rasters = build_views(HsiCube(values=values), 2)
-    assert spec.padded_bands == 6
+    rasters = build_views(HsiCube(values=values), 2)
     assert [r.shape for r in rasters] == [(2, 2, 3), (2, 2, 3)]
     np.testing.assert_array_equal(rasters[0], values[:, :, [0, 2, 4]])
     np.testing.assert_array_equal(rasters[1][:, :, :2], values[:, :, [1, 3]])
@@ -258,7 +261,7 @@ def test_mpca_channel_layout_is_view_major():
     assert stacked.shape == (7, 8, 12)
     assert stacked.dtype == np.float32
     assert len(models) == 4
-    _, rasters = build_views(mmnorm(cube), 4)
+    rasters = build_views(mmnorm(cube), 4)
     for n in range(4):
         part = transform_view(rasters[n], models[n]).astype(np.float32)
         np.testing.assert_array_equal(stacked[:, :, 3 * n:3 * (n + 1)], part)
