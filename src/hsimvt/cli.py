@@ -65,7 +65,7 @@ def _labels_and_representation(config: RunConfig):
     labels = _load_labels(config)
     path = _require_file(_out_path(config, REPRESENTATION_FILE),
                          "preprocessed representation (run `hsimvt preprocess` first)")
-    representation, _ = hsz.read_cube_raster(path)
+    representation = load_cube(path).values
     labels.check_raster(representation)
     return labels, representation
 

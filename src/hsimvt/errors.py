@@ -22,7 +22,7 @@ class PayloadLengthError(FormatError):
 
 
 class DegenerateInputError(HsimvtError):
-    """Input data has no usable variation (constant cube, zero-variance view)."""
+    """Input data is non-finite or has no usable variation (constant cube, zero-variance view)."""
 
 
 class DivergenceError(HsimvtError):

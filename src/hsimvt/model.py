@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import hsz, ops
-from .errors import CompatibilityError, ConfigError, DimensionError, FormatError
+from .errors import (CompatibilityError, ConfigError, DimensionError, FormatError,
+                     PayloadLengthError)
 from .tensor import Tensor
 
 
@@ -274,7 +275,7 @@ def load_params(path) -> ModelParams:
         raise CompatibilityError(f"{path}: checkpoint arrays do not match its config")
     total = sum(math.prod(e["shape"]) for e in manifest) * 4
     if len(payload) != total:
-        raise CompatibilityError(
+        raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, manifest implies {total}")
     return ModelParams.from_vector(config, np.frombuffer(payload, dtype="<f4"))
 

@@ -348,18 +348,9 @@ def test_residual_add_owns_its_gradients():
 
     grads = _backward_grads(loss_fn, {"tokens": tokens, "wqkv": wqkv})
     np.testing.assert_array_equal(grads["out"], probe.data)
-    # float64 reference: central differences of the same loss
-    for name, t in (("tokens", tokens), ("wqkv", wqkv)):
-        want = np.empty_like(t.data)
-        for i in np.ndindex(t.data.shape):
-            orig = t.data[i]
-            t.data[i] = orig + 1e-5
-            plus = loss_fn()[0].item()
-            t.data[i] = orig - 1e-5
-            minus = loss_fn()[0].item()
-            t.data[i] = orig
-            want[i] = (plus - minus) / 2e-5
-        np.testing.assert_allclose(grads[name], want, rtol=1e-6, atol=1e-8)
+    report = check_gradients(lambda: loss_fn()[0], {"tokens": tokens, "wqkv": wqkv},
+                             tolerance=TOL, epsilon=1e-5)
+    assert report.ok, report.summary()
 
 
 def test_reshape_chain_owns_its_gradients():

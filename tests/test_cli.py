@@ -431,6 +431,30 @@ def test_bad_synth_inputs_exit_with_one_json_line(workdir, capsys, flag, value):
     assert not (workdir / "scene").exists()  # refused before anything was written
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+@pytest.mark.parametrize("noise", ["1e39", "1e300"])
+def test_synth_noise_beyond_float32_exits_with_one_json_line(workdir, capsys, noise):
+    doc = _one_json_error(capsys, "synth", *SCENE, "--noise", noise, "--out", "scene")
+    assert doc["type"] == "DegenerateInputError" and "non-finite" in doc["error"]
+    assert not (workdir / "scene").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_representation_exits_with_one_json_line(workdir, capsys, bad):
+    config = write_config(workdir)
+    run(capsys, "synth", *SCENE)
+    run(capsys, "preprocess", "--config", config)
+    assert run(capsys, "train", "--config", config)[0] == 0
+    path = workdir / cli.REPRESENTATION_FILE
+    values = hsz.read_cube_raster(path)[0].copy()
+    values[3, 4, 1] = bad
+    hsz.write_cube_raster(path, values)
+    for command in ("train", "eval", "audit", "map"):
+        doc = _one_json_error(capsys, command, "--config", config)
+        assert doc["type"] == "DegenerateInputError" and "non-finite" in doc["error"], command
+
+
 def test_memory_error_exits_with_one_json_line(workdir, capsys, monkeypatch):
     def out_of_memory(**kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB for the cube")

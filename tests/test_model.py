@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hsimvt import (CompatibilityError, ConfigError, DimensionError,
-                    ModelConfig, ModelParams, Tensor, assemble_tokens,
-                    feature_and_classify, forward, load_params, multi_head,
-                    predict, quadrant_bounds, rotate180, save_params,
+                    ModelConfig, ModelParams, PayloadLengthError, Tensor,
+                    assemble_tokens, feature_and_classify, forward, load_params,
+                    multi_head, predict, quadrant_bounds, rotate180, save_params,
                     sed_forward, tokenize)
 from hsimvt import hsz, ops
 
@@ -480,7 +480,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_params(tmp_path / "bad2.hsz")
 
     hsz.write_framed(tmp_path / "bad3.hsz", hsz.MODEL_MAGIC, header, payload[:-8])
-    with pytest.raises(CompatibilityError, match="payload"):
+    with pytest.raises(PayloadLengthError, match="manifest implies"):
         load_params(tmp_path / "bad3.hsz")
 
     hsz.write_framed(tmp_path / "bad4.hsz", hsz.MODEL_MAGIC, dict(header, format_version=3),
