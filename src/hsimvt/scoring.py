@@ -39,7 +39,7 @@ from .model import ModelParams
 
 # A job runs on workers once len(coords) x the parameter count reaches this.
 # See the README's Notes for the measurements that set it.
-_POOL_WORK_MIN = 2 ** 31
+_POOL_WORK_MIN = 2 ** 30
 
 # Never more workers than this, however many CPUs the process may use.
 _MAX_WORKERS = 4

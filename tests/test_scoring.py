@@ -141,8 +141,10 @@ def n_values(config):
     (PAVIA, 42776, True),          # map-pavia's map
     (PAVIA, 2048, False),          # map-pavia's evaluate sample
     (PAVIA, 428, False),           # map-pavia's per-epoch validation (1%)
-    (INDIAN_PINES, 10249, False),  # train-ip's map
-    (INDIAN_PINES, 9225, False),   # train-ip's evaluate
+    (INDIAN_PINES, 10249, True),   # train-ip's map
+    (INDIAN_PINES, 9225, True),    # train-ip's evaluate
+    (INDIAN_PINES, 7472, True),    # the smallest pooled job of the 16-class model
+    (INDIAN_PINES, 7471, False),   # the largest serial one
     (INDIAN_PINES, 512, False),    # train-ip's per-epoch validation
     (BENCH_TOY, 8000, False),      # gradcheck-toy's map
 ])
