@@ -14,11 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from hsimvt import (DimensionError, ModelConfig, ModelParams, PatchSource, WorkerError,
-                    synth_scene)
+from hsimvt import (DimensionError, ModelConfig, ModelParams, PatchSource, TrainConfig,
+                    WorkerError, mmnorm, mpca, synth_scene, train)
 from hsimvt import _blas, metrics, scoring
 from hsimvt.cli import main
-from hsimvt.data import save_cube, save_labels
+from hsimvt.data import VAL, save_cube, save_labels
 from hsimvt.model import load_params
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(scoring.__file__)))
@@ -143,10 +143,10 @@ def n_values(config):
     (PAVIA, 428, False),           # map-pavia's per-epoch validation (1%)
     (INDIAN_PINES, 10249, True),   # train-ip's map
     (INDIAN_PINES, 9225, True),    # train-ip's evaluate
-    (INDIAN_PINES, 7472, True),    # the smallest pooled job of the 16-class model
-    (INDIAN_PINES, 7471, False),   # the largest serial one
     (INDIAN_PINES, 512, False),    # train-ip's per-epoch validation
     (BENCH_TOY, 8000, False),      # gradcheck-toy's map
+    (INDIAN_PINES, 7472, True),    # the smallest pooled job of the 16-class model
+    (INDIAN_PINES, 7471, False),   # the largest serial one
 ])
 def test_pool_rule_picks_each_bench_job_path(monkeypatch, config, pixels, pooled):
     assert (n_values(PAVIA), n_values(INDIAN_PINES), n_values(BENCH_TOY)) == \
@@ -385,6 +385,33 @@ def test_cli_exits_1_with_one_json_line_when_a_worker_is_killed(pooled_scene, ca
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["type"] == "WorkerError"
+    assert children() == set()
+
+
+# ---------------------------------------------------------------- training
+
+@needs_blas_control
+def test_training_through_a_pooled_validation_keeps_the_serial_bits(monkeypatch):
+    """From 2**30 pixel-parameters a validation set is scored on workers
+    (7,472 px with the 16-class default model); training must not notice."""
+    cube, labels = synth_scene(seed=4, height=40, width=40, bands=12, num_classes=3,
+                               noise_sigma=0.1)
+    representation, _ = mpca(mmnorm(cube), num_views=2, components=2)
+    config = TrainConfig(epochs=2, batch_size=64, seed=3)
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
+    pooled_calls = []
+    pooled = scoring.predict_pooled
+    monkeypatch.setattr(scoring, "predict_pooled",
+                        lambda *args: pooled_calls.append(len(args[2])) or pooled(*args))
+    runs = {}
+    for floor in (0, math.inf):
+        monkeypatch.setattr(scoring, "_POOL_WORK_MIN", floor)
+        runs[floor] = train(representation, labels, TOY, config, fractions=(0.1, 0.3, 0.6))
+    val_pixels = len(runs[0].split.coords(VAL))
+    assert val_pixels > BATCH
+    assert pooled_calls == [val_pixels] * config.epochs  # all from the floor-0 run
+    assert runs[0].history == runs[math.inf].history
+    assert runs[0].params.values.tobytes() == runs[math.inf].params.values.tobytes()
     assert children() == set()
 
 

@@ -159,6 +159,9 @@ def run_bench(command, checkout, workload, seed, seconds, timeout, scratch):
         epochs = train_epochs(report)
         if epochs:
             record["raw_s"]["epoch"] = record["raw_s"]["train"] / epochs
+        if not record["correct"]:
+            record["error"] = json.dumps([report["error"], report["failed_checks"]])[
+                :ERROR_CHARS]
     except (IndexError, ValueError, KeyError, TypeError, AttributeError) as exc:
         if proc.returncode == 0:
             record["error"] = f"unreadable output: {type(exc).__name__}: {exc}"
@@ -183,13 +186,12 @@ def train_epochs(report):
 
 
 def full_run(raw):
-    """(full_run_s, share of each stage) from one run's raw stage seconds."""
+    """Raw seconds of a full run's stages, from one run's raw stage seconds;
+    None unless the run timed all three."""
     if not raw or not all(raw.get(k) for k in ("preprocess", "epoch", "map")):
-        return None, None
-    parts = {"preprocess": raw["preprocess"], "train": FULL_RUN_EPOCHS * raw["epoch"],
-             "map": raw["map"]}
-    total = sum(parts.values())
-    return total, {k: v / total for k, v in parts.items()}
+        return None
+    return {"preprocess": raw["preprocess"], "train": FULL_RUN_EPOCHS * raw["epoch"],
+            "map": raw["map"]}
 
 
 # --------------------------------------------------------------- statistics
@@ -205,7 +207,7 @@ def quartiles(values):
     return q1, q3
 
 
-def verdict(base, change, higher_is_better):
+def compare(base, change, higher_is_better):
     """Each side's median and quartiles, the pairs won, and the verdict of a
     paired comparison: ``base[i]`` and ``change[i]`` ran as one pair."""
     sign = 1 if higher_is_better else -1
@@ -233,13 +235,12 @@ def bound_check(stats, base, change, bound, higher_is_better):
     mb, mc = stats["base"]["median"], stats["change"]["median"]
     if not mb:
         return "within" if mc == mb else "unresolved"
-    worse = (mb - mc) / abs(mb) if higher_is_better else (mc - mb) / abs(mb)
-    if worse > bound:
+    sign = 1 if higher_is_better else -1
+    if sign * (mb - mc) / abs(mb) > bound:
         return "beyond"
     spread = (stats["base"]["q3"] - stats["base"]["q1"]) / abs(mb)
-    sign = 1 if higher_is_better else -1
-    all_better = sign * (min(change) if higher_is_better else max(change)) > sign * (
-        max(base) if higher_is_better else min(base))
+    all_better = (min(change) > max(base) if higher_is_better
+                  else max(change) < min(base))
     return "unresolved" if spread > bound and not all_better else "within"
 
 
@@ -280,7 +281,7 @@ def summarize(runs, bench):
                 continue
             _, base, change = zip(*rows)
             entry = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                     "rescaled": verdict(base, change, higher), "raw": None,
+                     "rescaled": compare(base, change, higher), "raw": None,
                      "disagree": False}
             entry["bound_check"] = bound_check(entry["rescaled"], base, change,
                                                spec["bound"], higher)
@@ -288,22 +289,21 @@ def summarize(runs, bench):
             raw_rows = paired(runs, workload, lambda r: r["raw_s"].get(stage)) if stage else []
             if raw_rows:
                 _, rb, rc = zip(*raw_rows)
-                entry["raw"] = dict(verdict(rb, rc, False), stage=stage)
+                entry["raw"] = dict(compare(rb, rc, False), stage=stage)
                 entry["disagree"] = entry["raw"]["verdict"] != entry["rescaled"]["verdict"]
             section["metrics"][name] = entry
-        full = paired(runs, workload, lambda r: full_run(r["raw_s"])[0])
+        full = paired(runs, workload, lambda r: full_run(r["raw_s"]))
         if full:
             _, base, change = zip(*full)
-            section["full_run_s"] = verdict(base, change, False)
-            section["shares"] = {side: {k: median([full_run(r["raw_s"])[1][k] for r in mine
-                                                   if r["side"] == side
-                                                   and full_run(r["raw_s"])[1]])
-                                        for k in ("preprocess", "train", "map")}
-                                 for side in ("base", "change")}
+            section["full_run_s"] = compare([sum(p.values()) for p in base],
+                                            [sum(p.values()) for p in change], False)
+            section["shares"] = {
+                side: {k: median([p[k] / sum(p.values()) for p in parts]) for k in parts[0]}
+                for side, parts in (("base", base), ("change", change))}
         rss = paired(runs, workload, lambda r: r["tree_peak_rss_mb"])
         if rss:
             _, base, change = zip(*rss)
-            section["tree_peak_rss_mb"] = verdict(base, change, False)
+            section["tree_peak_rss_mb"] = compare(base, change, False)
         summary[workload] = section
     return summary
 
