@@ -101,9 +101,10 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
     temp_root = tmp_path / "temp"
     temp_root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    monkeypatch.chdir(stub_repo)
     out = tmp_path / "BENCH.json"
-    assert pairs.main(["--repo", str(stub_repo), "--base", "HEAD~1", "--seconds", "1",
-                       "--out", str(out), "stub:1-3"]) == 0
+    assert pairs.main(["--base", "HEAD~1", "--seconds", "1", "--out", str(out),
+                       "stub:1-3"]) == 0
 
     # nothing outlives the call
     assert os.listdir(temp_root) == []
@@ -142,37 +143,50 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
         assert set(entry) == {"unit", "better", "bound", "rescaled", "raw", "disagree",
                               "bound_check"}
         assert set(entry["rescaled"]) == STATS_KEYS
-        assert entry["rescaled"]["pairs"] == 2  # the failed pair is in no summary
+        assert entry["rescaled"]["pairs"] == 3  # the failed pair counts too
+    # The change wins 2 pairs and loses the one it failed: 2 of 3 is no gain.
     map_ = metrics["map_px_per_s"]
-    assert map_["rescaled"]["verdict"] == "better"
+    assert (map_["rescaled"]["won"], map_["rescaled"]["lost"]) == (2, 1)
+    assert map_["rescaled"]["verdict"] == "same"
     assert map_["raw"]["verdict"] == "worse" and map_["raw"]["stage"] == "map"
     assert map_["disagree"] is True
     train = metrics["train_px_per_s"]
-    assert train["rescaled"]["verdict"] == train["raw"]["verdict"] == "better"
+    assert train["rescaled"]["verdict"] == train["raw"]["verdict"] == "same"
     assert train["disagree"] is False and train["raw"]["gain"] == pytest.approx(2.0)
     assert metrics["test_oa"]["raw"] is None and metrics["test_oa"]["disagree"] is False
     assert metrics["test_oa"]["bound_check"] == "within"
 
     table = capsys.readouterr().out
-    assert "| stub | map_px_per_s |" in table and "raw/rescaled disagree" in table
+    assert "| stub | 0 | 1 | map_px_per_s |" in table  # failed runs: base, change
+    assert "raw/rescaled disagree" in table
+
+
+def alive(pid) -> bool:
+    """Whether ``pid`` still runs; a zombie does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def test_an_interrupted_run_leaves_no_process_behind(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
     script = tmp_path / "sleepy.py"
-    script.write_text("import subprocess, sys, time\n"
-                      "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+    script.write_text("import pathlib, subprocess, sys, time\n"
+                      "p = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+                      f"pathlib.Path({str(pid_file)!r}).write_text(str(p.pid))\n"
                       "time.sleep(60)\n")
     run = pairs.run_bench([sys.executable, str(script)], str(tmp_path), "stub", 1, 1,
-                          timeout=0.5, scratch=str(tmp_path))
+                          timeout=1.0, scratch=str(tmp_path))
     assert run["timed_out"] is True and run["exit_code"] == -9 and run["metrics"] is None
     assert children() == set()
+    grandchild = int(pid_file.read_text())
     for _ in range(20):  # the killed grandchild is reaped by init, not by us
-        sleepers = subprocess.run(["pgrep", "-f", "time.sleep\\(60\\)"],
-                                  capture_output=True, text=True).stdout.split()
-        if not sleepers:
+        if not alive(grandchild):
             break
         time.sleep(0.1)
-    assert sleepers == []
+    assert not alive(grandchild)
 
 
 def ten(values):
@@ -197,6 +211,21 @@ def test_verdict_follows_nine_tenths_and_quartile_spread(base, change, higher, w
     assert stats["pairs"] == 10
     q1, q3 = stats["base"]["q1"], stats["base"]["q3"]
     assert (q1, q3) == (pytest.approx(102.25), pytest.approx(106.75))
+
+
+@pytest.mark.parametrize("base, change, want", [
+    # 9 of 10 won, but the change failed the tenth pair and the base none
+    (ten(range(100, 110)), [None] + ten(range(121, 130)), "same"),
+    # the base alone failed a pair, which the change wins: 10 of 10
+    ([None] + ten(range(101, 110)), ten(range(120, 130)), "better"),
+    # both failed a pair, a tie: 9 of 10 won, no more failures than the base
+    ([None] + ten(range(101, 110)), [None] + ten(range(121, 130)), "better"),
+    # the change failed every pair
+    (ten(range(100, 110)), [None] * 10, "worse"),
+])
+def test_every_pair_run_counts_and_a_failed_side_loses_it(base, change, want):
+    stats = pairs.compare(base, change, True)
+    assert stats["pairs"] == 10 and stats["verdict"] == want
 
 
 def test_bound_check_reads_the_benchmark_bound():

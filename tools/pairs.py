@@ -9,7 +9,8 @@ temporary directory that is removed on exit, so nothing is registered in
 from the change's ``BENCHMARK.json`` (``python3 bench/run.py``) at its
 ``run_seconds`` (or ``--seconds``), the base first on even pairs and the
 change first on odd ones. Every run is kept, a failed, incorrect or
-timed-out one with its exit code.
+timed-out one with its exit code, and every pair run counts in the
+verdicts: a pair that one side failed is won by the other.
 
 Per workload and end-to-end metric the file holds each side's median and
 quartiles, the pairs each side won and a verdict, twice:
@@ -59,9 +60,11 @@ NOTES = {
     "raw": "median wall seconds of the metric's stage over one run, no rescaling; "
            "lower is better",
     "gain": "change over base, oriented so that above 1 is better",
-    "verdict": "better or worse: that side won at least 9 of 10 pairs (ties count "
-               "for neither) and the medians differ by more than the base's "
-               "quartile spread; otherwise same",
+    "verdict": "better or worse: that side won at least 9 of 10 pairs run (a pair "
+               "that one side alone failed is the other side's; ties and pairs "
+               "both sides failed count for neither) and the medians differ by "
+               "more than the base's quartile spread; never better when the "
+               "change failed in more pairs than the base; otherwise same",
     "bound": "within: the change's median is no worse than the base's by more than "
              "BENCHMARK.json's bound; unresolved: the base's quartile spread over "
              "its median exceeds the bound and not every change run beats every "
@@ -202,61 +205,89 @@ def median(values):
 
 def quartiles(values):
     if len(values) < 2:
-        return values[0], values[0]
+        return (values[0], values[0]) if values else (None, None)
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 
 
 def compare(base, change, higher_is_better):
     """Each side's median and quartiles, the pairs won, and the verdict of a
-    paired comparison: ``base[i]`` and ``change[i]`` ran as one pair."""
+    paired comparison: ``base[i]`` and ``change[i]`` ran as one pair, and a
+    side that failed or gave no number reads None.
+
+    Every pair run counts: one whose change side alone failed is lost, one
+    whose base side alone failed is won, one where both failed is a tie,
+    and a change that fails in more pairs than the base is never better."""
     sign = 1 if higher_is_better else -1
-    won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    lost = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    won = lost = 0
+    for b, c in zip(base, change):
+        if c is None:
+            lost += b is not None
+        elif b is None or sign * (c - b) > 0:
+            won += 1
+        elif sign * (c - b) < 0:
+            lost += 1
+    pairs = len(base)
+    more_failed = sum(c is None for c in change) > sum(b is None for b in base)
+    base, change = numbers(base), numbers(change)
     mb, mc = median(base), median(change)
     q1, q3 = quartiles(base)
-    apart = abs(mc - mb) > q3 - q1
-    if won >= 0.9 * len(base) and apart and sign * (mc - mb) > 0:
+    apart = mb is not None and mc is not None and abs(mc - mb) > q3 - q1
+    if won >= 0.9 * pairs and apart and sign * (mc - mb) > 0 and not more_failed:
         call = "better"
-    elif lost >= 0.9 * len(base) and apart and sign * (mc - mb) < 0:
+    elif lost >= 0.9 * pairs and (apart and sign * (mc - mb) < 0
+                                  or mc is None and mb is not None):
         call = "worse"
     else:
         call = "same"
     cq1, cq3 = quartiles(change)
     gain = (mc / mb if higher_is_better else mb / mc) if mb and mc else None
-    return {"pairs": len(base), "won": won, "lost": lost,
+    return {"pairs": pairs, "won": won, "lost": lost,
             "base": {"median": mb, "q1": q1, "q3": q3},
             "change": {"median": mc, "q1": cq1, "q3": cq3},
             "gain": gain, "verdict": call}
 
 
+def numbers(values):
+    return [v for v in values if v is not None]
+
+
+def measured(rows):
+    """Whether any side of any (seed, base, change) row gave a number."""
+    return any(b is not None or c is not None for _, b, c in rows)
+
+
 def bound_check(stats, base, change, bound, higher_is_better):
-    """within, beyond or unresolved: the change against the benchmark's bound."""
+    """within, beyond or unresolved: the change against the benchmark's bound,
+    on the runs that gave a number."""
     mb, mc = stats["base"]["median"], stats["change"]["median"]
+    if mb is None or mc is None:
+        return "unresolved"
     if not mb:
         return "within" if mc == mb else "unresolved"
     sign = 1 if higher_is_better else -1
     if sign * (mb - mc) / abs(mb) > bound:
         return "beyond"
     spread = (stats["base"]["q3"] - stats["base"]["q1"]) / abs(mb)
+    base, change = numbers(base), numbers(change)
     all_better = (min(change) > max(base) if higher_is_better
                   else max(change) < min(base))
     return "unresolved" if spread > bound and not all_better else "within"
 
 
 def paired(runs, workload, value):
-    """(seed, base value, change value) for each pair where both sides ran
-    correctly and ``value`` gives a number for both."""
+    """(seed, base value, change value) for each pair run, a side's value
+    None where that side failed, read incorrect or gave no number."""
     sides = {}
     for run in runs:
-        if run["workload"] == workload and run["correct"] and run["exit_code"] == 0:
+        if run["workload"] == workload:
             sides.setdefault(run["seed"], {})[run["side"]] = run
     out = []
     for seed, pair in sides.items():
         if len(pair) == 2:
-            b, c = value(pair["base"]), value(pair["change"])
-            if b is not None and c is not None:
-                out.append((seed, b, c))
+            b, c = (value(run) if run["correct"] and run["exit_code"] == 0 else None
+                    for run in (pair["base"], pair["change"]))
+            out.append((seed, b, c))
     return out
 
 
@@ -271,13 +302,13 @@ def summarize(runs, bench):
                 r["correct"] and r["exit_code"] == 0)) for side in ("base", "change")},
             "outputs_differ": [seed for seed, b, c in paired(
                 runs, workload, lambda r: [r["digests"], r["metrics"].get("test_oa")])
-                if b != c],
+                if None not in (b, c) and b != c],
             "metrics": {},
         }
         for spec in bench["end_to_end"]:
             name, higher = spec["name"], spec["better"] == "higher"
             rows = paired(runs, workload, lambda r: r["metrics"].get(name))
-            if not rows:
+            if not measured(rows):
                 continue
             _, base, change = zip(*rows)
             entry = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
@@ -287,21 +318,23 @@ def summarize(runs, bench):
                                                spec["bound"], higher)
             stage = RAW_STAGE.get(name)
             raw_rows = paired(runs, workload, lambda r: r["raw_s"].get(stage)) if stage else []
-            if raw_rows:
+            if measured(raw_rows):
                 _, rb, rc = zip(*raw_rows)
                 entry["raw"] = dict(compare(rb, rc, False), stage=stage)
                 entry["disagree"] = entry["raw"]["verdict"] != entry["rescaled"]["verdict"]
             section["metrics"][name] = entry
         full = paired(runs, workload, lambda r: full_run(r["raw_s"]))
-        if full:
+        if measured(full):
             _, base, change = zip(*full)
-            section["full_run_s"] = compare([sum(p.values()) for p in base],
-                                            [sum(p.values()) for p in change], False)
+            section["full_run_s"] = compare(
+                *([sum(p.values()) if p else None for p in parts] for parts in (base, change)),
+                False)
             section["shares"] = {
                 side: {k: median([p[k] / sum(p.values()) for p in parts]) for k in parts[0]}
-                for side, parts in (("base", base), ("change", change))}
+                if parts else None
+                for side, parts in (("base", numbers(base)), ("change", numbers(change)))}
         rss = paired(runs, workload, lambda r: r["tree_peak_rss_mb"])
-        if rss:
+        if measured(rss):
             _, base, change = zip(*rss)
             section["tree_peak_rss_mb"] = compare(base, change, False)
         summary[workload] = section
@@ -330,12 +363,13 @@ def fmt(value):
 
 def table(summary):
     """Markdown rows: each metric rescaled beside its raw stage seconds."""
-    lines = ["| workload | metric | base | change | won | gain | verdict "
-             "| raw stage s: base | change | won | gain | verdict | flag |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |"]
+    lines = ["| workload | failed runs: base | change | metric | base | change | won "
+             "| gain | verdict | raw stage s: base | change | won | gain | verdict | flag |",
+             "|" + " --- |" * 16]
     for workload, section in summary.items():
+        failed = section["failed_runs"]
         for name, entry in section["metrics"].items():
-            cells = [workload, name]
+            cells = [workload, str(failed["base"]), str(failed["change"]), name]
             for part in (entry["rescaled"], entry["raw"]):
                 if part is None:
                     cells += ["-"] * 5
@@ -365,16 +399,13 @@ def main(argv=None):
     parser.add_argument("jobs", nargs="+", type=parse_job, metavar="WORKLOAD:SEEDS")
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--change", default="HEAD", help="the commit measured against it")
-    parser.add_argument("--repo", default=".", help="the git repository (default: .)")
     parser.add_argument("--seconds", type=float,
                         help="each run's --seconds (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--timeout", type=float, default=RUN_TIMEOUT_S,
-                        help="seconds before a run is killed and kept as timed out")
     parser.add_argument("--out", help="the output file (default: BENCH_<short change>.json "
                                       "at the repository's root)")
     args = parser.parse_args(argv)
 
-    repo = git(args.repo, "rev-parse", "--show-toplevel").strip()
+    repo = git(".", "rev-parse", "--show-toplevel").strip()
     sides = {side: git(repo, "rev-parse", "--verify", f"{commit}^{{commit}}").strip()
              for side, commit in (("base", args.base), ("change", args.change))}
     short = git(repo, "rev-parse", "--short", sides["change"]).strip()
@@ -399,7 +430,7 @@ def main(argv=None):
             for i, seed in enumerate(seeds):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                     run = run_bench(bench["command"], checkouts[side], workload, seed,
-                                    seconds, args.timeout, tmp)
+                                    seconds, RUN_TIMEOUT_S, tmp)
                     doc["runs"].append(dict(run, side=side, pair=i))
                     print(f"pairs: {workload} seed {seed} {side}: exit {run['exit_code']}"
                           f"{' correct' if run['correct'] else ' NOT correct'}"
