@@ -125,30 +125,39 @@ class ModelParams:
         extra = set(tensors) - set(shapes)
         if extra:
             raise ConfigError(f"unexpected parameters: {sorted(extra)}")
-        self._bind(config, shapes, np.concatenate([tensors[n].data.ravel() for n in shapes]))
+        values = np.concatenate([tensors[n].data.ravel() for n in shapes])
+        self._bind(config, shapes, values, np.zeros_like(values))
 
-    def _bind(self, config: ModelConfig, shapes: dict, values: np.ndarray):
-        """Own ``values`` and make each named Tensor a view of its slice."""
-        self.config, self.values = config, values
-        self.grads = np.zeros_like(values)
+    def _bind(self, config: ModelConfig, shapes: dict, values: np.ndarray, grads: np.ndarray):
+        """Make each named Tensor a view of its slice of ``values``, and its
+        gradient a view of the same slice of ``grads``."""
+        self.config, self.values, self.grads = config, values, grads
         self._tensors = {}
         end = 0
         for name, shape in shapes.items():
             start, end = end, end + math.prod(shape)
             t = Tensor(values[start:end].reshape(shape), requires_grad=True)
-            t.grad = self.grads[start:end].reshape(shape)
+            t.grad = grads[start:end].reshape(shape)
             self._tensors[name] = t
 
     @classmethod
     def from_vector(cls, config: ModelConfig, flat: np.ndarray) -> "ModelParams":
         """Parameters copied from one vector of every array in canonical order."""
+        return cls.bound_to(config, flat.copy())
+
+    @classmethod
+    def bound_to(cls, config: ModelConfig, values: np.ndarray,
+                 grads: np.ndarray | None = None) -> "ModelParams":
+        """Parameters that are views of ``values``, one vector of every array
+        in canonical order, not a copy of it; their gradients are views of
+        ``grads``, a vector of the same shape (a new zeroed one if None)."""
         shapes = cls.expected_shapes(config)
         total = sum(math.prod(shape) for shape in shapes.values())
-        if flat.shape != (total,):
+        if values.shape != (total,):
             raise CompatibilityError(
-                f"parameter vector has shape {flat.shape}, config implies ({total},)")
+                f"parameter vector has shape {values.shape}, config implies ({total},)")
         params = cls.__new__(cls)
-        params._bind(config, shapes, flat.copy())
+        params._bind(config, shapes, values, np.zeros_like(values) if grads is None else grads)
         return params
 
     @staticmethod

@@ -8,22 +8,24 @@ thread per worker. Every batch therefore computes exactly as it does in
 the serial loop, so the predictions keep the serial path's bits. They come
 back in coords order.
 
-A worker is a child made by :func:`os.fork`, so it starts with the
+A worker is a child made by :func:`_fork`, so it starts with the
 caller's parameters, raster and coordinates in pages it shares with the
 caller; nothing is sent to it. Before the first fork the caller maps one
 anonymous shared int64 array of ``len(coords)`` predictions, and each
-worker writes its share into its own slice of it. A worker holds OpenBLAS
-at one thread, scores its share and leaves through :func:`os._exit`,
-whatever it raised. Its one pipe to the caller is its fd 2: on an error it
-writes one JSON line there and exits 1, and the pipe's end of file marks
-the worker's end. It is not a :mod:`multiprocessing` child: ``spawn``
-re-runs a caller script that lacks an ``if __name__ == "__main__"``
-guard, and leaves a resource-tracker process running after the pool is
-gone.
+worker writes its share into its own slice of it. :func:`_fork` is also
+how :func:`hsimvt.training.train` starts its lane: the child holds
+OpenBLAS at one thread, runs its job and leaves through :func:`os._exit`,
+whatever it raised. Its one pipe to the caller is its fd 2: on an error
+it writes one JSON line there and exits 1, and the pipe's end of file
+marks the child's end. It is not a :mod:`multiprocessing` child:
+``spawn`` re-runs a caller script that lacks an ``if __name__ ==
+"__main__"`` guard, and leaves a resource-tracker process running after
+the pool is gone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -54,17 +56,25 @@ def pool_workers(n_values: int, n_coords: int, batch: int) -> int:
 
 
 class _Worker:
-    """A forked worker: its pid, the read end of the pipe on its fd 2, and
-    its exit code once it has been waited for."""
+    """A forked child: its name, its pid, the read end of the pipe on its
+    fd 2, and its exit code once it has been waited for."""
 
-    def __init__(self, pid: int, err: int):
-        self.pid, self.err = pid, err
+    def __init__(self, name: str, pid: int, err: int):
+        self.name, self.pid, self.err = name, pid, err
         self.returncode = None
 
     def wait(self) -> int:
         if self.returncode is None:
             self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.returncode
+
+    def stop(self):
+        """Kill the child unless it has been waited for, close its pipe and
+        wait for it: the one cleanup of every forked child."""
+        if self.returncode is None:  # not yet waited for, so the pid is still its own
+            os.kill(self.pid, signal.SIGKILL)
+        os.close(self.err)
+        self.wait()
 
 
 def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
@@ -82,22 +92,26 @@ def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
     procs = []
     with mmap.mmap(-1, 8 * len(coords)) as shared:  # anonymous, so shared with forks
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                procs.append(_fork(params, source, coords[lo:hi], batch, shared, lo))
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                job = functools.partial(_score, params, source, coords[lo:hi], batch, shared, lo)
+                procs.append(_fork(job, f"scoring worker {i}"))
             _collect(procs)
             return np.frombuffer(shared, dtype=np.int64).copy()
         finally:
             for proc in procs:
-                if proc.returncode is None:  # not yet waited for, so the pid is still its own
-                    os.kill(proc.pid, signal.SIGKILL)
-                os.close(proc.err)
-                proc.wait()
+                proc.stop()
 
 
-def _fork(params: ModelParams, source: PatchSource, share: np.ndarray, batch: int,
-          shared: mmap.mmap, lo: int) -> _Worker:
-    """Start a worker that scores ``share`` into ``shared`` from element
-    ``lo`` on; see the module docstring."""
+def _score(params: ModelParams, source: PatchSource, share: np.ndarray, batch: int,
+           shared: mmap.mmap, lo: int):
+    """A worker's job: score ``share`` into ``shared`` from element ``lo`` on."""
+    predicted = metrics._predict_batches(params, source, share, batch)
+    np.frombuffer(shared, np.int64, len(share), 8 * lo)[:] = predicted
+
+
+def _fork(job, name: str) -> _Worker:
+    """Start a child called ``name`` that runs ``job()`` at one BLAS thread;
+    see the module docstring."""
     fds = []
     try:
         fds += os.pipe()
@@ -105,24 +119,23 @@ def _fork(params: ModelParams, source: PatchSource, share: np.ndarray, batch: in
     except OSError as exc:
         for fd in fds:
             os.close(fd)
-        raise WorkerError(f"cannot start a scoring worker: {exc}") from exc
+        raise WorkerError(f"cannot start a {name}: {exc}") from exc
     err_r, err_w = fds
-    if pid == 0:  # the worker; it never returns
+    if pid == 0:  # the child; it never returns
         status = 1
         try:
             os.close(err_r)
             os.dup2(err_w, 2)
             with _blas.one_blas_thread():
-                predicted = metrics._predict_batches(params, source, share, batch)
-            np.frombuffer(shared, np.int64, len(share), 8 * lo)[:] = predicted
+                job()
             status = 0
         except BaseException as exc:  # reported to the caller, which raises it
             with open(err_w, "w") as err:
                 err.write(json.dumps({"type": type(exc).__name__, "error": str(exc)}) + "\n")
         finally:
             os._exit(status)
-    os.close(err_w)  # before the next fork, so that only this worker holds it
-    return _Worker(pid, err_r)
+    os.close(err_w)  # before the next fork, so that only this child holds it
+    return _Worker(name, pid, err_r)
 
 
 def _batch_bounds(n: int, workers: int, batch: int) -> list:
@@ -155,21 +168,22 @@ def _collect(procs):
                 selector.unregister(key.fileobj)
                 returncode = procs[i].wait()
                 if returncode != 0:
-                    raise _failure(i, returncode, bytes(err[i]))
+                    raise _failure(procs[i].name, returncode, bytes(err[i]))
 
 
-def _failure(i: int, returncode: int, stderr: bytes) -> HsimvtError:
-    """The error to raise for worker ``i``, which exited with ``returncode``."""
+def _failure(name: str, returncode: int, stderr: bytes) -> HsimvtError:
+    """The error to raise for the child ``name``, which exited with
+    ``returncode`` after writing ``stderr`` to its fd 2."""
     if returncode < 0:
-        return WorkerError(f"scoring worker {i} was killed by signal {-returncode}")
+        return WorkerError(f"{name} was killed by signal {-returncode}")
     lines = stderr.decode(errors="replace").strip().splitlines()
     try:
         doc = json.loads(lines[-1])
         kind, message = doc["type"], doc["error"]
     except (IndexError, ValueError, TypeError, KeyError):
         tail = f": {lines[-1]}" if lines else ""
-        return WorkerError(f"scoring worker {i} exited with status {returncode}{tail}")
+        return WorkerError(f"{name} exited with status {returncode}{tail}")
     cls = getattr(errors, str(kind), None)
     if isinstance(cls, type) and issubclass(cls, HsimvtError):
         return cls(message)
-    return WorkerError(f"scoring worker {i} failed: {kind}: {message}")
+    return WorkerError(f"{name} failed: {kind}: {message}")

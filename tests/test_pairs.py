@@ -104,7 +104,7 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
     monkeypatch.chdir(stub_repo)
     out = tmp_path / "BENCH.json"
     assert pairs.main(["--base", "HEAD~1", "--seconds", "1", "--out", str(out),
-                       "stub:1-3"]) == 0
+                       "stub:1-10"]) == 0
 
     # nothing outlives the call
     assert os.listdir(temp_root) == []
@@ -118,17 +118,19 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
     assert doc["schema"] == pairs.SCHEMA
     assert doc["command"] == ["python3", "bench/run.py"] and doc["seconds"] == 1
     assert doc["same_bench"] is False  # the stub differs between the two commits
-    assert doc["jobs"] == {"stub": [1, 2, 3]}
+    assert doc["jobs"] == {"stub": list(range(1, 11))}
 
     # alternating order, every run kept; the failed one with its exit code
     runs = doc["runs"]
     assert [(r["seed"], r["side"]) for r in runs] == [
-        (1, "base"), (1, "change"), (2, "change"), (2, "base"), (3, "base"), (3, "change")]
+        (seed, side) for seed in range(1, 11)
+        for side in (("base", "change") if seed % 2 else ("change", "base"))]
     assert all(set(r) == RUN_KEYS for r in runs)
-    failed = runs[-1]
+    failed = runs[5]
+    assert (failed["seed"], failed["side"]) == (3, "change")
     assert failed["exit_code"] == 1 and failed["correct"] is False
     assert failed["metrics"] is None and "measuring process exited 1" in failed["error"]
-    assert all(r["exit_code"] == 0 and r["correct"] for r in runs[:-1])
+    assert all(r["exit_code"] == 0 and r["correct"] for r in runs if r is not failed)
     assert runs[0]["raw_s"]["map"] == pytest.approx(1.01)  # first-pass sample left out
     assert runs[0]["raw_s"]["epoch"] == pytest.approx(6.0 / 5)
 
@@ -143,10 +145,11 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
         assert set(entry) == {"unit", "better", "bound", "rescaled", "raw", "disagree",
                               "bound_check"}
         assert set(entry["rescaled"]) == STATS_KEYS
-        assert entry["rescaled"]["pairs"] == 3  # the failed pair counts too
-    # The change wins 2 pairs and loses the one it failed: 2 of 3 is no gain.
+        assert entry["rescaled"]["pairs"] == 10  # the failed pair counts too
+    # The change wins 9 pairs and loses the one it failed, and it failed more
+    # pairs than the base: no gain.
     map_ = metrics["map_px_per_s"]
-    assert (map_["rescaled"]["won"], map_["rescaled"]["lost"]) == (2, 1)
+    assert (map_["rescaled"]["won"], map_["rescaled"]["lost"]) == (9, 1)
     assert map_["rescaled"]["verdict"] == "same"
     assert map_["raw"]["verdict"] == "worse" and map_["raw"]["stage"] == "map"
     assert map_["disagree"] is True
@@ -157,8 +160,28 @@ def test_runner_file_keeps_every_run_and_flags_raw_rescaled_disagreement(
     assert metrics["test_oa"]["bound_check"] == "within"
 
     table = capsys.readouterr().out
-    assert "| stub | 0 | 1 | map_px_per_s |" in table  # failed runs: base, change
+    row = next(line for line in table.splitlines() if "| map_px_per_s |" in line)
+    # failed runs: base, change; then the rescaled verdict beside its bound check
+    assert row.startswith("| stub | 0 | 1 | map_px_per_s |")
+    assert "| 9/10 | 2.50x | same | within |" in row
     assert "raw/rescaled disagree" in table
+
+
+def test_three_pairs_give_no_verdict_and_no_flag(stub_repo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(stub_repo)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--base", "HEAD~1", "--seconds", "1", "--out", str(out),
+                       "stub:4-6"]) == 0
+    section = json.loads(out.read_text())["summary"]["stub"]
+    for entry in section["metrics"].values():
+        assert entry["rescaled"]["pairs"] == 3
+        assert entry["rescaled"]["verdict"] == "few pairs"
+        assert entry["raw"] is None or entry["raw"]["verdict"] == "few pairs"
+        assert entry["disagree"] is False
+    # the change won all three: a clear gain, but three pairs carry no verdict
+    assert section["metrics"]["train_px_per_s"]["rescaled"]["won"] == 3
+    assert section["full_run_s"]["verdict"] == "few pairs"
+    assert "raw/rescaled disagree" not in capsys.readouterr().out
 
 
 def alive(pid) -> bool:

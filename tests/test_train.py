@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsimvt import (AdamState, ConfigError, DimensionError, GradGraph,
+from hsimvt import (AdamState, ConfigError, DimensionError, DivergenceError, GradGraph,
                     MetricsReport, ModelConfig, ModelParams, Tensor,
                     TrainConfig, UsageError, adam_step, confusion_matrix,
                     cross_entropy, derive_seeds, evaluate, forward, mmnorm,
                     mpca, predict, report_from_confusion, rotate180, rotation_audit,
-                    stratified_split, synth_scene, train)
-from hsimvt import metrics
+                    stratified_split, synth_scene, train, WorkerError)
+from hsimvt import _blas, metrics, scoring, training
 from hsimvt.data import TEST, VAL, LabelMap, PatchSource
 from hsimvt.metrics import predict_coords
+from hsimvt.training import derive_split
 
 from oracles import (adam_per_array, adam_trace_scalar, assert_flat_views, confusion_loop,
                      cross_entropy_longdouble)
+from test_scoring import (children, kill_a_worker_during, needs_blas_control, open_fds,
+                          shared_mappings)
 
 SMALL_MODEL = ModelConfig(patch_size=3, num_views=3, view_components=2,
                           encoder_kernels=4, squeeze_channels=6, token_channels=8,
@@ -328,6 +331,139 @@ def test_train_without_validation_pixels_keeps_the_last_epoch():
     assert (three.best_epoch, three.best_val_oa) == (3, 0.0)
     assert one.best_epoch == 1
     assert not np.array_equal(three.params.values, one.params.values)
+
+
+# ------------------------------------------------------------ the train lane
+
+def scene_with_a_63_px_last_batch():
+    """A default-model scene whose 127 train pixels end each epoch with a
+    batch of 63, a size at which conv2d's kernel-gradient product follows
+    the BLAS thread count on this host's OpenBLAS; 320 validation pixels
+    give validation two shares of whole scoring batches."""
+    cube, labels = synth_scene(seed=21, height=40, width=40, bands=40, num_classes=3,
+                               noise_sigma=0.05)
+    representation, _ = mpca(mmnorm(cube), num_views=10, components=3)
+    return representation, labels, ModelConfig(num_classes=3), (0.079, 0.2, 0.721)
+
+
+LANE_RUNS = {
+    "toy": lambda: (*small_scene(noise=0.05), SMALL_MODEL, (0.3, 0.5, 0.2)),
+    "default": scene_with_a_63_px_last_batch,
+}
+
+
+def lane_run(monkeypatch, which, forked, epochs=2, learning_rate=1e-3):
+    """Train ``which`` of LANE_RUNS with a lane forced on or off; returns
+    the result and the names of the children it forked."""
+    representation, labels, model_config, fractions = LANE_RUNS[which]()
+    forks = []
+    fork = scoring._fork
+    monkeypatch.setattr(scoring, "_fork", lambda job, name: forks.append(name) or fork(job, name))
+    monkeypatch.setattr(_blas, "may_split", lambda: forked)
+    config = TrainConfig(epochs=epochs, batch_size=64, learning_rate=learning_rate, seed=5)
+    return train(representation, labels, model_config, config, fractions), forks
+
+
+def test_the_step_gradient_is_the_whole_batch_gradient():
+    """The halves' size-weighted mean is the gradient of the batch's mean
+    loss, up to float32 rounding; so is the loss summed over the halves."""
+    rng = np.random.default_rng(26)
+    batch = rng.normal(size=(63, 5, 5, 30)).astype(np.float32)
+    labels = rng.integers(1, 4, size=63)
+    config = ModelConfig(num_classes=3)
+    whole, first, second = (ModelParams.initialize(config, seed=0) for _ in range(3))
+    source = PatchSource(batch.reshape(63 * 5, 5, 30), 5)  # one patch per 5x5 tile
+    coords = np.stack([np.arange(63) * 5 + 2, np.full(63, 2)], axis=1)
+    np.testing.assert_array_equal(source.gather(coords), batch)
+    loss = training._half_step(whole, source, coords, labels)
+    halves = (training._half_step(first, source, coords[:32], labels[:32]) * 32
+              + training._half_step(second, source, coords[32:], labels[32:]) * 31)
+    training._step_gradient(first.grads, second.grads, 32, 31)
+    assert halves / 63 == pytest.approx(loss, rel=1e-6)
+    np.testing.assert_allclose(first.grads, whole.grads, rtol=1e-4, atol=1e-7)
+
+
+def test_the_lane_scene_ends_its_epochs_with_63_px():
+    representation, labels, _, fractions = scene_with_a_63_px_last_batch()
+    counts = derive_split(labels, fractions, 5).counts()
+    assert counts["train"] % 64 == 63 and counts["val"] > metrics._SCORING_BATCH
+
+
+@pytest.mark.parametrize("which", sorted(LANE_RUNS))
+def test_the_lane_and_both_halves_in_turn_give_the_same_bits(monkeypatch, which):
+    fds, mappings = open_fds(), shared_mappings()
+    (lane, forks), (in_turn, none) = (lane_run(monkeypatch, which, forked)
+                                      for forked in (True, False))
+    assert (forks, none) == (["training lane"], [])
+    assert json.dumps(lane.history) == json.dumps(in_turn.history)
+    assert lane.params.values.tobytes() == in_turn.params.values.tobytes()
+    assert lane.best_epoch == in_turn.best_epoch
+    # nothing outlives train, and its parameters own ordinary memory
+    assert children() == set()
+    assert open_fds() == fds
+    assert shared_mappings() == mappings
+    assert lane.params.values.base is None
+    assert_flat_views(lane.params)
+
+
+@needs_blas_control
+def test_train_bits_do_not_follow_the_blas_thread_count():
+    """When train ran at the BLAS's own thread count, this scene's
+    parameters differed between 1 and 2 threads: the 63-px batch's conv2d
+    kernel gradient took other bits at two."""
+    representation, labels, model_config, fractions = scene_with_a_63_px_last_batch()
+    config = TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=5)
+    get, set_ = _blas._control()
+    previous = get()
+    try:
+        set_(2)  # set here, so that a runner with one CPU cannot pass trivially
+        assert _blas.blas_threads() == 2
+        two = train(representation, labels, model_config, config, fractions)
+        assert _blas.blas_threads() == 2  # restored after the call
+        with _blas.one_blas_thread():
+            one = train(representation, labels, model_config, config, fractions)
+    finally:
+        set_(previous)
+    assert json.dumps(two.history) == json.dumps(one.history)
+    assert two.params.values.tobytes() == one.params.values.tobytes()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_each_half_records_the_default_tape(monkeypatch, forked):
+    """Every backward, in the caller and in the lane, replays 12 closures;
+    a lane's would raise its UsageError here."""
+    lengths = []
+    backward = GradGraph.backward
+
+    def checked(graph, loss):
+        if len(graph) != 12:
+            raise UsageError(f"a half-step recorded {len(graph)} closures")
+        lengths.append(len(graph))
+        return backward(graph, loss)
+
+    monkeypatch.setattr(GradGraph, "backward", checked)
+    lane_run(monkeypatch, "default", forked, epochs=1)
+    assert lengths == [12] * (2 if forked else 4)  # 2 steps of 64 and 63 px
+
+
+def test_a_diverging_run_leaves_nothing_behind(monkeypatch):
+    fds, mappings = open_fds(), shared_mappings()
+    with pytest.raises(DivergenceError, match="non-finite"):
+        lane_run(monkeypatch, "toy", True, learning_rate=1e30)
+    assert children() == set()
+    assert open_fds() == fds
+    assert shared_mappings() == mappings
+
+
+def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch):
+    fds, mappings = open_fds(), shared_mappings()
+    outcome, _ = kill_a_worker_during(
+        lambda: lane_run(monkeypatch, "default", True, epochs=50))
+    assert isinstance(outcome.get("error"), WorkerError), outcome
+    assert "training lane was killed by signal 9" in str(outcome["error"])
+    assert children() == set()
+    assert open_fds() == fds
+    assert shared_mappings() == mappings
 
 
 # -------------------------------------------------------------------- metrics

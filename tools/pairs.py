@@ -21,7 +21,8 @@ quartiles, the pairs each side won and a verdict, twice:
   in the report, first-pass sample left out where the loop added more),
   with no rescaling.
 
-A metric whose raw and rescaled verdicts differ is flagged. The file is
+A verdict over fewer than ``MIN_PAIRS`` pairs reads "few pairs". A metric
+whose raw and rescaled verdicts differ is flagged. The file is
 written after every pair to ``BENCH_<short change commit>.json`` (or
 ``--out``), in one fixed schema, under ``MAX_BYTES``.
 """
@@ -47,6 +48,7 @@ ERROR_CHARS = 400       # stderr tail kept per failed run
 POLL_S = 0.2
 RUN_TIMEOUT_S = 900
 FULL_RUN_EPOCHS = 300   # the paper's run length, for the derived full_run_s
+MIN_PAIRS = 10          # fewer pairs than this give no verdict
 
 # End-to-end metric -> the report stage whose raw seconds it rests on.
 RAW_STAGE = {"preprocess_s": "preprocess", "train_px_per_s": "train",
@@ -64,7 +66,8 @@ NOTES = {
                "that one side alone failed is the other side's; ties and pairs "
                "both sides failed count for neither) and the medians differ by "
                "more than the base's quartile spread; never better when the "
-               "change failed in more pairs than the base; otherwise same",
+               "change failed in more pairs than the base; otherwise same; "
+               "few pairs under 10 pairs run",
     "bound": "within: the change's median is no worse than the base's by more than "
              "BENCHMARK.json's bound; unresolved: the base's quartile spread over "
              "its median exceeds the bound and not every change run beats every "
@@ -217,7 +220,8 @@ def compare(base, change, higher_is_better):
 
     Every pair run counts: one whose change side alone failed is lost, one
     whose base side alone failed is won, one where both failed is a tie,
-    and a change that fails in more pairs than the base is never better."""
+    and a change that fails in more pairs than the base is never better.
+    Fewer than ``MIN_PAIRS`` pairs give no verdict: "few pairs"."""
     sign = 1 if higher_is_better else -1
     won = lost = 0
     for b, c in zip(base, change):
@@ -233,7 +237,9 @@ def compare(base, change, higher_is_better):
     mb, mc = median(base), median(change)
     q1, q3 = quartiles(base)
     apart = mb is not None and mc is not None and abs(mc - mb) > q3 - q1
-    if won >= 0.9 * pairs and apart and sign * (mc - mb) > 0 and not more_failed:
+    if pairs < MIN_PAIRS:
+        call = "few pairs"
+    elif won >= 0.9 * pairs and apart and sign * (mc - mb) > 0 and not more_failed:
         call = "better"
     elif lost >= 0.9 * pairs and (apart and sign * (mc - mb) < 0
                                   or mc is None and mb is not None):
@@ -362,24 +368,30 @@ def fmt(value):
 
 
 def table(summary):
-    """Markdown rows: each metric rescaled beside its raw stage seconds."""
+    """Markdown rows: each metric rescaled, with its bound check, beside its
+    raw stage seconds."""
     lines = ["| workload | failed runs: base | change | metric | base | change | won "
-             "| gain | verdict | raw stage s: base | change | won | gain | verdict | flag |",
-             "|" + " --- |" * 16]
+             "| gain | verdict | bound | raw stage s: base | change | won | gain | verdict "
+             "| flag |",
+             "|" + " --- |" * 17]
     for workload, section in summary.items():
         failed = section["failed_runs"]
         for name, entry in section["metrics"].items():
-            cells = [workload, str(failed["base"]), str(failed["change"]), name]
-            for part in (entry["rescaled"], entry["raw"]):
-                if part is None:
-                    cells += ["-"] * 5
-                    continue
-                cells += [fmt(part["base"]["median"]), fmt(part["change"]["median"]),
-                          f"{part['won']}/{part['pairs']}",
-                          f"{part['gain']:.2f}x" if part["gain"] else "-", part["verdict"]]
-            cells.append("raw/rescaled disagree" if entry["disagree"] else "")
+            cells = [workload, str(failed["base"]), str(failed["change"]), name,
+                     *stats_cells(entry["rescaled"]), entry["bound_check"],
+                     *stats_cells(entry["raw"]),
+                     "raw/rescaled disagree" if entry["disagree"] else ""]
             lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
+
+
+def stats_cells(part):
+    """A comparison's five table cells: medians, pairs won, gain, verdict."""
+    if part is None:
+        return ["-"] * 5
+    return [fmt(part["base"]["median"]), fmt(part["change"]["median"]),
+            f"{part['won']}/{part['pairs']}",
+            f"{part['gain']:.2f}x" if part["gain"] else "-", part["verdict"]]
 
 
 def environment():
