@@ -222,7 +222,7 @@ class _Lane:
         self._second = ModelParams.bound_to(initial.config, values, grads)
         self.source, self.coords, self.labels, self.val_coords = (source, coords, labels,
                                                                    val_coords)
-        self.proc = None
+        self._proc = None
         if forked:
             fds = []
             try:
@@ -238,7 +238,7 @@ class _Lane:
                 raise
             os.close(commands)
             os.close(acks)
-            self.proc = proc
+            self._proc = proc
 
     def step(self, sel: np.ndarray) -> float:
         """Run the step over train pixels ``sel`` in two halves, leave its
@@ -285,19 +285,22 @@ class _Lane:
             os.write(acks, b"\0")
 
     def _start(self, what: bytes, count: int):
-        if self.proc is not None:
-            os.write(self._commands, _COMMAND.pack(what, count))
+        if self._proc is not None:
+            try:
+                os.write(self._commands, _COMMAND.pack(what, count))
+            except BrokenPipeError:
+                pass  # the lane has ended; _finish raises its error
 
     def _finish(self, what: bytes, count: int):
         """Run the command here, or wait until the lane acknowledges it; a
         lane that ends first raises its error, as a scoring worker's does."""
-        if self.proc is None:
+        if self._proc is None:
             self._run(what, count)
             return
         stderr = bytearray()
         with selectors.DefaultSelector() as selector:
             selector.register(self._acks, selectors.EVENT_READ)
-            selector.register(self.proc.err, selectors.EVENT_READ)
+            selector.register(self._proc.err, selectors.EVENT_READ)
             while True:
                 for key, _ in selector.select():
                     chunk = os.read(key.fd, 1 << 16)
@@ -308,16 +311,16 @@ class _Lane:
                     elif chunk:
                         stderr += chunk
                     else:
-                        raise scoring._failure(self.proc.name, self.proc.wait(),
+                        raise scoring._failure(self._proc.name, self._proc.wait(),
                                                bytes(stderr))
 
     def close(self):
         """Stop the lane and unmap the shared memory. No array of the mapping
         may be left outside this object (see :func:`train`)."""
-        if self.proc is not None:
+        if self._proc is not None:
             os.close(self._commands)
             os.close(self._acks)
-            self.proc.stop()
+            self._proc.stop()
         self.params = self._second = self._loss = self._sel = self._preds = None
         self._shared.close()
 

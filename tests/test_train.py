@@ -1,6 +1,8 @@
 """Loss, optimizer, the training loop, metrics, and the rotation audit."""
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hsimvt import (AdamState, ConfigError, DimensionError, DivergenceError, Gra
                     mpca, predict, report_from_confusion, rotate180, rotation_audit,
                     stratified_split, synth_scene, train, WorkerError)
 from hsimvt import _blas, metrics, scoring, training
-from hsimvt.data import TEST, VAL, LabelMap, PatchSource
+from hsimvt.data import TEST, TRAIN, VAL, LabelMap, PatchSource
 from hsimvt.metrics import predict_coords
 from hsimvt.training import derive_split
 
@@ -383,6 +385,39 @@ def test_the_step_gradient_is_the_whole_batch_gradient():
     np.testing.assert_allclose(first.grads, whole.grads, rtol=1e-4, atol=1e-7)
 
 
+@pytest.mark.parametrize("forked", [True, False])
+def test_each_step_is_the_halves_weighted_mean_then_adam(monkeypatch, forked):
+    """Three one-step epochs replayed by hand: the first ceil(n/2) shuffled
+    pixels and the rest, their gradients merged by size, then Adam. A lane
+    that read stale parameters or the wrong pixels would part ways."""
+    representation, labels = small_scene(noise=0.05)
+    config = TrainConfig(epochs=3, batch_size=1000, learning_rate=1e-2, seed=9)
+    monkeypatch.setattr(_blas, "may_split", lambda: forked)
+    result = train(representation, labels, SMALL_MODEL, config, (0.2, 0.0, 0.8))
+
+    _, init_seed, shuffle_seed = derive_seeds(config.seed)
+    coords = result.split.coords(TRAIN)
+    ids = labels.ids[coords[:, 0], coords[:, 1]].astype(np.int64)
+    source = PatchSource(representation.astype(np.float32), SMALL_MODEL.patch_size)
+    params = ModelParams.initialize(SMALL_MODEL, seed=init_seed)
+    state, rng, losses = AdamState(params.values), np.random.default_rng(shuffle_seed), []
+    with _blas.one_blas_thread():
+        for t in range(1, config.epochs + 1):
+            order = rng.permutation(len(coords))
+            first, second = order[:(len(order) + 1) // 2], order[(len(order) + 1) // 2:]
+            other = ModelParams.bound_to(SMALL_MODEL, params.values)
+            loss = (training._half_step(params, source, coords[first], ids[first]) * len(first)
+                    + training._half_step(other, source, coords[second], ids[second])
+                    * len(second))
+            training._step_gradient(params.grads, other.grads, len(first), len(second))
+            adam_step(params.values, params.grads, state, t, config)
+            params.zero_grads()
+            losses.append(loss / len(coords))
+    assert len(second) and result.best_epoch == config.epochs
+    assert [h["train_loss"] for h in result.history] == losses
+    assert result.params.values.tobytes() == params.values.tobytes()
+
+
 def test_the_lane_scene_ends_its_epochs_with_63_px():
     representation, labels, _, fractions = scene_with_a_63_px_last_batch()
     counts = derive_split(labels, fractions, 5).counts()
@@ -455,10 +490,27 @@ def test_a_diverging_run_leaves_nothing_behind(monkeypatch):
     assert shared_mappings() == mappings
 
 
-def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch):
+@pytest.mark.parametrize("when", ["mid-run", "before its first command"])
+def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch, when):
     fds, mappings = open_fds(), shared_mappings()
-    outcome, _ = kill_a_worker_during(
-        lambda: lane_run(monkeypatch, "default", True, epochs=50))
+    if when == "mid-run":
+        outcome, _ = kill_a_worker_during(
+            lambda: lane_run(monkeypatch, "default", True, epochs=50))
+    else:  # the first command then meets a pipe with no reader
+        fork = scoring._fork
+
+        def dead_on_arrival(job, name):
+            proc = fork(job, name)
+            os.kill(proc.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+            return proc
+
+        monkeypatch.setattr(scoring, "_fork", dead_on_arrival)
+        monkeypatch.setattr(_blas, "may_split", lambda: True)
+        representation, labels = small_scene()
+        with pytest.raises(WorkerError) as raised:
+            train(representation, labels, SMALL_MODEL, TrainConfig(epochs=1, seed=5))
+        outcome = {"error": raised.value}
     assert isinstance(outcome.get("error"), WorkerError), outcome
     assert "training lane was killed by signal 9" in str(outcome["error"])
     assert children() == set()
