@@ -38,4 +38,4 @@ class CompatibilityError(ConfigError):
 
 
 class WorkerError(HsimvtError):
-    """A scoring worker process exited or failed before it returned its predictions."""
+    """A forked scoring worker or training lane could not start, or exited or failed."""

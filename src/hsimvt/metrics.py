@@ -1,12 +1,21 @@
-"""Confusion-matrix metrics, evaluation, and the 180-degree rotation audit."""
+"""Scoring, confusion-matrix metrics, evaluation, and the 180-degree
+rotation audit.
+
+A large scoring job runs on the scoring pool (:func:`predict_pooled`):
+children of :func:`hsimvt._blas.fork` that each score a run of the serial
+loop's whole batches at one BLAS thread while the caller waits, so the
+predictions keep the serial path's bits.
+"""
 
 from __future__ import annotations
 
+import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import scoring
+from . import _blas
 from .data import PatchSource
 from .errors import DimensionError, UsageError
 from .model import ModelParams, forward, predict
@@ -14,6 +23,13 @@ from .tensor import Tensor
 
 # Patches per scoring forward pass; predictions do not depend on it. 256 ran fastest of 64..1024.
 _SCORING_BATCH = 256
+
+# A job runs on workers once len(coords) x the parameter count reaches this.
+# See the README's Notes for the measurements that set it.
+_POOL_WORK_MIN = 2 ** 30
+
+# Never more workers than this, however many CPUs the process may use.
+_MAX_WORKERS = 4
 
 
 @dataclass
@@ -89,14 +105,67 @@ def _predict_batches(params: ModelParams, source: PatchSource, coords: np.ndarra
     return out
 
 
+def pool_workers(n_values: int, n_coords: int, batch: int) -> int:
+    """Worker processes for scoring ``n_coords`` pixels with ``n_values``
+    parameters in batches of ``batch``; 1 means the serial loop."""
+    if n_coords * n_values < _POOL_WORK_MIN or not _blas.may_split():
+        return 1
+    return min(_blas.usable_cpus(), _MAX_WORKERS, -(-n_coords // batch))
+
+
+def batch_bounds(n: int, workers: int, batch: int) -> list:
+    """Where each worker's share of n coordinates starts, then n.
+
+    Of the serial loop's nb batches, worker i takes batches i·nb//workers
+    up to (i+1)·nb//workers, so every share is a run of whole serial
+    batches and each batch holds the pixels it holds in the serial loop.
+    ``ops.conv2d`` picks its path from the batch size, so other cuts could
+    change bits.
+    """
+    n_batches = -(-n // batch)
+    return [min(n, i * n_batches // workers * batch) for i in range(workers + 1)]
+
+
+def predict_pooled(params: ModelParams, source: PatchSource, coords: np.ndarray,
+                   workers: int, batch: int) -> np.ndarray:
+    """Predicted class ids for ``coords``, scored on ``workers`` processes.
+
+    Worker i scores ``coords[bounds[i]:bounds[i + 1]]`` of
+    :func:`batch_bounds` into the same slice of a shared mapping, which
+    this copies out once every worker has exited 0. Every worker has been
+    waited for, and every pipe and the mapping closed, when this returns
+    or raises. A worker that exits or fails raises :class:`WorkerError`,
+    or the worker's own :class:`HsimvtError` type.
+    """
+    bounds = batch_bounds(len(coords), workers, batch)
+    children = []
+    with mmap.mmap(-1, 8 * len(coords)) as shared:  # anonymous, so shared with forks
+        try:
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                job = functools.partial(_score, params, source, coords[lo:hi], batch, shared, lo)
+                children.append(_blas.fork(job, f"scoring worker {i}"))
+            _blas.wait(children)
+            return np.frombuffer(shared, dtype=np.int64).copy()
+        finally:
+            for child in children:
+                child.stop()
+
+
+def _score(params: ModelParams, source: PatchSource, share: np.ndarray, batch: int,
+           shared: mmap.mmap, lo: int):
+    """A worker's job: score ``share`` into ``shared`` from element ``lo`` on."""
+    predicted = _predict_batches(params, source, share, batch)
+    np.frombuffer(shared, np.int64, len(share), 8 * lo)[:] = predicted
+
+
 def predict_coords(params: ModelParams, source: PatchSource,
                    coords: np.ndarray) -> np.ndarray:
     """Predicted 1-based class ids for each (h, w) center, in coords order.
 
     ``coords`` must be an (n, 2) integer array of pixels inside the raster,
-    else :class:`DimensionError`. A large job (see
-    :func:`hsimvt.scoring.pool_workers`) runs its batches on worker
-    processes, with the same bits as the serial loop.
+    else :class:`DimensionError`. A large job (see :func:`pool_workers`)
+    runs its batches on worker processes, with the same bits as the serial
+    loop.
     """
     coords = np.asarray(coords)
     height, width = source.raster.shape[:2]
@@ -107,9 +176,9 @@ def predict_coords(params: ModelParams, source: PatchSource,
     if len(coords) and (coords.min() < 0 or (coords.max(axis=0) >= (height, width)).any()):
         h, w = coords[((coords < 0) | (coords >= (height, width))).any(axis=1)][0]
         raise DimensionError(f"pixel ({h}, {w}) lies outside the {height}x{width} raster")
-    workers = scoring.pool_workers(params.values.size, len(coords), _SCORING_BATCH)
+    workers = pool_workers(params.values.size, len(coords), _SCORING_BATCH)
     if workers > 1:
-        return scoring.predict_pooled(params, source, coords, workers, _SCORING_BATCH)
+        return predict_pooled(params, source, coords, workers, _SCORING_BATCH)
     return _predict_batches(params, source, coords, _SCORING_BATCH)
 
 

@@ -109,7 +109,9 @@ class ModelParams:
     The parameters live in one vector ``values`` and their gradients in one
     vector ``grads`` of the same size, both in canonical order. Each named
     Tensor's ``data`` and ``grad`` are reshaped views of slices of those two,
-    so nothing may rebind them: write into them instead.
+    so nothing may rebind them: write into them instead. Parameters made by
+    :meth:`bound_to` without a gradient vector, as every loaded checkpoint
+    is, have ``grads`` None and every ``grad`` None.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict):
@@ -128,16 +130,17 @@ class ModelParams:
         values = np.concatenate([tensors[n].data.ravel() for n in shapes])
         self._bind(config, shapes, values, np.zeros_like(values))
 
-    def _bind(self, config: ModelConfig, shapes: dict, values: np.ndarray, grads: np.ndarray):
+    def _bind(self, config: ModelConfig, shapes: dict, values: np.ndarray,
+              grads: np.ndarray | None):
         """Make each named Tensor a view of its slice of ``values``, and its
-        gradient a view of the same slice of ``grads``."""
+        gradient a view of the same slice of ``grads`` if there is one."""
         self.config, self.values, self.grads = config, values, grads
         self._tensors = {}
         end = 0
         for name, shape in shapes.items():
             start, end = end, end + math.prod(shape)
             t = Tensor(values[start:end].reshape(shape), requires_grad=True)
-            t.grad = grads[start:end].reshape(shape)
+            t.grad = None if grads is None else grads[start:end].reshape(shape)
             self._tensors[name] = t
 
     @classmethod
@@ -150,14 +153,14 @@ class ModelParams:
                  grads: np.ndarray | None = None) -> "ModelParams":
         """Parameters that are views of ``values``, one vector of every array
         in canonical order, not a copy of it; their gradients are views of
-        ``grads``, a vector of the same shape (a new zeroed one if None)."""
+        ``grads``, a vector of the same shape, or None with no vector."""
         shapes = cls.expected_shapes(config)
         total = sum(math.prod(shape) for shape in shapes.values())
         if values.shape != (total,):
             raise CompatibilityError(
                 f"parameter vector has shape {values.shape}, config implies ({total},)")
         params = cls.__new__(cls)
-        params._bind(config, shapes, values, np.zeros_like(values) if grads is None else grads)
+        params._bind(config, shapes, values, grads)
         return params
 
     @staticmethod

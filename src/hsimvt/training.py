@@ -21,20 +21,18 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import os
-import selectors
 import struct
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, scoring
+from . import _blas
 from .data import (SPLIT_FRACTIONS, TRAIN, VAL, LabelMap, PatchSource, SplitAssignment,
                    stratified_split)
 from .errors import ConfigError, DimensionError, DivergenceError, UsageError
-from .metrics import _SCORING_BATCH, predict_coords
+from .metrics import _SCORING_BATCH, batch_bounds, pool_workers, predict_coords
 from .model import ModelConfig, ModelParams, forward
 from .tensor import GradGraph, Tensor, record_op
 
@@ -174,18 +172,6 @@ def _step_gradient(first: np.ndarray, second: np.ndarray, n_first: int, n_second
         first += second
 
 
-def _shared_arrays(*specs):
-    """One anonymous shared mapping and a zeroed array in it per (dtype,
-    length) of ``specs``, each starting on an 8-byte boundary."""
-    sizes = [-(-np.dtype(dtype).itemsize * length // 8) * 8 for dtype, length in specs]
-    shared = mmap.mmap(-1, max(sum(sizes), 1))  # anonymous, so shared with forks
-    arrays, offset = [], 0
-    for (dtype, length), size in zip(specs, sizes):
-        arrays.append(np.frombuffer(shared, dtype, length, offset))
-        offset += size
-    return shared, arrays
-
-
 _STEP, _VALIDATE = b"s", b"v"
 _COMMAND = struct.Struct("<cq")  # (what, how many pixels); one is in flight at a time
 
@@ -199,27 +185,29 @@ class _Lane:
     before the fork, so Adam's in-place updates reach the lane without
     copies. The caller writes one command at a time down a pipe and the lane
     answers each with one byte on another. The lane is started by
-    :func:`hsimvt.scoring._fork`, so its fd 2 carries its error the way a
+    :func:`hsimvt._blas.fork`, so its fd 2 carries its error the way a
     scoring worker's does. Where no lane can run, the caller runs the second
     halves itself, after its own, and scores validation whole: the batches
     are the serial loop's either way, so the predictions keep their bits. A
     validation set large enough for the scoring pool
-    (:func:`hsimvt.scoring.pool_workers`) goes there whole.
+    (:func:`hsimvt.metrics.pool_workers`) goes there whole.
     """
 
     def __init__(self, initial: ModelParams, source: PatchSource, coords: np.ndarray,
                  labels: np.ndarray, val_coords: np.ndarray, batch_size: int):
         n, dtype = initial.values.size, initial.values.dtype
         forked = _blas.may_split()
-        pooled = scoring.pool_workers(n, len(val_coords), _SCORING_BATCH) > 1
-        self._cut = (scoring._batch_bounds(len(val_coords), 2, _SCORING_BATCH)[1]
+        pooled = pool_workers(n, len(val_coords), _SCORING_BATCH) > 1
+        self._cut = (batch_bounds(len(val_coords), 2, _SCORING_BATCH)[1]
                      if forked and not pooled else 0)
-        self._shared, (values, grads, self._loss, self._sel, self._preds) = _shared_arrays(
+        self._shared, (values, grads, self._loss, self._sel, self._preds) = _blas.shared_arrays(
             (dtype, n), (dtype, n), (np.float64, 1),
             (np.int64, min(batch_size, len(coords)) // 2), (np.int64, self._cut))
         values[:] = initial.values
-        self.params = ModelParams.bound_to(initial.config, values)   # the caller's half
+        # the caller's half keeps the initial parameters' gradient vector
+        self.params = ModelParams.bound_to(initial.config, values, initial.grads)
         self._second = ModelParams.bound_to(initial.config, values, grads)
+        del values, grads  # so that close() can unmap once it drops the parameters
         self.source, self.coords, self.labels, self.val_coords = (source, coords, labels,
                                                                    val_coords)
         self._proc = None
@@ -229,7 +217,7 @@ class _Lane:
                 fds += os.pipe()
                 fds += os.pipe()
                 commands, self._commands, self._acks, acks = fds
-                proc = scoring._fork(functools.partial(
+                proc = _blas.fork(functools.partial(
                     self._serve, commands, acks, (self._commands, self._acks)), "training lane")
             except BaseException:
                 for fd in fds:
@@ -296,23 +284,8 @@ class _Lane:
         lane that ends first raises its error, as a scoring worker's does."""
         if self._proc is None:
             self._run(what, count)
-            return
-        stderr = bytearray()
-        with selectors.DefaultSelector() as selector:
-            selector.register(self._acks, selectors.EVENT_READ)
-            selector.register(self._proc.err, selectors.EVENT_READ)
-            while True:
-                for key, _ in selector.select():
-                    chunk = os.read(key.fd, 1 << 16)
-                    if key.fd == self._acks:
-                        if chunk:
-                            return
-                        selector.unregister(key.fd)  # its fd 2 tells why it ended
-                    elif chunk:
-                        stderr += chunk
-                    else:
-                        raise scoring._failure(self._proc.name, self._proc.wait(),
-                                               bytes(stderr))
+        else:
+            _blas.wait([self._proc], ack=self._acks)
 
     def close(self):
         """Stop the lane and unmap the shared memory. No array of the mapping

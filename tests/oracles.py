@@ -277,15 +277,20 @@ def adam_per_array(arrays, grads, first, second, t, lr, beta1, beta2, eps):
 
 def assert_flat_views(params):
     """Every parameter's data and grad are views into ``params.values`` and
-    ``params.grads``, and no two parameters overlap."""
+    ``params.grads``, and no two parameters overlap. Parameters without a
+    gradient vector have no grad."""
     named = params.named_parameters()
-    assert sum(t.data.size for _, t in named) == params.values.size == params.grads.size
+    assert sum(t.data.size for _, t in named) == params.values.size
+    grads = params.grads is not None
+    assert not grads or params.grads.size == params.values.size
     for i, (name, t) in enumerate(named):
         assert np.shares_memory(t.data, params.values), f"{name}.data"
-        assert np.shares_memory(t.grad, params.grads), f"{name}.grad"
+        assert (np.shares_memory(t.grad, params.grads) if grads
+                else t.grad is None), f"{name}.grad"
         for other, u in named[i + 1:]:
             assert not np.shares_memory(t.data, u.data), f"{name} and {other} overlap"
-            assert not np.shares_memory(t.grad, u.grad), f"{name} and {other} grads overlap"
+            if grads:
+                assert not np.shares_memory(t.grad, u.grad), f"{name} and {other} grads overlap"
 
 
 def quadrant_means_loop(feature):

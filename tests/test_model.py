@@ -156,6 +156,7 @@ def test_params_are_views_of_one_values_and_one_grads_vector(tmp_path):
     save_params(tmp_path / "m.hsz", params)
     loaded = load_params(tmp_path / "m.hsz")
     assert_flat_views(loaded)
+    assert loaded.grads is None  # a checkpoint is scored, not trained
     assert loaded.values.tobytes() == params.values.tobytes()
     assert loaded.values.flags.writeable
 

@@ -1,6 +1,7 @@
-"""Scoring on worker processes: the serial loop's bits, the pool rule, and
-failure and cleanup of the workers."""
+"""Scoring on worker processes: the serial loop's bits, the pool rule,
+failure and cleanup of the workers, and the fork layer's one wait loop."""
 
+import functools
 import glob
 import json
 import math
@@ -16,12 +17,12 @@ import pytest
 
 from hsimvt import (DimensionError, ModelConfig, ModelParams, PatchSource, TrainConfig,
                     WorkerError, mmnorm, mpca, synth_scene, train)
-from hsimvt import _blas, metrics, scoring
+from hsimvt import _blas, metrics
 from hsimvt.cli import main
 from hsimvt.data import VAL, save_cube, save_labels
 from hsimvt.model import load_params
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(scoring.__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
 TOY = ModelConfig(patch_size=3, num_views=2, view_components=2, encoder_kernels=2,
                   squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
                   num_classes=3)
@@ -84,7 +85,7 @@ def test_two_workers_give_the_serial_bits(turned, n, dtype):
     if dtype == np.float64:
         assert (serial == 2).all()
     fds, mappings = open_fds(), shared_mappings()
-    pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
+    pooled = metrics.predict_pooled(params, source, coords, 2, BATCH)
     assert pooled.dtype == serial.dtype == np.int64
     assert pooled.tobytes() == serial.tobytes()
     assert pooled.base is None  # a private copy, not a view of the workers' mapping
@@ -96,17 +97,17 @@ def test_two_workers_give_the_serial_bits(turned, n, dtype):
 def test_each_worker_has_one_pipe_to_the_caller(monkeypatch):
     """The predictions come back through shared memory, so the caller holds
     one pipe end per worker while it collects: the worker's fd 2."""
-    collect = scoring._collect
+    collect = _blas.wait
     held = []
 
     def counting_collect(*args):
         held.append(len(open_fds()))
         return collect(*args)
 
-    monkeypatch.setattr(scoring, "_collect", counting_collect)
+    monkeypatch.setattr(_blas, "wait", counting_collect)
     params, source, coords = toy_job(3 * BATCH)
     fds = len(open_fds())
-    pooled = scoring.predict_pooled(params, source, coords, 3, BATCH)
+    pooled = metrics.predict_pooled(params, source, coords, 3, BATCH)
     assert held == [fds + 3]
     assert pooled.tobytes() == metrics._predict_batches(params, source, coords,
                                                         BATCH).tobytes()
@@ -115,7 +116,7 @@ def test_each_worker_has_one_pipe_to_the_caller(monkeypatch):
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 42776])
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_worker_shares_are_runs_of_whole_serial_batches(n, workers):
-    bounds = scoring._batch_bounds(n, workers, BATCH)
+    bounds = metrics.batch_bounds(n, workers, BATCH)
     assert len(bounds) == workers + 1 and bounds[0] == 0 and bounds[-1] == n
     assert bounds == sorted(bounds)
     assert all(b % BATCH == 0 for b in bounds[:-1])
@@ -152,22 +153,22 @@ def test_pool_rule_picks_each_bench_job_path(monkeypatch, config, pixels, pooled
     assert (n_values(PAVIA), n_values(INDIAN_PINES), n_values(BENCH_TOY)) == \
         (143249, 143704, 1487)
     with_blas_control(monkeypatch, 2)
-    assert scoring.pool_workers(n_values(config), pixels, BATCH) == (2 if pooled else 1)
+    assert metrics.pool_workers(n_values(config), pixels, BATCH) == (2 if pooled else 1)
 
 
 def test_pool_size_is_bounded_by_cpus_cap_and_batches(monkeypatch):
-    big = scoring._POOL_WORK_MIN
+    big = metrics._POOL_WORK_MIN
     with_blas_control(monkeypatch, 1)
-    assert scoring.pool_workers(big, 10 * BATCH, BATCH) == 1
+    assert metrics.pool_workers(big, 10 * BATCH, BATCH) == 1
     with_blas_control(monkeypatch, 64)
-    assert scoring.pool_workers(big, 100 * BATCH, BATCH) == scoring._MAX_WORKERS
-    assert scoring.pool_workers(big, BATCH + 1, BATCH) == 2
+    assert metrics.pool_workers(big, 100 * BATCH, BATCH) == metrics._MAX_WORKERS
+    assert metrics.pool_workers(big, BATCH + 1, BATCH) == 2
 
 
 def test_scoring_runs_serially_without_blas_control(monkeypatch):
     monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_blas, "_control", lambda: None)
-    assert scoring.pool_workers(scoring._POOL_WORK_MIN, 10 * BATCH, BATCH) == 1
+    assert metrics.pool_workers(metrics._POOL_WORK_MIN, 10 * BATCH, BATCH) == 1
 
 
 @needs_blas_control
@@ -182,7 +183,7 @@ def test_workers_run_one_blas_thread_whatever_the_caller_sets(monkeypatch):
     try:
         for caller_threads in (1, 2):
             set_(caller_threads)
-            seen = scoring.predict_pooled(params, source, coords, 2, BATCH)
+            seen = metrics.predict_pooled(params, source, coords, 2, BATCH)
             assert seen.tolist() == [1] * 300
             assert get() == caller_threads
     finally:
@@ -197,7 +198,7 @@ def test_a_worker_error_keeps_its_type():
         metrics._predict_batches(params, wrong, coords, BATCH)
     fds, mappings = open_fds(), shared_mappings()
     with pytest.raises(DimensionError, match="channels"):
-        scoring.predict_pooled(params, wrong, coords, 2, BATCH)
+        metrics.predict_pooled(params, wrong, coords, 2, BATCH)
     assert children() == set()
     assert open_fds() == fds
     assert shared_mappings() == mappings
@@ -212,7 +213,7 @@ def test_a_base_exception_in_a_worker_is_a_worker_error(monkeypatch, exc):
     params, source, coords = toy_job(300)
     fds, mappings = open_fds(), shared_mappings()
     with pytest.raises(WorkerError, match=exc.__name__):
-        scoring.predict_pooled(params, source, coords, 2, BATCH)
+        metrics.predict_pooled(params, source, coords, 2, BATCH)
     assert children() == set()
     assert open_fds() == fds
     assert shared_mappings() == mappings
@@ -229,7 +230,7 @@ def test_a_worker_writing_to_fd_2_leaves_the_callers_stderr_empty(monkeypatch, c
     serial = predict_batches(params, source, coords, BATCH)
     monkeypatch.setattr(metrics, "_predict_batches", noisy)
     capfd.readouterr()
-    pooled = scoring.predict_pooled(params, source, coords, 2, BATCH)
+    pooled = metrics.predict_pooled(params, source, coords, 2, BATCH)
     assert pooled.tobytes() == serial.tobytes()
     assert capfd.readouterr().err == ""
 
@@ -249,9 +250,9 @@ def test_predict_coords_checks_its_coordinates_before_scoring(monkeypatch, coord
     def never(*args):
         raise AssertionError("scored before the coordinates were checked")
 
-    monkeypatch.setattr(scoring, "_POOL_WORK_MIN", 0)
+    monkeypatch.setattr(metrics, "_POOL_WORK_MIN", 0)
     monkeypatch.setattr(metrics, "_predict_batches", never)
-    monkeypatch.setattr(scoring, "predict_pooled", never)
+    monkeypatch.setattr(metrics, "predict_pooled", never)
     with pytest.raises(DimensionError):
         metrics.predict_coords(params, source, coords)
 
@@ -294,22 +295,88 @@ def test_a_worker_killed_while_scoring_raises_worker_error_at_once(monkeypatch):
     coords = np.argwhere(np.ones((192, 192), dtype=bool))
     source = PatchSource(raster, 5)
     started = threading.Event()
-    collect = scoring._collect
+    collect = _blas.wait
 
     def signalling_collect(*args):
         started.set()
         return collect(*args)
 
-    monkeypatch.setattr(scoring, "_collect", signalling_collect)
+    monkeypatch.setattr(_blas, "wait", signalling_collect)
     fds, mappings = open_fds(), shared_mappings()
     outcome, seconds = kill_a_worker_during(
-        lambda: scoring.predict_pooled(params, source, coords, 2, BATCH), started)
+        lambda: metrics.predict_pooled(params, source, coords, 2, BATCH), started)
     assert isinstance(outcome.get("error"), WorkerError), outcome
     assert "killed by signal 9" in str(outcome["error"])
     assert seconds < 1.0  # the other worker is stopped, not waited out
     assert children() == set()
     assert open_fds() == fds
     assert shared_mappings() == mappings
+
+
+# ------------------------------------------------------------ the fork layer
+
+def wait_for(*jobs, acked=False):
+    """Fork a child per job, called with the write end of an ack pipe if
+    ``acked`` (else None), then :func:`_blas.wait` for them, on that pipe
+    if ``acked``. Returns each child's exit code, None for one not yet
+    waited for. Every child is stopped and every pipe closed after."""
+    fds = open_fds()
+    ack, answer = os.pipe() if acked else (None, None)
+    procs = []
+    try:
+        for i, job in enumerate(jobs):
+            procs.append(_blas.fork(functools.partial(job, answer), f"child {i}"))
+        if acked:
+            os.close(answer)  # so that only the children hold it
+            answer = None
+        _blas.wait(procs, ack=ack)
+        return [proc.returncode for proc in procs]
+    finally:
+        for proc in procs:
+            proc.stop()
+        for fd in (ack, answer):
+            if fd is not None:
+                os.close(fd)
+        assert children() == set()
+        assert open_fds() == fds
+
+
+def killed(answer):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def failing(answer):
+    raise DimensionError("a child's own error")
+
+
+def answering(answer):
+    os.write(answer, b"\0")
+    time.sleep(60)  # until stopped
+
+
+def test_wait_returns_once_every_child_exits_0():
+    assert wait_for(lambda answer: None, lambda answer: time.sleep(0.2)) == [0, 0]
+
+
+@pytest.mark.parametrize("acked", [False, True])
+def test_wait_raises_a_killed_childs_worker_error(acked):
+    with pytest.raises(WorkerError, match="^child 0 was killed by signal 9$"):
+        wait_for(killed, acked=acked)
+
+
+@pytest.mark.parametrize("acked", [False, True])
+def test_wait_raises_a_childs_error_with_its_own_type(acked):
+    with pytest.raises(DimensionError, match="^a child's own error$"):
+        wait_for(failing, acked=acked)
+
+
+def test_wait_with_ack_returns_on_the_byte():
+    assert wait_for(answering, acked=True) == [None]
+
+
+def test_wait_with_ack_raises_for_a_child_that_exits_0_without_answering():
+    with pytest.raises(WorkerError, match="^child 0 exited with status 0$"):
+        wait_for(lambda answer: None, acked=True)
 
 
 # ----------------------------------------------------------------- the CLI
@@ -329,7 +396,7 @@ def pooled_scene(tmp_path_factory):
     # At least 85% of the pixels are test pixels; each takes 43 parameters
     # per feature of this model's feature head.
     test_pixels = labels.labeled_coords().shape[0] * 85 // 100
-    feature_dim = 2 ** math.ceil(math.log2(scoring._POOL_WORK_MIN / (test_pixels * 43)))
+    feature_dim = 2 ** math.ceil(math.log2(metrics._POOL_WORK_MIN / (test_pixels * 43)))
     doc = {"data": {"cube_path": str(root / "cube.hsz"),
                     "labels_path": str(root / "labels.hsz")},
            "mpca": {"views": 3, "components": 2},
@@ -342,7 +409,7 @@ def pooled_scene(tmp_path_factory):
     assert main(["preprocess", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config)]) == 0
     params = load_params(root / "checkpoint.hsz")
-    assert params.values.size * test_pixels >= scoring._POOL_WORK_MIN
+    assert params.values.size * test_pixels >= metrics._POOL_WORK_MIN
     return root, str(config)
 
 
@@ -361,13 +428,13 @@ def cli_outputs(capsys, root, config):
 def test_cli_outputs_are_byte_identical_on_both_paths(pooled_scene, capsys, monkeypatch):
     root, config = pooled_scene
     pooled_calls = []
-    pooled = scoring.predict_pooled
+    pooled = metrics.predict_pooled
     monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(scoring, "predict_pooled",
+    monkeypatch.setattr(metrics, "predict_pooled",
                         lambda *args: pooled_calls.append(args[3]) or pooled(*args))
     on_workers = cli_outputs(capsys, root, config)
     assert pooled_calls == [2] * 4  # eval, audit raw and rotated, map
-    monkeypatch.setattr(scoring, "_POOL_WORK_MIN", math.inf)
+    monkeypatch.setattr(metrics, "_POOL_WORK_MIN", math.inf)
     serial = cli_outputs(capsys, root, config)
     assert len(pooled_calls) == 4
     assert on_workers == serial
@@ -400,12 +467,12 @@ def test_training_through_a_pooled_validation_keeps_the_serial_bits(monkeypatch)
     config = TrainConfig(epochs=2, batch_size=64, seed=3)
     monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
     pooled_calls = []
-    pooled = scoring.predict_pooled
-    monkeypatch.setattr(scoring, "predict_pooled",
+    pooled = metrics.predict_pooled
+    monkeypatch.setattr(metrics, "predict_pooled",
                         lambda *args: pooled_calls.append(len(args[2])) or pooled(*args))
     runs = {}
     for floor in (0, math.inf):
-        monkeypatch.setattr(scoring, "_POOL_WORK_MIN", floor)
+        monkeypatch.setattr(metrics, "_POOL_WORK_MIN", floor)
         runs[floor] = train(representation, labels, TOY, config, fractions=(0.1, 0.3, 0.6))
     val_pixels = len(runs[0].split.coords(VAL))
     assert val_pixels > BATCH
@@ -420,9 +487,9 @@ def test_training_through_a_pooled_validation_keeps_the_serial_bits(monkeypatch)
 UNGUARDED = """
 import sys
 import numpy as np
-from hsimvt import ModelConfig, ModelParams, PatchSource, _blas, metrics, scoring
+from hsimvt import ModelConfig, ModelParams, PatchSource, _blas, metrics
 _blas.usable_cpus = lambda: 2
-scoring._POOL_WORK_MIN = 0
+metrics._POOL_WORK_MIN = 0
 config = ModelConfig(patch_size=3, num_views=2, view_components=2, encoder_kernels=2,
                      squeeze_channels=4, token_channels=8, num_heads=2, feature_dim=8,
                      num_classes=3)

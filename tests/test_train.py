@@ -1,5 +1,6 @@
 """Loss, optimizer, the training loop, metrics, and the rotation audit."""
 
+import errno
 import json
 import os
 import signal
@@ -15,8 +16,9 @@ from hsimvt import (AdamState, ConfigError, DimensionError, DivergenceError, Gra
                     cross_entropy, derive_seeds, evaluate, forward, mmnorm,
                     mpca, predict, report_from_confusion, rotate180, rotation_audit,
                     stratified_split, synth_scene, train, WorkerError)
-from hsimvt import _blas, metrics, scoring, training
-from hsimvt.data import TEST, TRAIN, VAL, LabelMap, PatchSource
+from hsimvt import _blas, metrics, training
+from hsimvt.cli import main
+from hsimvt.data import TEST, TRAIN, VAL, LabelMap, PatchSource, save_cube, save_labels
 from hsimvt.metrics import predict_coords
 from hsimvt.training import derive_split
 
@@ -359,8 +361,8 @@ def lane_run(monkeypatch, which, forked, epochs=2, learning_rate=1e-3):
     the result and the names of the children it forked."""
     representation, labels, model_config, fractions = LANE_RUNS[which]()
     forks = []
-    fork = scoring._fork
-    monkeypatch.setattr(scoring, "_fork", lambda job, name: forks.append(name) or fork(job, name))
+    fork = _blas.fork
+    monkeypatch.setattr(_blas, "fork", lambda job, name: forks.append(name) or fork(job, name))
     monkeypatch.setattr(_blas, "may_split", lambda: forked)
     config = TrainConfig(epochs=epochs, batch_size=64, learning_rate=learning_rate, seed=5)
     return train(representation, labels, model_config, config, fractions), forks
@@ -405,7 +407,8 @@ def test_each_step_is_the_halves_weighted_mean_then_adam(monkeypatch, forked):
         for t in range(1, config.epochs + 1):
             order = rng.permutation(len(coords))
             first, second = order[:(len(order) + 1) // 2], order[(len(order) + 1) // 2:]
-            other = ModelParams.bound_to(SMALL_MODEL, params.values)
+            other = ModelParams.bound_to(SMALL_MODEL, params.values,
+                                         np.zeros_like(params.values))
             loss = (training._half_step(params, source, coords[first], ids[first]) * len(first)
                     + training._half_step(other, source, coords[second], ids[second])
                     * len(second))
@@ -497,7 +500,7 @@ def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch
         outcome, _ = kill_a_worker_during(
             lambda: lane_run(monkeypatch, "default", True, epochs=50))
     else:  # the first command then meets a pipe with no reader
-        fork = scoring._fork
+        fork = _blas.fork
 
         def dead_on_arrival(job, name):
             proc = fork(job, name)
@@ -505,7 +508,7 @@ def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch
             os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
             return proc
 
-        monkeypatch.setattr(scoring, "_fork", dead_on_arrival)
+        monkeypatch.setattr(_blas, "fork", dead_on_arrival)
         monkeypatch.setattr(_blas, "may_split", lambda: True)
         representation, labels = small_scene()
         with pytest.raises(WorkerError) as raised:
@@ -516,6 +519,44 @@ def test_a_killed_lane_raises_worker_error_and_leaves_nothing_behind(monkeypatch
     assert children() == set()
     assert open_fds() == fds
     assert shared_mappings() == mappings
+
+
+def test_a_lane_that_cannot_start_raises_worker_error_and_leaves_nothing_behind(
+        monkeypatch, tmp_path, capsys):
+    """A fork refused, as under a process limit: train raises WorkerError,
+    not a BufferError of the shared mapping, and the CLI reports it."""
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(_blas, "may_split", lambda: True)
+    monkeypatch.setattr(os, "fork", refused)
+    fds, mappings = open_fds(), shared_mappings()
+    representation, labels = small_scene()
+    with pytest.raises(WorkerError, match="cannot start a training lane"):
+        train(representation, labels, SMALL_MODEL, TrainConfig(epochs=1, seed=5))
+    assert children() == set()
+    assert open_fds() == fds
+    assert shared_mappings() == mappings
+
+    cube, labels = synth_scene(seed=2, height=24, width=24, bands=12, num_classes=3,
+                               noise_sigma=0.05)
+    save_cube(cube, tmp_path / "cube.hsz")
+    save_labels(labels, tmp_path / "labels.hsz")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data": {"cube_path": str(tmp_path / "cube.hsz"),
+                 "labels_path": str(tmp_path / "labels.hsz")},
+        "mpca": {"views": 3, "components": 2},
+        "model": {"patch_size": 3, "encoder_kernels": 2, "squeeze_channels": 4,
+                  "token_channels": 8, "heads": 2, "feature_dim": 8},
+        "train": {"epochs": 1}, "output": {"dir": str(tmp_path)}}))
+    assert main(["preprocess", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["type"] == "WorkerError"
+    assert children() == set()
 
 
 # -------------------------------------------------------------------- metrics
